@@ -11,7 +11,8 @@ Configs are sectioned key-value files; array values use Python literal
 syntax (parsed with ast.literal_eval, never eval).  All CSV output is
 UTF-8 with a header row and 17-significant-digit floats, so repeated runs
 are byte-identical on one platform.  Errors exit nonzero after printing a
-single machine-parsable ``error: ...`` line on stderr.
+single machine-parsable ``error: ...`` line on stderr; a table with a NaN
+or inf cell is such an error and is not written.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .asymptotics import (
     weight_curve,
 )
 from .grid import MESH_PANELS, GridDensity, TimeGrid, grid_from_density, uniform_density
-from .matfun import ctrl_gramian, kt_matrix, obs_gramian
+from .matfun import _transition
 from .model import LinearSdeModel, ModelValidationError, validate_model
 from .solver import WienerIncrements, mc_verify_mse, run_filter
 
@@ -158,13 +159,17 @@ def _fmt(v) -> str:
 
 
 def _write_csv(outdir: str, name: str, header: list[str], rows, quiet: bool) -> str:
-    os.makedirs(outdir, exist_ok=True)
+    """Write the table, refusing (before touching the file) any NaN or inf cell."""
     path = os.path.join(outdir, name)
+    cells = [[_fmt(v) for v in row] for row in rows]
+    bad = sum(c in ("nan", "inf", "-inf") for row in cells for c in row)
+    if bad:
+        raise ValueError(f"{path}: {bad} NaN or inf values, not written")
+    os.makedirs(outdir, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(cells)
     if not quiet:
         print(f"wrote {path}")
     return path
@@ -211,9 +216,8 @@ def cmd_gramian(cfg: ExperimentConfig, quiet: bool = False) -> str:
     rows = []
     for idx, t in enumerate(mesh):
         t = float(t)
-        G = ctrl_gramian(model.A, model.D, t)
-        Q = obs_gramian(model.A, model.M, t)
-        K = kt_matrix(model.A, model.D, t)
+        _, _, K, G = _transition(model.A, model.D, t)
+        Q = _transition(model.A.T, model.M, t)[3]
         rows.append([t, *G.ravel(), *Q.ravel(), *K.ravel(), F[idx], S[idx]])
     return _write_csv(cfg.outdir, "gramian.csv", header, rows, quiet)
 

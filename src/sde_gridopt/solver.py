@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import TimeGrid
-from .matfun import kt_matrix, mat_exp, phi1
+from .matfun import _transition, kt_matrix, mat_exp
 from .model import LinearSdeModel, frobenius_pairing
 
 __all__ = [
@@ -85,9 +85,9 @@ def _step_matrices(model: LinearSdeModel, dt: float) -> StepMatrices:
     hit = _STEP_CACHE.get(key)
     if hit is not None:
         return hit
-    exp_a = mat_exp(model.A, dt)
-    phi_b = phi1(model.A, dt) @ model.B
-    kt3 = kt_matrix(model.A, model.D, dt) * dt**3
+    exp_a, phi, kt, _ = _transition(model.A, model.D, dt)
+    phi_b = phi @ model.B
+    kt3 = kt * dt**3
     # PSD square root; eigenvalues clipped at zero against roundoff
     w, V = np.linalg.eigh(kt3)
     kt3_sqrt = V @ np.diag(np.sqrt(np.clip(w, 0.0, None)))

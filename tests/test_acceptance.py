@@ -23,6 +23,7 @@ from sde_gridopt import (
     euler_maruyama_step,
     functional_quadrature_bound,
     grid_from_density,
+    kt_matrix,
     limit_sigma,
     mc_verify_integral,
     mc_verify_mse,
@@ -39,10 +40,9 @@ from sde_gridopt import (
     ups_functional,
     weight_curve,
 )
-from sde_gridopt.matfun import _kt_direct, _kt_series
 from sde_gridopt.solver import _step_matrices, _stream
 
-from helpers import random_model, random_regular_model
+from helpers import kt_oracle, random_model, random_regular_model
 
 SWEEP = [2**k for k in range(4, 13)]
 
@@ -179,14 +179,15 @@ def test_criterion_6_identity_battery(ou):
     rhs = ou.A @ sig + sig @ ou.A.T + mho(ou.A, ou.D)
     assert np.linalg.norm(dS - rhs) <= 1e-6 * np.linalg.norm(rhs)
 
-    # K_t series and direct branches across t ||A||_F in [1e-3, 1]
+    # float64 doubling K_t against the series / long-double direct oracle
+    # across t ||A||_F in [1e-3, 30]
     model = random_model(rng, n=2)
     nrm = np.linalg.norm(model.A)
-    for x in np.geomspace(1e-3, 1.0, 13):
+    for x in np.geomspace(1e-3, 30.0, 13):
         t = float(x / nrm)
-        a = _kt_series(model.A, model.D, t)
-        b = _kt_direct(model.A, model.D, t)
-        assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(a)
+        a = kt_oracle(model.A, model.D, t)
+        b = kt_matrix(model.A, model.D, t)
+        assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(a)
 
     # covariance recursion against its explicit closed-form sum
     for n in (1, 2, 3):

@@ -42,6 +42,14 @@ paths = 2000
 seed = 2024
 """
 
+STIFF_CONFIG = """\
+[model]
+A = [[-1.0, 0.0], [0.0, -1000.0]]
+B = [[1.0, 0.0], [0.0, 1.0]]
+M = [[1.0, 0.0], [0.0, 1.0]]
+T = 1.0
+"""
+
 
 def write_config(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
@@ -120,6 +128,29 @@ class TestGramian:
         assert float(last[3]) == pytest.approx(0.03275595748796561, rel=1e-10)
         assert float(last[4]) == pytest.approx(1.0 / 12.0, rel=1e-12)
         assert float(last[5]) == 0.0
+
+    def test_stiff_model_table_is_finite(self, tmp_path):
+        cfg_path = write_config(tmp_path, STIFF_CONFIG)
+        rc = main(["gramian", "--config", cfg_path, "--out", str(tmp_path), "--quiet"])
+        assert rc == 0
+        header, rows = read_csv(tmp_path / "gramian.csv")
+        cells = np.array([[float(c) for c in row] for row in rows])
+        assert cells.shape == (4097, 1 + 3 * 4 + 2)
+        assert np.all(np.isfinite(cells))
+        last = dict(zip(header, rows[-1]))
+        assert float(last["G_22"]) == pytest.approx((1.0 - math.exp(-2000.0)) / 2000.0, rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_unstable_model_refused_not_written(self, tmp_path, capsys):
+        # exp(800) overflows: the table would hold inf and NaN cells
+        text = OU_CONFIG.replace("[[-1.0]]", "[[400.0]]").replace("T = 1.0", "T = 2.0")
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, text)
+        rc = main(["gramian", "--config", cfg_path, "--out", str(out), "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "gramian.csv" in err and "NaN or inf" in err
+        assert not (out / "gramian.csv").exists()
 
 
 class TestConvergence:

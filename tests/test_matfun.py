@@ -7,8 +7,6 @@ from scipy.linalg import expm
 
 from sde_gridopt.matfun import (
     KT_BRANCH_THRESHOLD,
-    _kt_direct,
-    _kt_series,
     ctrl_gramian,
     kt_matrix,
     mat_exp,
@@ -18,7 +16,7 @@ from sde_gridopt.matfun import (
     weight_propagate,
 )
 
-from helpers import random_model
+from helpers import kt_oracle, random_model
 
 
 def rel(err, ref):
@@ -123,6 +121,16 @@ class TestCtrlGramian:
             resid = dG - (A @ G + G @ A.T + D)
             assert np.linalg.norm(resid) < 1e-6
 
+    def test_stiff_and_long_horizon(self):
+        # exp(tH) of the Van Loan block matrix overflows here; the Gramian does not
+        A = np.diag([-1.0, -1000.0])
+        want = np.diag([(1.0 - math.exp(-2.0)) / 2.0, (1.0 - math.exp(-2000.0)) / 2000.0])
+        for got in (ctrl_gramian(A, np.eye(2), 1.0), obs_gramian(A, np.eye(2), 1.0)):
+            assert rel(got - want, want) < 1e-13
+        assert np.all(np.isfinite(kt_matrix(A, np.eye(2), 1.0)))
+        got = ctrl_gramian(np.array([[-1.0]]), np.array([[1.0]]), 800.0)[0, 0]
+        assert got == pytest.approx(0.5, rel=1e-13)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             ctrl_gramian(np.eye(2), np.eye(2), -0.1)
@@ -191,22 +199,26 @@ class TestKtMatrix:
         assert got == pytest.approx(0.03275595748796561, rel=1e-12)
 
     def test_branch_agreement(self):
-        # series and extended-precision direct formula on t ||A|| in [1e-3, 1]
+        # float64 doubling against the series / long-double direct oracle on
+        # t ||A|| in [1e-3, 30], up to nine doubling steps
         rng = np.random.default_rng(31)
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             model = random_model(rng, n=n)
             a = np.linalg.norm(model.A)
-            for x in np.geomspace(1e-3, 1.0, 7):
+            for x in np.geomspace(1e-3, 30.0, 11):
                 t = x / a
-                s = _kt_series(model.A, model.D, t)
-                d = _kt_direct(model.A, model.D, t)
-                assert rel(s - d, s) < 1e-8
+                ref = kt_oracle(model.A, model.D, t)
+                assert rel(kt_matrix(model.A, model.D, t) - ref, ref) < 1e-13
 
-    def test_branch_switch_is_seamless(self, ou):
-        t = KT_BRANCH_THRESHOLD / np.linalg.norm(ou.A)
-        below = kt_matrix(ou.A, ou.D, t * (1 - 1e-9))
-        above = kt_matrix(ou.A, ou.D, t * (1 + 1e-9))
-        assert rel(below - above, below) < 1e-7
+    def test_doubling_count_switch_is_seamless(self, ou):
+        # the number of doubling steps changes at t ||A|| = 0.1 * 2^k
+        rng = np.random.default_rng(33)
+        for model in (ou, random_model(rng, n=3)):
+            for k in range(4):
+                t = KT_BRANCH_THRESHOLD * 2.0**k / np.linalg.norm(model.A)
+                below = kt_matrix(model.A, model.D, t * (1 - 1e-12))
+                above = kt_matrix(model.A, model.D, t * (1 + 1e-12))
+                assert rel(below - above, below) < 1e-10
 
     def test_continuity_toward_mho(self, ou):
         rng = np.random.default_rng(37)

@@ -64,6 +64,7 @@ from .solver import (
     milstein_step_scalar,
     run_filter,
     sample_bridge_refinement,
+    sigma_path,
     sample_exact_path,
     sample_joint_increment,
 )
@@ -103,6 +104,7 @@ __all__ = [
     "sample_joint_increment",
     "sample_exact_path",
     "kalman_step",
+    "sigma_path",
     "run_filter",
     "closed_form_sigma",
     "euler_maruyama_step",

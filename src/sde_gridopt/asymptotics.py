@@ -88,7 +88,7 @@ _CURVE_CACHE: dict = {}
 
 
 def _curves(model: LinearSdeModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """F and S sampled on the standard mesh, cached per model.
+    """F and S sampled on the standard mesh, cached for the last model.
 
     Built by scanning s = T - t with one-step congruences: R steps by
     exp(hA) conjugation, Q accumulates one-panel Gramians pushed forward
@@ -131,6 +131,7 @@ def _curves(model: LinearSdeModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     F = np.clip(Fs[::-1].copy(), 0.0, None)
     S = np.clip(Ss[::-1].copy(), 0.0, None)
     out = (mesh, F, S)
+    _CURVE_CACHE.clear()  # keep one model's curves: commands ask for one at a time
     _CURVE_CACHE[key] = out
     return out
 

@@ -3,7 +3,7 @@
 Subcommands:
 
 * ``gramian``      tabulate G_t, Q_t, K_t and the weights F_t, S_t over the mesh
-* ``convergence``  run the error recursion over an N-sweep with limit rows
+* ``convergence``  run the covariance recursion over an N-sweep with limit rows
 * ``mc-verify``    Monte Carlo consistency check of the predicted errors
 * ``ou-table``     analytic vs quadrature optimum table for scalar OU models
 
@@ -12,7 +12,8 @@ syntax (parsed with ast.literal_eval, never eval).  All CSV output is
 UTF-8 with a header row and 17-significant-digit floats, so repeated runs
 are byte-identical on one platform.  Errors exit nonzero after printing a
 single machine-parsable ``error: ...`` line on stderr; a table with a NaN
-or inf cell is such an error and is not written.
+or inf cell is such an error and is not written, and numpy's overflow
+warnings on the way to it are not printed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import configparser
 import csv
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +39,7 @@ from .asymptotics import (
 from .grid import MESH_PANELS, GridDensity, TimeGrid, grid_from_density, uniform_density
 from .matfun import _transition
 from .model import LinearSdeModel, ModelValidationError, validate_model
-from .solver import WienerIncrements, mc_verify_mse, run_filter
+from .solver import mc_verify_mse, sigma_path
 
 __all__ = [
     "ExperimentConfig",
@@ -137,17 +137,6 @@ def parse_config(path: str) -> ExperimentConfig:
     return cfg
 
 
-def _max_workers(jobs: int) -> int:
-    env = os.environ.get("SDE_GRIDOPT_THREADS")
-    if env is not None:
-        cap = int(env)
-        if cap < 1:
-            raise ValueError("SDE_GRIDOPT_THREADS must be a positive integer")
-    else:
-        cap = min(8, os.cpu_count() or 1)
-    return max(1, min(cap, jobs))
-
-
 def _fmt(v) -> str:
     if v is None:
         return ""
@@ -224,20 +213,18 @@ def cmd_gramian(cfg: ExperimentConfig, quiet: bool = False) -> str:
 
 def _convergence_row(cfg: ExperimentConfig, N: int) -> list:
     grid, _ = _grid_for(cfg, N)
-    zero = WienerIncrements(grid, np.zeros((grid.n_steps, cfg.model.m)))
-    _, rep = run_filter(cfg.model, grid, np.zeros(cfg.model.n), zero)
+    _, rep = sigma_path(cfg.model, grid)
     return [grid.n_steps, rep.terminal, rep.integral, rep.n2_terminal, rep.n2_integral]
 
 
 def cmd_convergence(cfg: ExperimentConfig, quiet: bool = False) -> str:
-    """Error recursion over the N-sweep plus trailing limit reference rows."""
+    """Covariance recursion over the N-sweep plus trailing limit reference rows."""
     sweep = cfg.n_sweep or ([cfg.n_steps] if cfg.n_steps else [])
     if cfg.grid_kind == "file":
         sweep = [None]
     elif not sweep:
         raise ValueError("convergence needs N or N_sweep in the config")
-    with ThreadPoolExecutor(max_workers=_max_workers(len(sweep))) as pool:
-        rows = list(pool.map(lambda N: _convergence_row(cfg, N), sweep))
+    rows = [_convergence_row(cfg, N) for N in sweep]
     psi = _density_for(cfg)
     if psi is not None:
         phi = None if psi.values[-1] == 0.0 else phi_functional(cfg.model, psi)
@@ -330,7 +317,9 @@ def main(argv: list[str] | None = None) -> int:
             if not 0 <= args.seed < 2**64:
                 raise ValueError("--seed must fit in uint64")
             cfg.seed = args.seed
-        _COMMANDS[args.command](cfg, quiet=args.quiet)
+        # an overflowing model ends in a refused table, reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            _COMMANDS[args.command](cfg, quiet=args.quiet)
     except (ModelValidationError, ValueError, OSError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,8 @@ conditional law whose mean follows the Kalman recursion
 
 with Sigma independent of the draws.  The terminal and integral
 mean-square errors of the best increment-measurable reconstruction are
-read off Sigma, which is what the grid optimiser minimises.
+read off Sigma alone (``sigma_path``), which is what the grid optimiser
+minimises.  Each call builds its step matrices once per distinct dt.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "sample_joint_increment",
     "sample_exact_path",
     "kalman_step",
+    "sigma_path",
     "run_filter",
     "closed_form_sigma",
     "euler_maruyama_step",
@@ -60,7 +62,7 @@ def _stream(seed: int, index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class StepMatrices:
-    """Per-step transition data, cached by step length."""
+    """Transition data for one step length."""
 
     dt: float
     exp_a: np.ndarray
@@ -69,31 +71,28 @@ class StepMatrices:
     kt3_sqrt: np.ndarray  # PSD square root, kt3_sqrt @ kt3_sqrt.T = kt3
 
 
-_STEP_CACHE: dict = {}
-
-
 def _step_matrices(model: LinearSdeModel, dt: float) -> StepMatrices:
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive")
-    key = (
-        model.A.shape,
-        model.A.tobytes(),
-        model.B.shape,
-        model.B.tobytes(),
-        float(dt),
-    )
-    hit = _STEP_CACHE.get(key)
-    if hit is not None:
-        return hit
     exp_a, phi, kt, _ = _transition(model.A, model.D, dt)
     phi_b = phi @ model.B
     kt3 = kt * dt**3
     # PSD square root; eigenvalues clipped at zero against roundoff
     w, V = np.linalg.eigh(kt3)
     kt3_sqrt = V @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
-    sm = StepMatrices(float(dt), exp_a, phi_b, kt3, kt3_sqrt)
-    _STEP_CACHE[key] = sm
-    return sm
+    return StepMatrices(float(dt), exp_a, phi_b, kt3, kt3_sqrt)
+
+
+def _step_table(model: LinearSdeModel, steps: np.ndarray) -> list[StepMatrices]:
+    """One StepMatrices per step, built once per distinct step length."""
+    dts, index = np.unique(steps, return_inverse=True)
+    distinct = [_step_matrices(model, float(dt)) for dt in dts]
+    return [distinct[i] for i in index]
+
+
+def _sigma_step(sm: StepMatrices, sigma: np.ndarray) -> np.ndarray:
+    sigma = sm.exp_a @ sigma @ sm.exp_a.T + sm.kt3
+    return 0.5 * (sigma + sigma.T)
 
 
 @dataclass(frozen=True)
@@ -144,6 +143,12 @@ class ErrorReport:
     n2_integral: float
 
 
+def _draw(model: LinearSdeModel, sm: StepMatrices, rng: np.random.Generator):
+    dW = math.sqrt(sm.dt) * rng.standard_normal(model.m)
+    Z = sm.phi_b @ dW + sm.kt3_sqrt @ rng.standard_normal(model.n)
+    return dW, Z
+
+
 def sample_joint_increment(
     model: LinearSdeModel, dt: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -151,10 +156,7 @@ def sample_joint_increment(
 
     Consumes m normals for dW, then n for the residual orthogonal to dW.
     """
-    sm = _step_matrices(model, dt)
-    dW = math.sqrt(dt) * rng.standard_normal(model.m)
-    Z = sm.phi_b @ dW + sm.kt3_sqrt @ rng.standard_normal(model.n)
-    return dW, Z
+    return _draw(model, _step_matrices(model, dt), rng)
 
 
 def sample_exact_path(
@@ -167,9 +169,9 @@ def sample_exact_path(
     incs = np.empty((N, model.m))
     states[0] = x0
     x = x0
-    for k, dt in enumerate(grid.steps):
-        dW, Z = sample_joint_increment(model, float(dt), rng)
-        x = _step_matrices(model, float(dt)).exp_a @ x + Z
+    for k, sm in enumerate(_step_table(model, grid.steps)):
+        dW, Z = _draw(model, sm, rng)
+        x = sm.exp_a @ x + Z
         states[k + 1] = x
         incs[k] = dW
     return PathSample(states=states, increments=WienerIncrements(grid, incs))
@@ -182,9 +184,29 @@ def kalman_step(
     sm = _step_matrices(model, dt)
     dW = np.asarray(dW, dtype=float).reshape(model.m)
     mu = sm.exp_a @ state.mu + sm.phi_b @ dW
-    sigma = sm.exp_a @ state.sigma @ sm.exp_a.T + sm.kt3
-    sigma = 0.5 * (sigma + sigma.T)
-    return KalmanState(state.k + 1, mu, sigma)
+    return KalmanState(state.k + 1, mu, _sigma_step(sm, state.sigma))
+
+
+def _sigma_path(model: LinearSdeModel, table: list[StepMatrices]):
+    sigmas = np.empty((len(table), model.n, model.n))
+    sigma = np.zeros((model.n, model.n))
+    integral = 0.0
+    for k, sm in enumerate(table):
+        sigma = _sigma_step(sm, sigma)
+        sigmas[k] = sigma
+        integral += frobenius_pairing(model.M, sigma) * sm.dt
+    terminal = frobenius_pairing(model.M, sigma)
+    n2 = float(len(table)) ** 2
+    return sigmas, ErrorReport(terminal, float(integral), n2 * terminal, n2 * float(integral))
+
+
+def sigma_path(model: LinearSdeModel, grid: TimeGrid) -> tuple[np.ndarray, ErrorReport]:
+    """Sigma_k after each step of a grid, and the errors read off them.
+
+    Returns the (N, n, n) stack and the ErrorReport of <M, Sigma_{N-1}> and
+    sum_k <M, Sigma_k> dt_k.  Sigma depends on the grid only.
+    """
+    return _sigma_path(model, _step_table(model, grid.steps))
 
 
 def run_filter(
@@ -193,26 +215,20 @@ def run_filter(
     """Run the conditional-moment recursion along a grid.
 
     Returns the trajectory of states after each step together with the
-    terminal error <M, Sigma_{N-1}>, the integral error
-    sum_k <M, Sigma_k> dt_k, and both rescaled by N^2.  Sigma does not
-    depend on the realised increments, only on the grid.
+    error report of ``sigma_path``, which the increments do not affect.
     """
     if not np.array_equal(increments.grid.points, grid.points):
         raise ValueError("increments were sampled on a different grid")
     if increments.increments.shape[1] != model.m:
         raise ValueError("increment dimension does not match the model")
-    x0 = np.asarray(x0, dtype=float).reshape(model.n)
-    state = KalmanState(-1, x0, np.zeros((model.n, model.n)))
+    mu = np.asarray(x0, dtype=float).reshape(model.n)
+    table = _step_table(model, grid.steps)
+    sigmas, report = _sigma_path(model, table)
     trajectory = []
-    integral = 0.0
-    steps = grid.steps
-    for k in range(grid.n_steps):
-        state = kalman_step(model, state, float(steps[k]), increments.increments[k])
-        trajectory.append(state)
-        integral += frobenius_pairing(model.M, state.sigma) * steps[k]
-    terminal = frobenius_pairing(model.M, trajectory[-1].sigma)
-    n2 = float(grid.n_steps) ** 2
-    return trajectory, ErrorReport(terminal, float(integral), n2 * terminal, n2 * float(integral))
+    for k, sm in enumerate(table):
+        mu = sm.exp_a @ mu + sm.phi_b @ increments.increments[k]
+        trajectory.append(KalmanState(k, mu, sigmas[k]))
+    return trajectory, report
 
 
 def closed_form_sigma(model: LinearSdeModel, grid: TimeGrid, k: int) -> np.ndarray:
@@ -392,7 +408,7 @@ def sample_bridge_refinement(
 
 
 def _simulate_errors(
-    model: LinearSdeModel, grid: TimeGrid, x0, paths: int, seed: int
+    model: LinearSdeModel, table: list[StepMatrices], x0, paths: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised exact simulation of the squared reconstruction errors.
 
@@ -406,25 +422,29 @@ def _simulate_errors(
     mu = X.copy()
     w2_int = np.zeros(paths)
     w2 = np.zeros(paths)
-    for k, dt in enumerate(grid.steps):
-        dt = float(dt)
-        sm = _step_matrices(model, dt)
+    for k, sm in enumerate(table):
         g = _stream(seed, k)
-        dW = math.sqrt(dt) * g.standard_normal((paths, model.m))
+        dW = math.sqrt(sm.dt) * g.standard_normal((paths, model.m))
         xi = g.standard_normal((paths, model.n))
         drive = dW @ sm.phi_b.T
         X = X @ sm.exp_a.T + drive + xi @ sm.kt3_sqrt.T
         mu = mu @ sm.exp_a.T + drive
         err = X - mu
         w2 = np.einsum("pi,ij,pj->p", err, model.M, err)
-        w2_int += w2 * dt
+        w2_int += w2 * sm.dt
     return w2, w2_int
 
 
-def _resolve_seed(rng) -> int:
-    if isinstance(rng, np.random.Generator):
-        return int(rng.integers(2**63))
-    return int(rng)
+def _mc_verify(model: LinearSdeModel, grid: TimeGrid, x0, paths: int, rng, integral: bool):
+    paths = int(paths)
+    if paths < 100:
+        raise ValueError("need at least 100 paths for a meaningful check")
+    seed = int(rng.integers(2**63)) if isinstance(rng, np.random.Generator) else int(rng)
+    table = _step_table(model, grid.steps)
+    w2, w2_int = _simulate_errors(model, table, x0, paths, seed)
+    _, report = _sigma_path(model, table)
+    w, predicted = (w2_int, report.integral) if integral else (w2, report.terminal)
+    return float(w.mean()), predicted, float(w.std(ddof=1) / math.sqrt(paths))
 
 
 def mc_verify_mse(
@@ -436,14 +456,7 @@ def mc_verify_mse(
     drawn.  Returns (sample mean square error, predicted value, standard
     error of the sample mean).
     """
-    paths = int(paths)
-    if paths < 100:
-        raise ValueError("need at least 100 paths for a meaningful check")
-    seed = _resolve_seed(rng)
-    w2, _ = _simulate_errors(model, grid, x0, paths, seed)
-    zero = WienerIncrements(grid, np.zeros((grid.n_steps, model.m)))
-    _, report = run_filter(model, grid, x0, zero)
-    return float(w2.mean()), report.terminal, float(w2.std(ddof=1) / math.sqrt(paths))
+    return _mc_verify(model, grid, x0, paths, rng, integral=False)
 
 
 def mc_verify_integral(
@@ -455,11 +468,4 @@ def mc_verify_integral(
     mean to sum_k <M, Sigma_k> dt_k exactly as mc_verify_mse does for the
     terminal error.
     """
-    paths = int(paths)
-    if paths < 100:
-        raise ValueError("need at least 100 paths for a meaningful check")
-    seed = _resolve_seed(rng)
-    _, w2_int = _simulate_errors(model, grid, x0, paths, seed)
-    zero = WienerIncrements(grid, np.zeros((grid.n_steps, model.m)))
-    _, report = run_filter(model, grid, x0, zero)
-    return float(w2_int.mean()), report.integral, float(w2_int.std(ddof=1) / math.sqrt(paths))
+    return _mc_verify(model, grid, x0, paths, rng, integral=True)

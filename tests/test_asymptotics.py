@@ -9,6 +9,7 @@ from sde_gridopt import (
     LinearSdeModel,
     MESH_PANELS,
     asymptotic_report,
+    asymptotics,
     density_from_weight,
     frobenius_pairing,
     functional_quadrature_bound,
@@ -82,6 +83,13 @@ class TestWeights:
 
 
 class TestWeightCurve:
+    def test_cache_keeps_last_model_only(self, ou, reg2):
+        first = weight_curve(ou, "terminal").values.copy()
+        weight_curve(reg2, "integral")
+        assert len(asymptotics._CURVE_CACHE) == 1
+        assert np.array_equal(weight_curve(ou, "terminal").values, first)
+        assert len(asymptotics._CURVE_CACHE) == 1
+
     def test_kind_validation(self, ou):
         with pytest.raises(ValueError):
             weight_curve(ou, "therminal")

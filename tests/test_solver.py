@@ -17,16 +17,19 @@ from sde_gridopt import (
     mc_verify_integral,
     mc_verify_mse,
     milstein_step_scalar,
+    optimal_profile,
     phi1,
     run_filter,
     sample_bridge_refinement,
     sample_exact_path,
     sample_joint_increment,
+    sigma_path,
+    solver,
     uniform_density,
 )
-from sde_gridopt.solver import KalmanState, _step_matrices, _stream
+from sde_gridopt.solver import KalmanState, _step_matrices, _step_table, _stream
 
-from helpers import random_grid, random_model
+from helpers import random_grid, random_model, random_regular_model
 
 
 def rel(err, ref):
@@ -122,6 +125,19 @@ class TestSamplePath:
         assert path.states.shape == (6, 1)
         assert path.increments.increments.shape == (5, 1)
 
+    def test_same_draws_as_joint_increments(self):
+        # one step table per path, same stream layout as sample_joint_increment
+        model = random_model(np.random.default_rng(8), n=3, m=2)
+        grid = random_grid(np.random.default_rng(9), 12)
+        path = sample_exact_path(model, grid, np.ones(3), np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        x = np.ones(3)
+        for k, dt in enumerate(grid.steps):
+            dW, Z = sample_joint_increment(model, float(dt), rng)
+            x = _step_matrices(model, float(dt)).exp_a @ x + Z
+            assert np.array_equal(path.increments.increments[k], dW)
+            assert np.array_equal(path.states[k + 1], x)
+
 
 class TestKalmanStep:
     def test_zero_drift_shifts_mean_only(self):
@@ -187,9 +203,12 @@ class TestRunFilter:
             grid = random_grid(rng, 24)
             inc = WienerIncrements.sample(grid, model.m, rng)
             traj, _ = run_filter(model, grid, np.zeros(n), inc)
-            for k in (0, 11, 23):
+            sigmas, _ = sigma_path(model, grid)
+            assert sigmas.shape == (24, n, n)
+            for k in (0, 5, 11, 23):
                 ref = closed_form_sigma(model, grid, k)
                 assert rel(traj[k].sigma - ref, ref) < 1e-12
+                assert rel(sigmas[k] - ref, ref) < 1e-12
 
     def test_mismatched_inputs_raise(self, ou):
         grid = grid_from_density(uniform_density(1.0), 8)
@@ -200,6 +219,57 @@ class TestRunFilter:
         wide = WienerIncrements(grid, np.zeros((8, 2)))
         with pytest.raises(ValueError):
             run_filter(ou, grid, [0.0], wide)
+
+
+    @pytest.mark.parametrize("kind", ["uniform", "integral-optimal"])
+    def test_equals_chain_of_kalman_steps(self, kind):
+        # the sequential oracle: run_filter is kalman_step applied N times, bitwise
+        rng = np.random.default_rng(31)
+        model = random_regular_model(rng, n=2, m=2)
+        if kind == "uniform":
+            psi = uniform_density(model.T)
+        else:
+            psi = optimal_profile(model, "integral")[0]
+        grid = grid_from_density(psi, 48)
+        inc = WienerIncrements.sample(grid, model.m, rng)
+        x0 = np.array([0.3, -1.2])
+        traj, rep = run_filter(model, grid, x0, inc)
+        state = KalmanState(-1, x0, np.zeros((2, 2)))
+        for k, dt in enumerate(grid.steps):
+            state = kalman_step(model, state, float(dt), inc.increments[k])
+            assert traj[k].k == state.k == k
+            assert np.array_equal(traj[k].mu, state.mu)
+            assert np.array_equal(traj[k].sigma, state.sigma)
+        assert rep.terminal == float(np.sum(model.M * state.sigma))
+
+
+class TestSigmaPath:
+    def test_report_matches_run_filter(self, ou):
+        grid = random_grid(np.random.default_rng(4), 40)
+        inc = WienerIncrements.sample(grid, 1, np.random.default_rng(6))
+        traj, rep = run_filter(ou, grid, [1.0], inc)
+        sigmas, rep2 = sigma_path(ou, grid)
+        assert rep2 == rep
+        assert np.array_equal(sigmas, np.array([s.sigma for s in traj]))
+
+    def test_step_table_builds_each_dt_once(self, ou, monkeypatch):
+        calls = []
+        real = solver._transition
+
+        def counting(A, D, t):
+            calls.append(t)
+            return real(A, D, t)
+
+        monkeypatch.setattr(solver, "_transition", counting)
+        steps = np.array([0.1, 0.2, 0.1, 0.3, 0.2, 0.1])
+        table = _step_table(ou, steps)
+        assert sorted(calls) == [0.1, 0.2, 0.3]
+        assert [sm.dt for sm in table] == list(steps)
+        assert table[0] is table[2] is table[5] and table[1] is table[4]
+        calls.clear()
+        grid = TimeGrid(np.arange(9) / 8.0)  # dyadic: every step is exactly 1/8
+        sigma_path(ou, grid)
+        assert calls == [0.125]
 
 
 class TestClosedFormSigma:

@@ -13,7 +13,9 @@ UTF-8 with a header row and 17-significant-digit floats, so repeated runs
 are byte-identical on one platform.  Errors exit nonzero after printing a
 single machine-parsable ``error: ...`` line on stderr; a table with a NaN
 or inf cell is such an error and is not written, and numpy's overflow
-warnings on the way to it are not printed.
+warnings on the way to it are not printed.  Rows are streamed to a
+temporary file beside the target, which replaces the target only once the
+whole table is written and checked.
 """
 
 from __future__ import annotations
@@ -148,17 +150,30 @@ def _fmt(v) -> str:
 
 
 def _write_csv(outdir: str, name: str, header: list[str], rows, quiet: bool) -> str:
-    """Write the table, refusing (before touching the file) any NaN or inf cell."""
+    """Stream the table to a temporary file in outdir, then move it onto the target.
+
+    A table with a NaN or inf cell is refused: the temporary file is
+    deleted and the target path is never touched.
+    """
     path = os.path.join(outdir, name)
-    cells = [[_fmt(v) for v in row] for row in rows]
-    bad = sum(c in ("nan", "inf", "-inf") for row in cells for c in row)
-    if bad:
-        raise ValueError(f"{path}: {bad} NaN or inf values, not written")
     os.makedirs(outdir, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(cells)
+    tmp = os.path.join(outdir, f".{name}.{os.urandom(6).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        bad = 0
+        with fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                cells = [_fmt(v) for v in row]
+                bad += sum(c in ("nan", "inf", "-inf") for c in cells)
+                writer.writerow(cells)
+        if bad:
+            raise ValueError(f"{path}: {bad} NaN or inf values, not written")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     if not quiet:
         print(f"wrote {path}")
     return path
@@ -202,13 +217,11 @@ def cmd_gramian(cfg: ExperimentConfig, quiet: bool = False) -> str:
         + [f"K_{s}" for s in labels]
         + ["F", "S"]
     )
-    rows = []
-    for idx, t in enumerate(mesh):
-        t = float(t)
-        _, _, K, G = _transition(model.A, model.D, t)
-        Q = _transition(model.A.T, model.M, t)[3]
-        rows.append([t, *G.ravel(), *Q.ravel(), *K.ravel(), F[idx], S[idx]])
-    return _write_csv(cfg.outdir, "gramian.csv", header, rows, quiet)
+    _, _, K, G = _transition(model.A, model.D, mesh)
+    Q = _transition(model.A.T, model.M, mesh)[3]
+    L = mesh.size
+    table = np.column_stack((mesh, G.reshape(L, -1), Q.reshape(L, -1), K.reshape(L, -1), F, S))
+    return _write_csv(cfg.outdir, "gramian.csv", header, table, quiet)
 
 
 def _convergence_row(cfg: ExperimentConfig, N: int) -> list:

@@ -10,12 +10,16 @@ a handful of matrix-valued functions of A and D:
 * the residual covariance scale K_t with cov(Z | dW) = K_t t^3,
 * its small-time limit mho(A, D) = A D A^T / 12.
 
-exp(tA), E(tA), K_t and G_t = t E(tA) D E(tA)^T + K_t t^3 of one step come
-from a single float64 kernel: Taylor series at h = t / 2^s, then s doubling
-steps (scaling and squaring, Higham, Functions of Matrices, SIAM 2008,
-ch. 10).  Every term of the K_t doubling is positive semidefinite, so
-nothing cancels and no extended precision is needed.  mat_exp and
-weight_propagate, which need only the propagator, call scipy's expm.
+exp(tA), E(tA), K_t and G_t = t E(tA) D E(tA)^T + K_t t^3 come from a
+single float64 kernel that takes a whole array of step lengths at once:
+Taylor series at h = t / 2^s, then s doubling steps (scaling and squaring,
+Higham, Functions of Matrices, SIAM 2008, ch. 10).  The series are
+polynomials in h whose matrix coefficients are built once per call, so one
+Horner pass evaluates them for every t; each t then takes its own number
+of doubling steps.  Every term of the K_t doubling is positive
+semidefinite, so nothing cancels and no extended precision is needed.
+mat_exp and weight_propagate, which need only the propagator, call
+scipy's expm.
 
 All matrices are plain float ndarrays.  Norms are Frobenius throughout, and
 every nominally symmetric result is symmetrised before it is returned.
@@ -36,11 +40,34 @@ RectMatrix = np.ndarray
 # it costs one doubling step.
 KT_BRANCH_THRESHOLD = 0.1
 _TERMS = 12
-_INV_FACT = np.array([1.0 / math.factorial(k) for k in range(_TERMS + 2)])
-_J = np.arange(1, _TERMS + 1)
-# U_j = (j / (j+1)!) A (hA)^{j-1} and w_jk = 1 / (j+k+1) for j, k = 1.._TERMS
-_U_COEF = _J * _INV_FACT[2:]
-_W = 1.0 / (_J[:, None] + _J[None, :] + 1.0)
+_DEGREE = 2 * _TERMS - 2  # of the K_h series
+
+
+def _coef_weights() -> np.ndarray:
+    """Weights of the kernel's Taylor coefficients over a per-call basis.
+
+    The basis is A^k for k = 0.._TERMS, then A^j D (A^k)^T for
+    (j, k) = (1, 1).._TERMS.  Row 3p + i holds the degree-p coefficient in
+    h of f = exp(hA) - I (i = 0), E(hA) (i = 1) and K_h (i = 2):
+
+        f_p = A^p / p!,  E_p = A^p / (p+1)!,
+        K_p = sum_{j+k=p+2} w_jk u_j u_k A^j D (A^k)^T,
+
+    with u_j = j / (j+1)! and w_jk = 1 / (j+k+1).
+    """
+    W = np.zeros((_DEGREE + 1, 3, _TERMS + 1 + _TERMS**2))
+    for k in range(1, _TERMS + 1):
+        W[k, 0, k] = 1.0 / math.factorial(k)
+    for k in range(_TERMS + 1):
+        W[k, 1, k] = 1.0 / math.factorial(k + 1)
+    u = [j / math.factorial(j + 1) for j in range(_TERMS + 1)]
+    for j in range(1, _TERMS + 1):
+        for k in range(1, _TERMS + 1):
+            W[j + k - 2, 2, _TERMS + (j - 1) * _TERMS + k] = u[j] * u[k] / (j + k + 1)
+    return W.reshape(3 * (_DEGREE + 1), -1)
+
+
+_COEF_WEIGHTS = _coef_weights()
 
 __all__ = [
     "SquareMatrix",
@@ -69,8 +96,13 @@ def _check_symmetric(X: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be symmetric")
 
 
+def _T(X: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix in a stack."""
+    return X.swapaxes(-1, -2)
+
+
 def _sym(X: np.ndarray) -> np.ndarray:
-    return 0.5 * (X + X.T)
+    return 0.5 * (X + _T(X))
 
 
 def _check_pair(A, D, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
@@ -85,46 +117,79 @@ def _check_pair(A, D, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     return A, D
 
 
-def _transition(A: np.ndarray, D: np.ndarray, t: float):
-    """(exp(tA), E(tA), K_t, G_t) of one step, for validated A, D and finite t.
+def _double(A, D, e, f, E, K):
+    """One doubling step h -> 2h of (e, f, E, K) stacks; see _transition."""
+    I = np.eye(A.shape[0])
+    g = I + f
+    AEE = A @ E @ E
+    K = (g @ K @ _T(g) + K) / 8.0 + AEE @ D @ _T(AEE) / 16.0
+    return e @ e, 2.0 * f + f @ f, E + 0.5 * f @ E, K
 
-    Base: Taylor series at h = t / 2^s, the smallest s with
-    |h| ||A||_F < KT_BRANCH_THRESHOLD, where
-    K_h = sum_{j,k>=1} w_jk U_j D U_k^T.  Doubling, s times, by the law of
-    total covariance over two half steps:
+
+def _transition(A: np.ndarray, D: np.ndarray, t):
+    """(exp(tA), E(tA), K_t, G_t) for every entry of a 1-D array t.
+
+    Returns four (L, n, n) stacks for L step lengths, for validated A and D
+    and finite t; negative t is allowed (s is sized on |t|).  Row i depends
+    on t[i] alone, bit for bit, whatever the other entries of t.
+
+    Base: Taylor series at h = t / 2^s, with s the smallest count that gives
+    |h| ||A||_F < KT_BRANCH_THRESHOLD.  They are polynomials in
+    x = h ||A||_F:
+
+        f = exp(hA) - I = sum_{k=1..12} (hA)^k / k!,
+        E(hA) = sum_{k=0..12} (hA)^k / (k+1)!,
+        K_h = sum_{j,k=1..12} w_jk U_j D U_k^T,  U_j = u_j A (hA)^{j-1},
+
+    whose matrix coefficients (_coef_weights, taken at A / ||A||_F so
+    that x is the variable) are built once per call; one Horner pass
+    evaluates all three for every t.  Doubling, s times for each t, by the
+    law of total covariance over two half steps:
 
         K <- (e K e^T + K) / 8 + (A E E) D (A E E)^T / 16,
         E <- (E + e E) / 2,
         e <- e^2,
 
-    with A E E = (e - I) E / h.  Negative t is allowed (s is sized on |t|).
-    The K and E updates read e as I + f with f = e - I carried by
-    f <- 2f + f^2, which keeps the digits of the small f that squaring e
-    would round away (on random models with n <= 4, a 25 times smaller
-    K_t error at t ||A|| = 30).  The returned exp(tA) is squared directly,
-    since I + f cancels once exp(tA) has decayed.
+    with A E E = (e - I) E / h.  The K and E updates read e as I + f with
+    f = e - I carried by f <- 2f + f^2, which keeps the digits of the small
+    f that squaring e would round away (on random models with n <= 4, a 25
+    times smaller K_t error at t ||A|| = 30).  The returned exp(tA) is
+    squared directly, since I + f cancels once exp(tA) has decayed.
     """
-    I = np.eye(A.shape[0])
-    s = max(0, math.frexp(abs(t) * np.linalg.norm(A) / KT_BRANCH_THRESHOLD)[1])
-    X = (t / 2.0**s) * A
-    P = np.empty((_TERMS + 1, *A.shape))  # P[k] = (hA)^k
-    P[0] = I
-    for k in range(1, _TERMS + 1):
-        P[k] = P[k - 1] @ X
-    f = np.tensordot(_INV_FACT[1:-1], P[1:], 1)
-    E = np.tensordot(_INV_FACT[1:], P, 1)
-    U = _U_COEF[:, None, None] * (A @ P[:-1])
-    K = (U @ np.tensordot(_W, D @ U.transpose(0, 2, 1), 1)).sum(0)
-    e = I + f
-    for _ in range(s):
-        g = I + f
-        AEE = A @ E @ E
-        K = (g @ K @ g.T + K) / 8.0 + AEE @ D @ AEE.T / 16.0
-        E = E + 0.5 * f @ E
-        f = 2.0 * f + f @ f
-        e = e @ e
+    t = np.asarray(t, dtype=float)
+    n = A.shape[0]
+    a = np.linalg.norm(A)
+    s = np.maximum(np.frexp(np.abs(t) * a / KT_BRANCH_THRESHOLD)[1], 0)
+    scale = a if a > 0 else 1.0
+    x = (np.ldexp(t, -s) * scale)[:, None]
+    P = np.empty((_TERMS + 1, n, n))  # P[k] = (A / scale)^k
+    P[0] = np.eye(n)
+    P[1] = A / scale
+    k = 1
+    while k < _TERMS:
+        m = min(k, _TERMS - k)
+        P[k + 1 : k + m + 1] = P[1 : m + 1] @ P[k]
+        k *= 2
+    # rows (j, k) of PDP: scale^2 P[j] D P[k]^T for j, k = 1.._TERMS
+    PDP = ((scale**2 * (P[1:] @ D)).reshape(-1, n) @ P[1:].reshape(-1, n).T).reshape(_TERMS, n, _TERMS, n)
+    basis = np.concatenate((P.reshape(-1, n * n), PDP.transpose(0, 2, 1, 3).reshape(-1, n * n)))
+    coef = (_COEF_WEIGHTS @ basis).reshape(_DEGREE + 1, -1)
+    acc = coef[-1] * x + coef[-2]
+    for c in coef[-3::-1]:
+        acc *= x
+        acc += c
+    acc = acc.reshape(-1, 3, n, n)
+    f, E, K = acc[:, 0], acc[:, 1], acc[:, 2]
+    e = np.eye(n) + f
+    for i in range(int(s.max(initial=0))):
+        r = s > i  # rows that still take a doubling step
+        if r.all():  # no gather or scatter
+            e, f, E, K = _double(A, D, e, f, E, K)
+        else:
+            e[r], f[r], E[r], K[r] = _double(A, D, e[r], f[r], E[r], K[r])
     K = _sym(K)
-    return e, E, K, _sym(t * E @ D @ E.T + K * t**3)
+    t = t[:, None, None]
+    return e, E, K, _sym(t * E @ D @ _T(E) + K * t**3)
 
 
 def mat_exp(A: SquareMatrix, t: float) -> SquareMatrix:
@@ -144,7 +209,7 @@ def phi1(A: SquareMatrix, t: float) -> SquareMatrix:
     A = _as_square(A, "A")
     if not np.isfinite(t):
         raise ValueError("t must be finite")
-    return _transition(A, np.zeros_like(A), t)[1]
+    return _transition(A, np.zeros_like(A), [t])[1][0]
 
 
 def ctrl_gramian(A: SquareMatrix, D: SquareMatrix, t: float) -> SquareMatrix:
@@ -154,7 +219,7 @@ def ctrl_gramian(A: SquareMatrix, D: SquareMatrix, t: float) -> SquareMatrix:
     it stays finite for stiff A and long horizons.
     """
     A, D = _check_pair(A, D, t)
-    return _transition(A, D, t)[3]
+    return _transition(A, D, [t])[3][0]
 
 
 def obs_gramian(A: SquareMatrix, M: SquareMatrix, t: float) -> SquareMatrix:
@@ -189,4 +254,4 @@ def kt_matrix(A: SquareMatrix, D: SquareMatrix, t: float) -> SquareMatrix:
     Continuous in t with kt_matrix(A, D, 0) = mho(A, D).
     """
     A, D = _check_pair(A, D, t)
-    return _transition(A, D, t)[2]
+    return _transition(A, D, [t])[2][0]

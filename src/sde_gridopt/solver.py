@@ -12,7 +12,9 @@ conditional law whose mean follows the Kalman recursion
 with Sigma independent of the draws.  The terminal and integral
 mean-square errors of the best increment-measurable reconstruction are
 read off Sigma alone (``sigma_path``), which is what the grid optimiser
-minimises.  Each call builds its step matrices once per distinct dt.
+minimises.  Each call builds a step table: stacked arrays with one row per
+distinct dt, filled by one call of the batched matfun kernel and one
+batched eigh, and a row index per step that the recursions walk.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .grid import TimeGrid
 from .matfun import _transition, kt_matrix, mat_exp
-from .model import LinearSdeModel, frobenius_pairing
+from .model import LinearSdeModel
 
 __all__ = [
     "WienerIncrements",
@@ -61,37 +63,43 @@ def _stream(seed: int, index: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class StepMatrices:
-    """Transition data for one step length."""
+class StepTable:
+    """Transition data of a step sequence, one row per distinct step length.
 
-    dt: float
-    exp_a: np.ndarray
-    phi_b: np.ndarray  # E(dt A) B
-    kt3: np.ndarray  # K_dt dt^3
-    kt3_sqrt: np.ndarray  # PSD square root, kt3_sqrt @ kt3_sqrt.T = kt3
+    Step k of the sequence has length dts[index[k]] and uses row index[k]
+    of each (L, ...) stack.
+    """
+
+    dts: np.ndarray  # (L,) distinct step lengths, ascending
+    index: np.ndarray  # (N,) row of each step
+    exp_a: np.ndarray  # (L, n, n)
+    phi_b: np.ndarray  # (L, n, m), E(dt A) B
+    kt3: np.ndarray  # (L, n, n), K_dt dt^3
+    kt3_sqrt: np.ndarray  # (L, n, n), PSD square roots: kt3_sqrt @ kt3_sqrt.T = kt3
 
 
-def _step_matrices(model: LinearSdeModel, dt: float) -> StepMatrices:
+def _step_table(model: LinearSdeModel, steps) -> StepTable:
+    """Step matrices of every distinct step length, from one kernel call.
+
+    The steps must be positive and finite, as the steps of a TimeGrid are.
+    """
+    dts, index = np.unique(steps, return_inverse=True)
+    exp_a, phi, kt, _ = _transition(model.A, model.D, dts)
+    kt3 = kt * (dts**3)[:, None, None]
+    # PSD square roots; eigenvalues clipped at zero against roundoff
+    w, V = np.linalg.eigh(kt3)
+    kt3_sqrt = V * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
+    return StepTable(dts, index, exp_a, phi @ model.B, kt3, kt3_sqrt)
+
+
+def _one_step(model: LinearSdeModel, dt: float) -> StepTable:
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive")
-    exp_a, phi, kt, _ = _transition(model.A, model.D, dt)
-    phi_b = phi @ model.B
-    kt3 = kt * dt**3
-    # PSD square root; eigenvalues clipped at zero against roundoff
-    w, V = np.linalg.eigh(kt3)
-    kt3_sqrt = V @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
-    return StepMatrices(float(dt), exp_a, phi_b, kt3, kt3_sqrt)
+    return _step_table(model, [dt])
 
 
-def _step_table(model: LinearSdeModel, steps: np.ndarray) -> list[StepMatrices]:
-    """One StepMatrices per step, built once per distinct step length."""
-    dts, index = np.unique(steps, return_inverse=True)
-    distinct = [_step_matrices(model, float(dt)) for dt in dts]
-    return [distinct[i] for i in index]
-
-
-def _sigma_step(sm: StepMatrices, sigma: np.ndarray) -> np.ndarray:
-    sigma = sm.exp_a @ sigma @ sm.exp_a.T + sm.kt3
+def _sigma_step(exp_a: np.ndarray, kt3: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    sigma = exp_a @ sigma @ exp_a.T + kt3
     return 0.5 * (sigma + sigma.T)
 
 
@@ -143,9 +151,9 @@ class ErrorReport:
     n2_integral: float
 
 
-def _draw(model: LinearSdeModel, sm: StepMatrices, rng: np.random.Generator):
-    dW = math.sqrt(sm.dt) * rng.standard_normal(model.m)
-    Z = sm.phi_b @ dW + sm.kt3_sqrt @ rng.standard_normal(model.n)
+def _draw(model: LinearSdeModel, table: StepTable, i: int, rng: np.random.Generator):
+    dW = math.sqrt(table.dts[i]) * rng.standard_normal(model.m)
+    Z = table.phi_b[i] @ dW + table.kt3_sqrt[i] @ rng.standard_normal(model.n)
     return dW, Z
 
 
@@ -156,7 +164,7 @@ def sample_joint_increment(
 
     Consumes m normals for dW, then n for the residual orthogonal to dW.
     """
-    return _draw(model, _step_matrices(model, dt), rng)
+    return _draw(model, _one_step(model, dt), 0, rng)
 
 
 def sample_exact_path(
@@ -169,9 +177,10 @@ def sample_exact_path(
     incs = np.empty((N, model.m))
     states[0] = x0
     x = x0
-    for k, sm in enumerate(_step_table(model, grid.steps)):
-        dW, Z = _draw(model, sm, rng)
-        x = sm.exp_a @ x + Z
+    table = _step_table(model, grid.steps)
+    for k, i in enumerate(table.index):
+        dW, Z = _draw(model, table, i, rng)
+        x = table.exp_a[i] @ x + Z
         states[k + 1] = x
         incs[k] = dW
     return PathSample(states=states, increments=WienerIncrements(grid, incs))
@@ -181,23 +190,27 @@ def kalman_step(
     model: LinearSdeModel, state: KalmanState, dt: float, dW
 ) -> KalmanState:
     """One conditional-moment update given the increment over the step."""
-    sm = _step_matrices(model, dt)
+    table = _one_step(model, dt)
     dW = np.asarray(dW, dtype=float).reshape(model.m)
-    mu = sm.exp_a @ state.mu + sm.phi_b @ dW
-    return KalmanState(state.k + 1, mu, _sigma_step(sm, state.sigma))
+    mu = table.exp_a[0] @ state.mu + table.phi_b[0] @ dW
+    return KalmanState(state.k + 1, mu, _sigma_step(table.exp_a[0], table.kt3[0], state.sigma))
 
 
-def _sigma_path(model: LinearSdeModel, table: list[StepMatrices]):
-    sigmas = np.empty((len(table), model.n, model.n))
+def _sigma_path(model: LinearSdeModel, table: StepTable):
+    # per-row views in lists: indexing a list is cheaper than a stack
+    exp_a, kt3, dts = list(table.exp_a), list(table.kt3), table.dts.tolist()
+    M = model.M
+    N = table.index.size
+    sigmas = np.empty((N, model.n, model.n))
     sigma = np.zeros((model.n, model.n))
     integral = 0.0
-    for k, sm in enumerate(table):
-        sigma = _sigma_step(sm, sigma)
+    for k, i in enumerate(table.index):
+        sigma = _sigma_step(exp_a[i], kt3[i], sigma)
         sigmas[k] = sigma
-        integral += frobenius_pairing(model.M, sigma) * sm.dt
-    terminal = frobenius_pairing(model.M, sigma)
-    n2 = float(len(table)) ** 2
-    return sigmas, ErrorReport(terminal, float(integral), n2 * terminal, n2 * float(integral))
+        integral += float(np.sum(M * sigma)) * dts[i]
+    terminal = float(np.sum(M * sigma))
+    n2 = float(N) ** 2
+    return sigmas, ErrorReport(terminal, integral, n2 * terminal, n2 * integral)
 
 
 def sigma_path(model: LinearSdeModel, grid: TimeGrid) -> tuple[np.ndarray, ErrorReport]:
@@ -224,9 +237,10 @@ def run_filter(
     mu = np.asarray(x0, dtype=float).reshape(model.n)
     table = _step_table(model, grid.steps)
     sigmas, report = _sigma_path(model, table)
+    exp_a, phi_b = list(table.exp_a), list(table.phi_b)
     trajectory = []
-    for k, sm in enumerate(table):
-        mu = sm.exp_a @ mu + sm.phi_b @ increments.increments[k]
+    for k, i in enumerate(table.index):
+        mu = exp_a[i] @ mu + phi_b[i] @ increments.increments[k]
         trajectory.append(KalmanState(k, mu, sigmas[k]))
     return trajectory, report
 
@@ -408,7 +422,7 @@ def sample_bridge_refinement(
 
 
 def _simulate_errors(
-    model: LinearSdeModel, table: list[StepMatrices], x0, paths: int, seed: int
+    model: LinearSdeModel, table: StepTable, x0, paths: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised exact simulation of the squared reconstruction errors.
 
@@ -422,16 +436,17 @@ def _simulate_errors(
     mu = X.copy()
     w2_int = np.zeros(paths)
     w2 = np.zeros(paths)
-    for k, sm in enumerate(table):
+    dts = table.dts.tolist()
+    for k, i in enumerate(table.index):
         g = _stream(seed, k)
-        dW = math.sqrt(sm.dt) * g.standard_normal((paths, model.m))
+        dW = math.sqrt(dts[i]) * g.standard_normal((paths, model.m))
         xi = g.standard_normal((paths, model.n))
-        drive = dW @ sm.phi_b.T
-        X = X @ sm.exp_a.T + drive + xi @ sm.kt3_sqrt.T
-        mu = mu @ sm.exp_a.T + drive
+        drive = dW @ table.phi_b[i].T
+        X = X @ table.exp_a[i].T + drive + xi @ table.kt3_sqrt[i].T
+        mu = mu @ table.exp_a[i].T + drive
         err = X - mu
-        w2 = np.einsum("pi,ij,pj->p", err, model.M, err)
-        w2_int += w2 * sm.dt
+        w2 = (err @ model.M * err).sum(1)
+        w2_int += w2 * dts[i]
     return w2, w2_int
 
 

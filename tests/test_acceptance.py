@@ -40,7 +40,7 @@ from sde_gridopt import (
     ups_functional,
     weight_curve,
 )
-from sde_gridopt.solver import _step_matrices, _stream
+from sde_gridopt.solver import _step_table, _stream
 
 from helpers import kt_oracle, random_model, random_regular_model
 
@@ -240,14 +240,14 @@ def test_criterion_7_scheme_baselines(ou):
     N, paths = 32, 20_000
     grid = grid_from_density(uniform_density(1.0), N)
     dt = float(grid.steps[0])
-    sm = _step_matrices(ou, dt)
+    table = _step_table(ou, [dt])
     g = _stream(271828, 0)
     X = np.zeros(paths)
     xe = np.zeros(paths)
     for k in range(N):
         dW = math.sqrt(dt) * g.standard_normal(paths)
         xi = g.standard_normal(paths)
-        X = sm.exp_a[0, 0] * X + sm.phi_b[0, 0] * dW + sm.kt3_sqrt[0, 0] * xi
+        X = table.exp_a[0, 0, 0] * X + table.phi_b[0, 0, 0] * dW + table.kt3_sqrt[0, 0, 0] * xi
         xe = euler_maruyama_step(lambda x: -x, lambda x: 1.0, xe, dt, dW)
     err2 = (X - xe) ** 2
     se = err2.std(ddof=1) / math.sqrt(paths)

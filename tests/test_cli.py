@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import math
 import os
 import subprocess
@@ -152,6 +153,17 @@ class TestGramian:
         assert len(err.splitlines()) == 1  # no numpy overflow warnings ahead of it
         assert err.startswith("error:") and "gramian.csv" in err and "NaN or inf" in err
         assert not (out / "gramian.csv").exists()
+        assert not out.exists() or list(out.iterdir()) == []  # no temporary file left
+
+    def test_refused_table_leaves_existing_target(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "gramian.csv").write_text("earlier run\n", encoding="utf-8")
+        cfg_path = write_config(tmp_path, UNSTABLE_CONFIG)
+        rc = main(["gramian", "--config", cfg_path, "--out", str(out), "--quiet"])
+        assert rc == 2
+        assert [p.name for p in out.iterdir()] == ["gramian.csv"]
+        assert (out / "gramian.csv").read_text(encoding="utf-8") == "earlier run\n"
 
 
 class TestConvergence:
@@ -417,3 +429,33 @@ class TestMain:
         proc = run("ou-table", "--config", str(tmp_path / "nope.cfg"))
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error:"), proc.stderr
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _load_check():
+    spec = importlib.util.spec_from_file_location("perfbench_check", REPO / "perfbench" / "check.py")
+    check = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check)
+    return check
+
+
+class TestBenchmarkReference:
+    """The benchmark's output gate, run in-process on two of its workloads.
+
+    The references in perfbench/reference are only read, never written.
+    """
+
+    @pytest.mark.parametrize("workload", ["ou-optimal", "sys4-optimal"])
+    @pytest.mark.parametrize("command", ["gramian", "convergence"])
+    def test_matches_reference(self, tmp_path, workload, command):
+        check = _load_check()
+        cfg_path = REPO / "perfbench" / "workloads" / f"{workload}.cfg"
+        rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path), "--quiet"])
+        assert rc == 0
+        name = f"{command}.csv"
+        reference = REPO / "perfbench" / "reference" / workload / name
+        if not reference.exists():
+            reference = reference.with_name(name + ".gz")
+        assert check.check_file(str(tmp_path / name), str(reference)) == []

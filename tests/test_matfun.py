@@ -7,6 +7,7 @@ from scipy.linalg import expm
 
 from sde_gridopt.matfun import (
     KT_BRANCH_THRESHOLD,
+    _transition,
     ctrl_gramian,
     kt_matrix,
     mat_exp,
@@ -243,6 +244,25 @@ class TestKtMatrix:
             kt_matrix(np.eye(2), np.eye(2), -1e-9)
         with pytest.raises(ValueError):
             kt_matrix(np.eye(2), np.array([[1.0, 0.2], [0.0, 1.0]]), 0.5)
+
+
+class TestTransition:
+    def test_batch_equals_batch_of_one(self, ou):
+        # t ||A|| spans doubling counts s = 0..7, with t = 0 and negative t,
+        # in an order that interleaves rows of different s
+        x = np.array([1.2, 0.0, 10.0, 0.05, -0.7, 0.3, 2.5, 0.15, -3.0, 0.6])
+        s = np.maximum(np.frexp(np.abs(x) / KT_BRANCH_THRESHOLD)[1], 0)
+        assert set(range(6)) <= set(s) and s.max() >= 7
+        rng = np.random.default_rng(47)
+        models = [ou] + [random_model(rng, n=n) for n in (1, 2, 3, 4)]
+        for model in models:
+            t = x / np.linalg.norm(model.A)
+            batch = _transition(model.A, model.D, t)
+            for i, ti in enumerate(t):
+                one = _transition(model.A, model.D, [ti])
+                for got, ref in zip(batch, one):
+                    assert got.shape == (t.size, model.n, model.n)
+                    assert rel(got[i] - ref[0], ref[0]) <= 1e-14
 
 
 class TestMho:

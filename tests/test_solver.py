@@ -27,7 +27,7 @@ from sde_gridopt import (
     solver,
     uniform_density,
 )
-from sde_gridopt.solver import KalmanState, _step_matrices, _step_table, _stream
+from sde_gridopt.solver import KalmanState, _step_table, _stream
 
 from helpers import random_grid, random_model, random_regular_model
 
@@ -46,12 +46,12 @@ class TestJointIncrement:
     def test_moments_match_transition_law(self, ou):
         # var(Z) = G_dt, cov(Z, dW) = E(dt A) B dt, var(Z | dW) = K_dt dt^3
         dt = 1.0
-        sm = _step_matrices(ou, dt)
+        table = _step_table(ou, [dt])
         g = _stream(777, 0)
         n_draws = 40_000
         dW = math.sqrt(dt) * g.standard_normal((n_draws, 1))
         xi = g.standard_normal((n_draws, 1))
-        Z = dW @ sm.phi_b.T + xi @ sm.kt3_sqrt.T
+        Z = dW @ table.phi_b[0].T + xi @ table.kt3_sqrt[0].T
 
         G = ctrl_gramian(ou.A, ou.D, dt)[0, 0]
         se = math.sqrt(2.0 / n_draws)
@@ -59,18 +59,18 @@ class TestJointIncrement:
         cov = float(np.mean(Z * dW))
         cov_ref = (phi1(ou.A, dt) @ ou.B)[0, 0] * dt
         assert abs(cov - cov_ref) <= 4 * math.sqrt(G * dt) / math.sqrt(n_draws) * 3
-        resid = Z - dW @ sm.phi_b.T
-        k3 = sm.kt3[0, 0]
+        resid = Z - dW @ table.phi_b[0].T
+        k3 = table.kt3[0, 0, 0]
         assert abs(resid.var() - k3) <= 3 * k3 * se
 
     def test_conditional_variance_scales_cubically(self, ou):
         # var(Z - E B dW) = K_dt dt^3 with K_dt near mho for small dt
         for dt, seed in ((1e-2, 1), (1e-3, 2)):
-            sm = _step_matrices(ou, dt)
+            table = _step_table(ou, [dt])
             g = _stream(55, seed)
             n_draws = 30_000
             xi = g.standard_normal((n_draws, 1))
-            residual = xi @ sm.kt3_sqrt.T
+            residual = xi @ table.kt3_sqrt[0].T
             k3 = kt_matrix(ou.A, ou.D, dt)[0, 0] * dt**3
             se = k3 * math.sqrt(2.0 / n_draws)
             assert abs(residual.var() - k3) <= 3 * se
@@ -82,15 +82,19 @@ class TestJointIncrement:
         dW, Z = sample_joint_increment(ou, 0.5, rng)
         assert dW.shape == (1,) and Z.shape == (1,)
         rng2 = np.random.default_rng(4)
-        sm = _step_matrices(ou, 0.5)
+        table = _step_table(ou, [0.5])
         u = rng2.standard_normal(1)
         v = rng2.standard_normal(1)
         assert np.array_equal(dW, math.sqrt(0.5) * u)
-        assert np.array_equal(Z, sm.phi_b @ dW + sm.kt3_sqrt @ v)
+        assert np.array_equal(Z, table.phi_b[0] @ dW + table.kt3_sqrt[0] @ v)
 
     def test_invalid_dt(self, ou):
         with pytest.raises(ValueError):
             sample_joint_increment(ou, 0.0, np.random.default_rng(0))
+        state = KalmanState(-1, np.zeros(1), np.zeros((1, 1)))
+        for dt in (0.0, -0.5, math.nan):
+            with pytest.raises(ValueError):
+                kalman_step(ou, state, dt, [0.0])
 
 
 class TestSamplePath:
@@ -134,7 +138,7 @@ class TestSamplePath:
         x = np.ones(3)
         for k, dt in enumerate(grid.steps):
             dW, Z = sample_joint_increment(model, float(dt), rng)
-            x = _step_matrices(model, float(dt)).exp_a @ x + Z
+            x = _step_table(model, [dt]).exp_a[0] @ x + Z
             assert np.array_equal(path.increments.increments[k], dW)
             assert np.array_equal(path.states[k + 1], x)
 
@@ -257,19 +261,20 @@ class TestSigmaPath:
         real = solver._transition
 
         def counting(A, D, t):
-            calls.append(t)
+            calls.append(list(t))
             return real(A, D, t)
 
         monkeypatch.setattr(solver, "_transition", counting)
         steps = np.array([0.1, 0.2, 0.1, 0.3, 0.2, 0.1])
         table = _step_table(ou, steps)
-        assert sorted(calls) == [0.1, 0.2, 0.3]
-        assert [sm.dt for sm in table] == list(steps)
-        assert table[0] is table[2] is table[5] and table[1] is table[4]
+        assert calls == [[0.1, 0.2, 0.3]]  # one kernel call over the distinct dt
+        assert list(table.dts) == [0.1, 0.2, 0.3]
+        assert list(table.dts[table.index]) == list(steps)
+        assert table.exp_a.shape == table.kt3.shape == table.kt3_sqrt.shape == (3, 1, 1)
         calls.clear()
         grid = TimeGrid(np.arange(9) / 8.0)  # dyadic: every step is exactly 1/8
         sigma_path(ou, grid)
-        assert calls == [0.125]
+        assert calls == [[0.125]]
 
 
 class TestClosedFormSigma:

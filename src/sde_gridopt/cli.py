@@ -13,9 +13,7 @@ UTF-8 with a header row and 17-significant-digit floats, so repeated runs
 are byte-identical on one platform.  Errors exit nonzero after printing a
 single machine-parsable ``error: ...`` line on stderr; a table with a NaN
 or inf cell is such an error and is not written, and numpy's overflow
-warnings on the way to it are not printed.  Rows are streamed to a
-temporary file beside the target, which replaces the target only once the
-whole table is written and checked.
+warnings on the way to it are not printed.
 """
 
 from __future__ import annotations
@@ -24,6 +22,7 @@ import argparse
 import ast
 import configparser
 import csv
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -150,30 +149,20 @@ def _fmt(v) -> str:
 
 
 def _write_csv(outdir: str, name: str, header: list[str], rows, quiet: bool) -> str:
-    """Stream the table to a temporary file in outdir, then move it onto the target.
+    """Write the table, refusing (before touching the file) any NaN or inf cell.
 
-    A table with a NaN or inf cell is refused: the temporary file is
-    deleted and the target path is never touched.
+    rows is a sequence, read twice: once to check it, once to format and
+    write it row by row.
     """
     path = os.path.join(outdir, name)
+    bad = sum(isinstance(v, float) and not math.isfinite(v) for row in rows for v in row)
+    if bad:
+        raise ValueError(f"{path}: {bad} NaN or inf values, not written")
     os.makedirs(outdir, exist_ok=True)
-    tmp = os.path.join(outdir, f".{name}.{os.urandom(6).hex()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8", newline="")
-    try:
-        bad = 0
-        with fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                cells = [_fmt(v) for v in row]
-                bad += sum(c in ("nan", "inf", "-inf") for c in cells)
-                writer.writerow(cells)
-        if bad:
-            raise ValueError(f"{path}: {bad} NaN or inf values, not written")
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
     if not quiet:
         print(f"wrote {path}")
     return path

@@ -11,15 +11,12 @@ a handful of matrix-valued functions of A and D:
 * its small-time limit mho(A, D) = A D A^T / 12.
 
 exp(tA), E(tA), K_t and G_t = t E(tA) D E(tA)^T + K_t t^3 come from a
-single float64 kernel that takes a whole array of step lengths at once:
-Taylor series at h = t / 2^s, then s doubling steps (scaling and squaring,
-Higham, Functions of Matrices, SIAM 2008, ch. 10).  The series are
-polynomials in h whose matrix coefficients are built once per call, so one
-Horner pass evaluates them for every t; each t then takes its own number
-of doubling steps.  Every term of the K_t doubling is positive
-semidefinite, so nothing cancels and no extended precision is needed.
-mat_exp and weight_propagate, which need only the propagator, call
-scipy's expm.
+single float64 kernel over an array of step lengths: Taylor series at
+h = t / 2^s, one Horner pass for every t, then s doubling steps for each
+(scaling and squaring, Higham, Functions of Matrices, SIAM 2008, ch. 10).
+Every term of the K_t doubling is positive semidefinite, so nothing
+cancels and no extended precision is needed.  mat_exp and
+weight_propagate, which need only the propagator, call scipy's expm.
 
 All matrices are plain float ndarrays.  Norms are Frobenius throughout, and
 every nominally symmetric result is symmetrised before it is returned.
@@ -43,31 +40,24 @@ _TERMS = 12
 _DEGREE = 2 * _TERMS - 2  # of the K_h series
 
 
-def _coef_weights() -> np.ndarray:
-    """Weights of the kernel's Taylor coefficients over a per-call basis.
+_INV_FACT = np.array([1.0 / math.factorial(k) for k in range(_TERMS + 2)])
 
-    The basis is A^k for k = 0.._TERMS, then A^j D (A^k)^T for
-    (j, k) = (1, 1).._TERMS.  Row 3p + i holds the degree-p coefficient in
-    h of f = exp(hA) - I (i = 0), E(hA) (i = 1) and K_h (i = 2):
 
-        f_p = A^p / p!,  E_p = A^p / (p+1)!,
-        K_p = sum_{j+k=p+2} w_jk u_j u_k A^j D (A^k)^T,
+def _k_weights() -> np.ndarray:
+    """Row p: the degree-p coefficient in h of K_h over A^j D (A^k)^T.
 
+    K_p = sum_{j+k=p+2} w_jk u_j u_k A^j D (A^k)^T for j, k = 1.._TERMS,
     with u_j = j / (j+1)! and w_jk = 1 / (j+k+1).
     """
-    W = np.zeros((_DEGREE + 1, 3, _TERMS + 1 + _TERMS**2))
-    for k in range(1, _TERMS + 1):
-        W[k, 0, k] = 1.0 / math.factorial(k)
-    for k in range(_TERMS + 1):
-        W[k, 1, k] = 1.0 / math.factorial(k + 1)
+    W = np.zeros((_DEGREE + 1, _TERMS, _TERMS))
     u = [j / math.factorial(j + 1) for j in range(_TERMS + 1)]
     for j in range(1, _TERMS + 1):
         for k in range(1, _TERMS + 1):
-            W[j + k - 2, 2, _TERMS + (j - 1) * _TERMS + k] = u[j] * u[k] / (j + k + 1)
-    return W.reshape(3 * (_DEGREE + 1), -1)
+            W[j + k - 2, j - 1, k - 1] = u[j] * u[k] / (j + k + 1)
+    return W.reshape(_DEGREE + 1, -1)
 
 
-_COEF_WEIGHTS = _coef_weights()
+_K_WEIGHTS = _k_weights()
 
 __all__ = [
     "SquareMatrix",
@@ -118,7 +108,7 @@ def _check_pair(A, D, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _double(A, D, e, f, E, K):
-    """One doubling step h -> 2h of (e, f, E, K) stacks; see _transition."""
+    """Doubling step h -> 2h of (e, f, E, K) stacks; see _transition."""
     I = np.eye(A.shape[0])
     g = I + f
     AEE = A @ E @ E
@@ -127,24 +117,15 @@ def _double(A, D, e, f, E, K):
 
 
 def _transition(A: np.ndarray, D: np.ndarray, t):
-    """(exp(tA), E(tA), K_t, G_t) for every entry of a 1-D array t.
+    """(L, n, n) stacks of exp(tA), E(tA), K_t, G_t for a 1-D array t.
 
-    Returns four (L, n, n) stacks for L step lengths, for validated A and D
-    and finite t; negative t is allowed (s is sized on |t|).  Row i depends
-    on t[i] alone, bit for bit, whatever the other entries of t.
-
-    Base: Taylor series at h = t / 2^s, with s the smallest count that gives
-    |h| ||A||_F < KT_BRANCH_THRESHOLD.  They are polynomials in
-    x = h ||A||_F:
-
-        f = exp(hA) - I = sum_{k=1..12} (hA)^k / k!,
-        E(hA) = sum_{k=0..12} (hA)^k / (k+1)!,
-        K_h = sum_{j,k=1..12} w_jk U_j D U_k^T,  U_j = u_j A (hA)^{j-1},
-
-    whose matrix coefficients (_coef_weights, taken at A / ||A||_F so
-    that x is the variable) are built once per call; one Horner pass
-    evaluates all three for every t.  Doubling, s times for each t, by the
-    law of total covariance over two half steps:
+    For validated A and D and finite t; negative t is allowed (s is sized
+    on |t|), and row i depends on t[i] alone, bit for bit.  Base: Taylor
+    series at h = t / 2^s, the smallest s with |h| ||A||_F <
+    KT_BRANCH_THRESHOLD, where K_h = sum_{j,k>=1} w_jk U_j D U_k^T; they
+    are polynomials in x = h ||A||_F whose coefficients are built once.
+    Doubling, s times for each t, by the law of total covariance over two
+    half steps:
 
         K <- (e K e^T + K) / 8 + (A E E) D (A E E)^T / 16,
         E <- (E + e E) / 2,
@@ -160,8 +141,10 @@ def _transition(A: np.ndarray, D: np.ndarray, t):
     n = A.shape[0]
     a = np.linalg.norm(A)
     s = np.maximum(np.frexp(np.abs(t) * a / KT_BRANCH_THRESHOLD)[1], 0)
+    order = np.argsort(s, kind="stable")  # by s: the rows still doubling form a suffix
+    s = s[order]
     scale = a if a > 0 else 1.0
-    x = (np.ldexp(t, -s) * scale)[:, None]
+    x = (np.ldexp(t[order], -s) * scale)[:, None]
     P = np.empty((_TERMS + 1, n, n))  # P[k] = (A / scale)^k
     P[0] = np.eye(n)
     P[1] = A / scale
@@ -172,8 +155,11 @@ def _transition(A: np.ndarray, D: np.ndarray, t):
         k *= 2
     # rows (j, k) of PDP: scale^2 P[j] D P[k]^T for j, k = 1.._TERMS
     PDP = ((scale**2 * (P[1:] @ D)).reshape(-1, n) @ P[1:].reshape(-1, n).T).reshape(_TERMS, n, _TERMS, n)
-    basis = np.concatenate((P.reshape(-1, n * n), PDP.transpose(0, 2, 1, 3).reshape(-1, n * n)))
-    coef = (_COEF_WEIGHTS @ basis).reshape(_DEGREE + 1, -1)
+    coef = np.zeros((_DEGREE + 1, 3, n * n))  # of exp(hA) - I, E(hA), K_h
+    coef[1 : _TERMS + 1, 0] = _INV_FACT[1:-1, None] * P[1:].reshape(-1, n * n)
+    coef[: _TERMS + 1, 1] = _INV_FACT[1:, None] * P.reshape(-1, n * n)
+    coef[:, 2] = _K_WEIGHTS @ PDP.transpose(0, 2, 1, 3).reshape(-1, n * n)
+    coef = coef.reshape(_DEGREE + 1, -1)
     acc = coef[-1] * x + coef[-2]
     for c in coef[-3::-1]:
         acc *= x
@@ -181,13 +167,10 @@ def _transition(A: np.ndarray, D: np.ndarray, t):
     acc = acc.reshape(-1, 3, n, n)
     f, E, K = acc[:, 0], acc[:, 1], acc[:, 2]
     e = np.eye(n) + f
-    for i in range(int(s.max(initial=0))):
-        r = s > i  # rows that still take a doubling step
-        if r.all():  # no gather or scatter
-            e, f, E, K = _double(A, D, e, f, E, K)
-        else:
-            e[r], f[r], E[r], K[r] = _double(A, D, e[r], f[r], E[r], K[r])
-    K = _sym(K)
+    for j in np.searchsorted(s, np.arange(s.max(initial=0)), side="right").tolist():
+        e[j:], f[j:], E[j:], K[j:] = _double(A, D, e[j:], f[j:], E[j:], K[j:])
+    back = np.argsort(order)
+    e, E, K = e[back], E[back], _sym(K[back])
     t = t[:, None, None]
     return e, E, K, _sym(t * E @ D @ _T(E) + K * t**3)
 

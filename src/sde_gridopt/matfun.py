@@ -167,7 +167,7 @@ def _transition(A: np.ndarray, D: np.ndarray, t):
     acc = acc.reshape(-1, 3, n, n)
     f, E, K = acc[:, 0], acc[:, 1], acc[:, 2]
     e = np.eye(n) + f
-    for j in np.searchsorted(s, np.arange(s.max(initial=0)), side="right").tolist():
+    for j in np.bincount(s).cumsum()[:-1].tolist():  # rows with s <= i, i = 0..max(s)-1
         e[j:], f[j:], E[j:], K[j:] = _double(A, D, e[j:], f[j:], E[j:], K[j:])
     back = np.argsort(order)
     e, E, K = e[back], E[back], _sym(K[back])

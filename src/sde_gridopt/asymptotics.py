@@ -27,10 +27,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .grid import MESH_PANELS, GridDensity, density_from_weight
-from .matfun import mho, obs_gramian, weight_propagate
+from .matfun import _transition, expm, mho, obs_gramian, weight_propagate
 from .model import LinearSdeModel, frobenius_pairing, regularity_check
 
 __all__ = [
@@ -87,13 +86,15 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 _CURVE_CACHE: dict = {}
 
 
-def _curves(model: LinearSdeModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """F and S sampled on the standard mesh, cached for the last model.
+def _curves(model: LinearSdeModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Mesh, F, S and the Gramians Q_t on the standard mesh, cached for the last model.
 
-    Built by scanning s = T - t with one-step congruences: R steps by
-    exp(hA) conjugation, Q accumulates one-panel Gramians pushed forward
-    by exp(sA^T).  Single-point weight_F / weight_S use direct
-    exponentials instead, so tests can reconcile independent routes.
+    One batched kernel call over s = T - t on the mesh gives exp(sA^T) and
+    Q_s; then R_s = exp(sA^T) M exp(sA), F = <mho, R> and S = <mho, Q>.
+    The cache holds one model: a three-grid optimal-grid convergence sweep
+    asks for the curves five times (each grid, then the density and the
+    functional of its limit row), and an uncached 4x4 build takes some
+    35 ms.  Single-point weight_F / weight_S evaluate one step length each.
     """
     key = (
         model.A.tobytes(),
@@ -104,44 +105,33 @@ def _curves(model: LinearSdeModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     hit = _CURVE_CACHE.get(key)
     if hit is not None:
         return hit
-    T = model.T
-    J = MESH_PANELS
-    mesh = np.linspace(0.0, T, J + 1)
-    h = T / J
-    Um = mho(model.A, model.D)
-    Eh = expm(h * model.A)
-    Qh = obs_gramian(model.A, model.M, h)
-
-    Fs = np.empty(J + 1)
-    Ss = np.empty(J + 1)
-    R = model.M.copy()
-    Q = np.zeros_like(model.M)
-    P = np.eye(model.n)  # exp(s A^T)
-    Fs[0] = frobenius_pairing(Um, R)
-    Ss[0] = 0.0
-    for j in range(1, J + 1):
-        R = Eh.T @ R @ Eh
-        R = 0.5 * (R + R.T)
-        Q = Q + P @ Qh @ P.T
-        Q = 0.5 * (Q + Q.T)
-        P = P @ Eh.T
-        Fs[j] = frobenius_pairing(Um, R)
-        Ss[j] = frobenius_pairing(Um, Q)
+    mesh = np.linspace(0.0, model.T, MESH_PANELS + 1)
+    e, _, _, Q = _transition(model.A.T, model.M, mesh)
+    Um = mho(model.A, model.D).reshape(-1)
+    L = mesh.size
+    Fs = (e @ model.M @ e.swapaxes(1, 2)).reshape(L, -1) @ Um
+    Ss = Q.reshape(L, -1) @ Um
     # s = T - t: reverse onto the t axis and clip tiny negative roundoff
-    F = np.clip(Fs[::-1].copy(), 0.0, None)
-    S = np.clip(Ss[::-1].copy(), 0.0, None)
-    out = (mesh, F, S)
+    F = np.clip(Fs[::-1], 0.0, None)
+    S = np.clip(Ss[::-1], 0.0, None)
+    out = (mesh, F, S, Q)
     _CURVE_CACHE.clear()  # keep one model's curves: commands ask for one at a time
     _CURVE_CACHE[key] = out
     return out
 
 
-def weight_curve(model: LinearSdeModel, kind: str) -> WeightCurve:
-    """Sampled weight curve of the requested kind on the standard mesh."""
+def _weight(model: LinearSdeModel, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Mesh and the weight curve of the given kind, refusing any other kind."""
     if kind not in ("terminal", "integral"):
         raise ValueError("kind must be 'terminal' or 'integral'")
-    mesh, F, S = _curves(model)
-    return WeightCurve(kind=kind, mesh=mesh, values=F if kind == "terminal" else S)
+    mesh, F, S, _ = _curves(model)
+    return mesh, F if kind == "terminal" else S
+
+
+def weight_curve(model: LinearSdeModel, kind: str) -> WeightCurve:
+    """Sampled weight curve of the requested kind on the standard mesh."""
+    mesh, w = _weight(model, kind)
+    return WeightCurve(kind=kind, mesh=mesh, values=w)
 
 
 def weight_F(model: LinearSdeModel, t: float) -> float:
@@ -176,7 +166,7 @@ def phi_functional(model: LinearSdeModel, psi: GridDensity) -> float:
     _check_density(model, psi)
     if psi.values[-1] == 0.0:
         raise ValueError("terminal functional requires psi > 0 on all of [0, T]")
-    mesh, F, _ = _curves(model)
+    mesh, F = _weight(model, "terminal")
     return float(_simpson(F / psi.values**2, mesh))
 
 
@@ -189,7 +179,7 @@ def ups_functional(model: LinearSdeModel, psi: GridDensity) -> float:
     is refused.
     """
     _check_density(model, psi)
-    mesh, _, S = _curves(model)
+    mesh, S = _weight(model, "integral")
     zero = psi.values == 0.0
     if np.any(zero & (S > 1e-14 * max(S.max(), 1e-300))):
         raise ValueError("density vanishes where the integral weight is positive")
@@ -205,8 +195,7 @@ def functional_quadrature_bound(model: LinearSdeModel, psi: GridDensity, kind: s
     true quadrature error for these piecewise-smooth integrands.
     """
     _check_density(model, psi)
-    mesh, F, S = _curves(model)
-    w = F if kind == "terminal" else S
+    mesh, w = _weight(model, kind)
     zero = psi.values == 0.0
     integrand = np.zeros_like(w)
     np.divide(w, psi.values**2, out=integrand, where=~zero)
@@ -214,8 +203,7 @@ def functional_quadrature_bound(model: LinearSdeModel, psi: GridDensity, kind: s
 
 
 def _min_value(model: LinearSdeModel, kind: str) -> float:
-    mesh, F, S = _curves(model)
-    w = F if kind == "terminal" else S
+    mesh, w = _weight(model, kind)
     if not np.any(w > 0):
         # identically zero weight: the functional floor is exactly zero
         return 0.0
@@ -243,14 +231,12 @@ def optimal_profile(model: LinearSdeModel, kind: str) -> tuple[GridDensity, np.n
     sampled normalised cumulative, i.e. the inverse of the time profile
     that quantile grids realise.
     """
-    if kind not in ("terminal", "integral"):
-        raise ValueError("kind must be 'terminal' or 'integral'")
+    _, w = _weight(model, kind)
     if not regularity_check(model).satisfied:
         raise ValueError(
             "optimal-grid theory needs the regularity determinant to be positive"
         )
-    mesh, F, S = _curves(model)
-    psi = density_from_weight(model.T, F if kind == "terminal" else S)
+    psi = density_from_weight(model.T, w)
     return psi, psi.cumulative.copy()
 
 
@@ -263,8 +249,7 @@ def asymptotic_report(model: LinearSdeModel, psi: GridDensity, kind: str) -> Asy
     else:
         raise ValueError("kind must be 'terminal' or 'integral'")
     minimum = _min_value(model, kind)
-    mesh, F, S = _curves(model)
-    w = F if kind == "terminal" else S
+    _, w = _weight(model, kind)
     bound = model.T**3 * float(w.min())
     ratio = value / minimum if minimum > 0 else math.inf if value > 0 else 1.0
     return AsymptoticReport(kind=kind, value=value, minimum=minimum, lower_bound=bound, ratio=ratio)
@@ -284,10 +269,13 @@ def limit_sigma(
         Sigma' = phi'(v) (A Sigma + Sigma A^T) + phi'(v)^3 mho
     with classical RK4 on 4096 steps; route='integral' evaluates
         int_0^tau exp((phi(tau)-phi(v)) A) mho exp(...)^T phi'(v)^3 dv
-    by Simpson quadrature with a fresh matrix exponential per node.  The
-    two routes share nothing but phi and are cross-checked in tests.
-    Requires a density bounded away from zero (phi' finite on [0, 1]).
+    by Simpson quadrature on 4097 nodes, whose exponentials come from one
+    batched expm call.  The two routes share nothing but phi and are
+    cross-checked in tests.  Requires a density bounded away from zero
+    (phi' finite on [0, 1]).
     """
+    if route not in ("ode", "integral"):
+        raise ValueError("route must be 'ode' or 'integral'")
     _check_density(model, psi)
     tau = float(tau)
     if not 0.0 <= tau <= 1.0:
@@ -319,18 +307,12 @@ def limit_sigma(
             S = S + (hv / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             S = 0.5 * (S + S.T)
         return S
-    if route == "integral":
-        v = np.linspace(0.0, tau, steps + 1)
-        phit = psi.profile(v)
-        phi_tau = phit[-1]
-        dp = _phi_prime(psi, v)
-        terms = np.empty((steps + 1, n, n))
-        for i in range(steps + 1):
-            E = expm((phi_tau - phit[i]) * A)
-            terms[i] = (E @ Um @ E.T) * dp[i] ** 3
-        S = _simpson(terms, v)
-        return 0.5 * (S + S.T)
-    raise ValueError("route must be 'ode' or 'integral'")
+    v = np.linspace(0.0, tau, steps + 1)
+    phit = psi.profile(v)
+    E = expm(A, phit[-1] - phit)
+    terms = E @ Um @ E.swapaxes(1, 2) * _phi_prime(psi, v)[:, None, None] ** 3
+    S = _simpson(terms, v)
+    return 0.5 * (S + S.T)
 
 
 @dataclass(frozen=True)

@@ -30,14 +30,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .asymptotics import (
+    _curves,
     min_phi_value,
     optimal_profile,
     ou_closed_forms,
     phi_functional,
     ups_functional,
-    weight_curve,
 )
-from .grid import MESH_PANELS, GridDensity, TimeGrid, grid_from_density, uniform_density
+from .grid import GridDensity, TimeGrid, grid_from_density, uniform_density
 from .matfun import _transition
 from .model import LinearSdeModel, ModelValidationError, validate_model
 from .solver import mc_verify_mse, sigma_path
@@ -195,9 +195,7 @@ def cmd_gramian(cfg: ExperimentConfig, quiet: bool = False) -> str:
     """Tabulate G_t, Q_t, K_t, F_t, S_t over the standard mesh."""
     model = cfg.model
     n = model.n
-    mesh = np.linspace(0.0, model.T, MESH_PANELS + 1)
-    F = weight_curve(model, "terminal").values
-    S = weight_curve(model, "integral").values
+    mesh, F, S, Q = _curves(model)  # Q_t on the mesh comes with the curves
     labels = [f"{i + 1}{j + 1}" for i in range(n) for j in range(n)]
     header = (
         ["t"]
@@ -207,7 +205,6 @@ def cmd_gramian(cfg: ExperimentConfig, quiet: bool = False) -> str:
         + ["F", "S"]
     )
     _, _, K, G = _transition(model.A, model.D, mesh)
-    Q = _transition(model.A.T, model.M, mesh)[3]
     L = mesh.size
     table = np.column_stack((mesh, G.reshape(L, -1), Q.reshape(L, -1), K.reshape(L, -1), F, S))
     return _write_csv(cfg.outdir, "gramian.csv", header, table, quiet)

@@ -15,8 +15,9 @@ single float64 kernel over an array of step lengths: Taylor series at
 h = t / 2^s, one Horner pass for every t, then s doubling steps for each
 (scaling and squaring, Higham, Functions of Matrices, SIAM 2008, ch. 10).
 Every term of the K_t doubling is positive semidefinite, so nothing
-cancels and no extended precision is needed.  mat_exp and
-weight_propagate, which need only the propagator, call scipy's expm.
+cancels and no extended precision is needed.  expm is the kernel's
+propagator alone; mat_exp, weight_propagate and every other caller that
+needs only exp(tA) go through it, so the package needs numpy only.
 
 All matrices are plain float ndarrays.  Norms are Frobenius throughout, and
 every nominally symmetric result is symmetrised before it is returned.
@@ -27,7 +28,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 SquareMatrix = np.ndarray
 RectMatrix = np.ndarray
@@ -175,12 +175,17 @@ def _transition(A: np.ndarray, D: np.ndarray, t):
     return e, E, K, _sym(t * E @ D @ _T(E) + K * t**3)
 
 
+def expm(A: np.ndarray, t) -> np.ndarray:
+    """(L, n, n) stack of exp(tA) for a validated A and a 1-D array t."""
+    return _transition(A, np.zeros_like(A), t)[0]
+
+
 def mat_exp(A: SquareMatrix, t: float) -> SquareMatrix:
     """Propagator exp(tA)."""
     A = _as_square(A, "A")
     if not np.isfinite(t):
         raise ValueError("t must be finite")
-    return expm(t * A)
+    return expm(A, [t])[0]
 
 
 def phi1(A: SquareMatrix, t: float) -> SquareMatrix:
@@ -221,7 +226,7 @@ def weight_propagate(A: SquareMatrix, M: SquareMatrix, t: float) -> SquareMatrix
     _check_symmetric(M, "M")
     if not np.isfinite(t):
         raise ValueError("t must be finite")
-    E = expm(t * A)
+    E = expm(A, [t])[0]
     return _sym(E.T @ M @ E)
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson, quad
+from scipy.linalg import expm
 
 from sde_gridopt import (
     GridDensity,
@@ -95,15 +96,24 @@ class TestWeightCurve:
             weight_curve(ou, "therminal")
 
     def test_curve_matches_single_point_route(self, ou, reg2):
-        # the scan builds R and Q by congruence recursions; the point ops
-        # use one direct exponential each
+        # oracle: F from scipy's exponential, S as the quad tail integral of
+        # that F; the single-point weight_F / weight_S must agree too
         for model in (ou, reg2):
+            Um = mho(model.A, model.D)
+
+            def F_ref(t):
+                E = expm((model.T - t) * model.A)
+                return frobenius_pairing(Um, E.T @ model.M @ E)
+
             F = weight_curve(model, "terminal")
             S = weight_curve(model, "integral")
             assert F.mesh.shape == (J + 1,)
             idx = np.linspace(0, J, 11).astype(int)
             for i in idx:
                 t = F.mesh[i]
+                S_ref = quad(F_ref, t, model.T, epsabs=1e-15, epsrel=1e-12)[0]
+                assert F.values[i] == pytest.approx(F_ref(t), rel=1e-9, abs=1e-15)
+                assert S.values[i] == pytest.approx(S_ref, rel=1e-9, abs=1e-15)
                 assert F.values[i] == pytest.approx(weight_F(model, t), rel=1e-9, abs=1e-15)
                 assert S.values[i] == pytest.approx(weight_S(model, t), rel=1e-9, abs=1e-15)
             assert S.values[-1] == 0.0
@@ -282,6 +292,12 @@ class TestQuadratureBound:
         value = ups_functional(ou, psi)
         assert 0 < bound < 1e-3 * value
 
+    def test_unknown_kind_refused(self, ou):
+        with pytest.raises(ValueError):
+            functional_quadrature_bound(ou, uniform_density(1.0), "therminal")
+        with pytest.raises(ValueError):
+            asymptotics._min_value(ou, "therminal")
+
 
 class TestAsymptoticReport:
     def test_uniform_terminal_report(self, ou):
@@ -310,6 +326,10 @@ class TestLimitSigma:
         for route in ("ode", "integral"):
             out = limit_sigma(ou, uniform_density(1.0), 0.0, route=route)
             assert np.array_equal(out, np.zeros((1, 1)))
+
+    def test_unknown_route_refused_at_zero_time(self, ou):
+        with pytest.raises(ValueError):
+            limit_sigma(ou, uniform_density(1.0), 0.0, route="lyapunov")
 
     def test_routes_agree(self, ou, reg2):
         cases = [(ou, 0.3), (ou, 1.0), (reg2, 0.7)]

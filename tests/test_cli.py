@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import sde_gridopt
+from sde_gridopt import asymptotics, cli
 from sde_gridopt import (
     LinearSdeModel,
     WienerIncrements,
@@ -132,6 +133,23 @@ class TestGramian:
         assert float(last[3]) == pytest.approx(0.03275595748796561, rel=1e-10)
         assert float(last[4]) == pytest.approx(1.0 / 12.0, rel=1e-12)
         assert float(last[5]) == 0.0
+
+    def test_two_kernel_calls(self, tmp_path, monkeypatch):
+        # one (A, D) call for G and K, one (A^T, M) call for the curves and Q
+        calls = []
+        real = cli._transition
+
+        def counting(A, D, t):
+            calls.append(len(t))
+            return real(A, D, t)
+
+        monkeypatch.setattr(asymptotics, "_CURVE_CACHE", {})
+        monkeypatch.setattr(asymptotics, "_transition", counting)
+        monkeypatch.setattr(cli, "_transition", counting)
+        cfg = parse_config(write_config(tmp_path, OU_CONFIG))
+        cfg.outdir = str(tmp_path / "out")
+        cmd_gramian(cfg, quiet=True)
+        assert calls == [4097, 4097]
 
     def test_stiff_model_table_is_finite(self, tmp_path):
         cfg_path = write_config(tmp_path, STIFF_CONFIG)
@@ -352,6 +370,12 @@ class TestOuTable:
 
 
 class TestMain:
+    def test_import_leaves_scipy_unloaded(self):
+        code = "import sys, sde_gridopt.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        env = {**os.environ, "PYTHONPATH": str(Path(sde_gridopt.__file__).resolve().parent.parent)}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert proc.stdout.strip() == "[]"
+
     def test_invalid_model_exits_2(self, tmp_path, capsys):
         text = OU_CONFIG.replace("T = 1.0", "T = 0.0")
         rc = main(["convergence", "--config", write_config(tmp_path, text), "--quiet"])

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
+from sde_gridopt import matfun
 from sde_gridopt.matfun import (
     KT_BRANCH_THRESHOLD,
     _transition,
@@ -17,11 +18,39 @@ from sde_gridopt.matfun import (
     weight_propagate,
 )
 
-from helpers import kt_oracle, random_model
+from helpers import expm_ld, kt_oracle, random_model
 
 
 def rel(err, ref):
     return np.linalg.norm(err) / max(np.linalg.norm(ref), 1e-300)
+
+
+def oracle_cases():
+    """(A, t) pairs: random A with n = 1..4 and t ||A|| from 1e-3 to 30 (and
+    negative), a nonnormal A, and the stiff diag(-1, -1000)."""
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 3, 4):
+        for _ in range(4):
+            A = rng.standard_normal((n, n))
+            for x in (1e-3, 0.05, 0.5, 3.0, 10.0, 30.0, -0.7, -3.0):
+                yield A, x / np.linalg.norm(A)
+    for t in (0.1, 1.0):
+        yield np.array([[-1.0, 30.0], [0.0, -2.0]]), t
+    for t in (1e-3, 0.03, 1.0):
+        yield np.diag([-1.0, -1000.0]), t
+
+
+def check_exp_oracles(got, H, block=lambda X: X):
+    """got against block(exp(H)) from the long-double series and from scipy.
+
+    The long-double route bounds the error at 1e-12.  scipy's expm is itself
+    off by up to 1.7e-12 on oracle_cases (against a 40-digit reference), so
+    the bound against it is 5e-12.
+    """
+    ld = block(expm_ld(H).astype(float))
+    assert rel(got - ld, ld) < 1e-12
+    sp = block(expm(H))
+    assert rel(got - sp, sp) < 5e-12
 
 
 class TestMatExp:
@@ -36,6 +65,26 @@ class TestMatExp:
         A = np.array([[0.0, 1.0], [0.0, 0.0]])
         got = mat_exp(A, 1.0)
         assert np.allclose(got, [[1.0, 1.0], [0.0, 1.0]], atol=1e-14)
+
+    def test_matches_independent_exponentials(self):
+        for A, t in oracle_cases():
+            check_exp_oracles(mat_exp(A, t), t * A)
+
+    def test_routes_through_expm(self, monkeypatch):
+        # mat_exp and weight_propagate take exp(tA) from the one numpy entry point
+        calls = []
+        real = matfun.expm
+
+        def counting(A, t):
+            calls.append(list(t))
+            return real(A, t)
+
+        monkeypatch.setattr(matfun, "expm", counting)
+        A = np.array([[-1.0, 2.0], [0.0, -3.0]])
+        assert real(A, [0.0, 0.5, -0.5]).shape == (3, 2, 2)
+        mat_exp(A, 0.5)
+        weight_propagate(A, np.eye(2), 0.25)
+        assert calls == [[0.5], [0.25]]
 
     def test_semigroup_property(self):
         rng = np.random.default_rng(11)
@@ -70,13 +119,20 @@ class TestPhi1:
         assert got == pytest.approx(math.e - 1.0, rel=1e-14)
 
     def test_defining_identity(self):
-        # t A E(tA) + I = exp(tA)
+        # t A E(tA) + I = exp(tA), the right side from scipy
         rng = np.random.default_rng(5)
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             A = rng.standard_normal((n, n))
             for t in (1e-3, 0.1, 1.0, -0.7):
                 lhs = t * A @ phi1(A, t) + np.eye(n)
-                assert rel(lhs - mat_exp(A, t), lhs) < 1e-10
+                assert rel(lhs - expm(t * A), lhs) < 1e-10
+        # where t A E(tA) + I cancels, read t E(tA) off the exponential of the
+        # block matrix t [[A, I], [0, 0]], whose top-right block it is
+        for A, t in oracle_cases():
+            n = A.shape[0]
+            H = np.zeros((2 * n, 2 * n))
+            H[:n, :n], H[:n, n:] = A, np.eye(n)
+            check_exp_oracles(phi1(A, t), t * H, lambda X: X[:n, n:] / t)
 
 
 class TestCtrlGramian:

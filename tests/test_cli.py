@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import sde_gridopt
-from sde_gridopt import asymptotics, cli
 from sde_gridopt import (
     LinearSdeModel,
     WienerIncrements,
+    asymptotics,
+    cli,
     grid_from_density,
     run_filter,
     uniform_density,

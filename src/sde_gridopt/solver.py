@@ -53,7 +53,9 @@ def _stream(seed: int, index: int) -> np.random.Generator:
 
     Within a stream the Philox counter addresses each variate, so the
     triple (seed, index, position) locates every number drawn anywhere in
-    the package independently of scheduling.
+    the package independently of scheduling.  The Monte Carlo verifiers
+    key one stream per path block, (seed, block), so their bytes are the
+    same on any number of cores.
     """
     seed = int(seed)
     index = int(index)
@@ -421,40 +423,78 @@ def sample_bridge_refinement(
     return inc
 
 
+_MC_BLOCK = 2048  # paths per block: one stream and one worker task each
+
+
 def _simulate_errors(
-    model: LinearSdeModel, table: StepTable, x0, paths: int, seed: int
+    model: LinearSdeModel, table: StepTable, x0, paths: int, seed: int, workers=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised exact simulation of the squared reconstruction errors.
 
-    Step k draws its (paths, m) increment block and (paths, n) residual
-    block from the counter-based stream addressed by (seed, k); the path
-    index addresses the row inside each block.  Returns the per-path
-    terminal and integral squared errors.
+    Paths run in blocks of _MC_BLOCK (the last may be shorter), states held
+    as (n, block) columns.  Block b draws from the stream addressed by
+    (seed, b): per step one (m + n, block) array whose first m rows are
+    dW / sqrt(dt) and the rest the residual normals.  Each block fills its
+    own slice of the outputs, so the bytes do not depend on how many
+    threads run the blocks (``workers``, default one per available core)
+    and the caller's numpy error state holds inside each of them.  Returns
+    the per-path terminal and integral squared errors.
     """
-    x0 = np.asarray(x0, dtype=float).reshape(model.n)
-    X = np.tile(x0, (paths, 1))
-    mu = X.copy()
-    w2_int = np.zeros(paths)
-    w2 = np.zeros(paths)
+    n, m = model.n, model.m
+    x0 = np.asarray(x0, dtype=float).reshape(n, 1)
+    w2 = np.empty(paths)
+    w2_int = np.empty(paths)
+    # per-row views; E(dt A) B scaled by sqrt(dt) acts on the unit normals
+    exp_a, kt3_sqrt = list(table.exp_a), list(table.kt3_sqrt)
+    phi_dw = list(table.phi_b * np.sqrt(table.dts)[:, None, None])
     dts = table.dts.tolist()
-    for k, i in enumerate(table.index):
-        g = _stream(seed, k)
-        dW = math.sqrt(dts[i]) * g.standard_normal((paths, model.m))
-        xi = g.standard_normal((paths, model.n))
-        drive = dW @ table.phi_b[i].T
-        X = X @ table.exp_a[i].T + drive + xi @ table.kt3_sqrt[i].T
-        mu = mu @ table.exp_a[i].T + drive
-        err = X - mu
-        w2 = (err @ model.M * err).sum(1)
-        w2_int += w2 * dts[i]
+    index = table.index.tolist()
+    M = model.M
+    errstate = np.geterr()
+
+    def block(b):
+        lo = b * _MC_BLOCK
+        hi = min(lo + _MC_BLOCK, paths)
+        g = _stream(seed, b)
+        X = np.repeat(x0, hi - lo, axis=1)
+        mu = X.copy()
+        acc = np.zeros(hi - lo)
+        with np.errstate(**errstate):
+            for i in index:
+                z = g.standard_normal((m + n, hi - lo))
+                drive = phi_dw[i] @ z[:m]
+                X = exp_a[i] @ X
+                X += drive
+                X += kt3_sqrt[i] @ z[m:]
+                mu = exp_a[i] @ mu
+                mu += drive
+                err = X - mu
+                last = np.einsum("ij,ij->j", M @ err, err)
+                acc += last * dts[i]
+        w2[lo:hi] = last
+        w2_int[lo:hi] = acc
+
+    # imported here: the pool module costs milliseconds at every CLI start
+    import os
+    from concurrent.futures import ThreadPoolExecutor
+
+    n_blocks = -(-paths // _MC_BLOCK)
+    if workers is None:
+        getaffinity = getattr(os, "sched_getaffinity", None)  # Linux only
+        workers = len(getaffinity(0)) if getaffinity else os.cpu_count() or 1
+    # a block's exception cancels the blocks not yet started
+    with ThreadPoolExecutor(min(workers, n_blocks)) as pool:
+        list(pool.map(block, range(n_blocks)))
     return w2, w2_int
 
 
 def _mc_verify(model: LinearSdeModel, grid: TimeGrid, x0, paths: int, rng, integral: bool):
-    paths = int(paths)
+    import operator
+
+    paths = operator.index(paths)
     if paths < 100:
         raise ValueError("need at least 100 paths for a meaningful check")
-    seed = int(rng.integers(2**63)) if isinstance(rng, np.random.Generator) else int(rng)
+    seed = int(rng.integers(2**63)) if isinstance(rng, np.random.Generator) else operator.index(rng)
     table = _step_table(model, grid.steps)
     w2, w2_int = _simulate_errors(model, table, x0, paths, seed)
     _, report = _sigma_path(model, table)

@@ -340,6 +340,17 @@ class TestMcVerify:
         assert float(rows[0][1]) == 0.0 and float(rows[0][2]) == 0.0
         assert float(rows[0][4]) == 0.0
 
+    def test_unstable_model_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        text = UNSTABLE_CONFIG.replace("paths = 2000", "paths = 5000")  # three path blocks
+        cfg_path = write_config(tmp_path, text)
+        rc = main(["mc-verify", "--config", cfg_path, "--out", str(out), "--quiet"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1  # no overflow warnings from the worker threads
+        assert err.startswith("error:") and "mc_verify.csv" in err and "NaN or inf" in err
+        assert not (out / "mc_verify.csv").exists()
+
 
 class TestOuTable:
     def test_reference_row(self, tmp_path):
@@ -376,6 +387,13 @@ class TestMain:
         env = {**os.environ, "PYTHONPATH": str(Path(sde_gridopt.__file__).resolve().parent.parent)}
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
         assert proc.stdout.strip() == "[]"
+
+    def test_import_leaves_thread_pool_unloaded(self):
+        # the Monte Carlo verifier imports its pool on first use
+        code = "import sys, sde_gridopt.cli; print('concurrent.futures' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(sde_gridopt.__file__).resolve().parent.parent)}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert proc.stdout.strip() == "False"
 
     def test_invalid_model_exits_2(self, tmp_path, capsys):
         text = OU_CONFIG.replace("T = 1.0", "T = 0.0")
@@ -466,7 +484,8 @@ def _load_check():
 
 
 class TestBenchmarkReference:
-    """The benchmark's output gate, run in-process on two of its workloads.
+    """The benchmark's output gate, run in-process: gramian and convergence on
+    two of its workloads, mc-verify on sys4-uniform.
 
     The references in perfbench/reference are only read, never written.
     """
@@ -483,3 +502,12 @@ class TestBenchmarkReference:
         if not reference.exists():
             reference = reference.with_name(name + ".gz")
         assert check.check_file(str(tmp_path / name), str(reference)) == []
+
+    def test_mc_verify_matches_reference(self, tmp_path):
+        # predicted and N to the gate's tolerance, |zscore| <= 5 at the config's seed
+        check = _load_check()
+        cfg_path = REPO / "perfbench" / "workloads" / "sys4-uniform-mc.cfg"
+        rc = main(["mc-verify", "--config", str(cfg_path), "--out", str(tmp_path), "--quiet"])
+        assert rc == 0
+        reference = REPO / "perfbench" / "reference" / "sys4-uniform" / "mc_verify.csv"
+        assert check.check_file(str(tmp_path / "mc_verify.csv"), str(reference)) == []

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from sde_gridopt import (
     solver,
     uniform_density,
 )
-from sde_gridopt.solver import KalmanState, _step_table, _stream
+from sde_gridopt.solver import _MC_BLOCK, KalmanState, _simulate_errors, _step_table, _stream
 
 from helpers import random_grid, random_model, random_regular_model
 
@@ -481,6 +482,59 @@ class TestMcVerify:
         grid = grid_from_density(uniform_density(1.0), 4)
         out = mc_verify_mse(ou, grid, [0.0], 200, np.random.default_rng(5))
         assert np.isfinite(out[0])
+
+    def test_paths_not_truncated(self, ou):
+        grid = grid_from_density(uniform_density(1.0), 4)
+        with pytest.raises(TypeError):
+            mc_verify_mse(ou, grid, [0.0], 150.7, 1)
+        assert mc_verify_mse(ou, grid, [0.0], np.int64(150), 1) == mc_verify_mse(
+            ou, grid, [0.0], 150, 1
+        )
+
+    def test_seed_not_truncated(self, ou):
+        grid = grid_from_density(uniform_density(1.0), 4)
+        with pytest.raises(TypeError):
+            mc_verify_mse(ou, grid, [0.0], 200, 7.9)
+        assert mc_verify_mse(ou, grid, [0.0], 200, np.uint64(7)) == mc_verify_mse(
+            ou, grid, [0.0], 200, 7
+        )
+
+
+class TestSimulateErrors:
+    def test_bytes_independent_of_worker_count(self):
+        model = random_regular_model(np.random.default_rng(8), n=3, m=2)
+        table = _step_table(model, random_grid(np.random.default_rng(9), 12).steps)
+        paths = 2 * _MC_BLOCK + 37  # a ragged last block
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the workers' Python steps finely
+        try:
+            runs = [
+                _simulate_errors(model, table, np.ones(3), paths, 606, workers=w)
+                for w in (1, 2, 3)
+            ]
+        finally:
+            sys.setswitchinterval(interval)
+        for w2, w2_int in runs:
+            assert w2.shape == w2_int.shape == (paths,)
+            assert np.all(w2 > 0) and np.all(w2_int > 0)
+        for w2, w2_int in runs[1:]:
+            assert w2.tobytes() == runs[0][0].tobytes()
+            assert w2_int.tobytes() == runs[0][1].tobytes()
+
+    def test_blocks_draw_distinct_streams(self, ou):
+        table = _step_table(ou, np.full(4, 0.25))
+        w2, _ = _simulate_errors(ou, table, [0.0], 2 * _MC_BLOCK, 3, workers=1)
+        assert not np.array_equal(w2[:_MC_BLOCK], w2[_MC_BLOCK:])
+
+    def test_caller_error_state_reaches_workers(self):
+        unstable = LinearSdeModel(A=[[400.0]], B=[[1.0]], M=[[1.0]], T=2.0)
+        table = _step_table(unstable, np.full(16, 0.125))  # X grows by e^50 a step
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                _simulate_errors(unstable, table, [0.0], 2 * _MC_BLOCK + 1, 1, workers=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w2, _ = _simulate_errors(unstable, table, [0.0], 2 * _MC_BLOCK + 1, 1, workers=2)
+        assert not np.all(np.isfinite(w2))
 
 
 class TestStream:

@@ -157,6 +157,18 @@ def _check_density(model: LinearSdeModel, psi: GridDensity) -> None:
         raise ValueError("density horizon does not match the model")
 
 
+def _require_regular(model: LinearSdeModel) -> None:
+    if not regularity_check(model).satisfied:
+        raise ValueError("optimal-grid theory needs the regularity determinant to be positive")
+
+
+def _over_psi2(w: np.ndarray, psi: GridDensity) -> np.ndarray:
+    """The integrand w / psi^2, set to zero where psi vanishes."""
+    integrand = np.zeros_like(w)
+    np.divide(w, psi.values**2, out=integrand, where=psi.values != 0.0)
+    return integrand
+
+
 def phi_functional(model: LinearSdeModel, psi: GridDensity) -> float:
     """Terminal limit functional Phi_T(psi) = int F / psi^2.
 
@@ -180,12 +192,9 @@ def ups_functional(model: LinearSdeModel, psi: GridDensity) -> float:
     """
     _check_density(model, psi)
     mesh, S = _weight(model, "integral")
-    zero = psi.values == 0.0
-    if np.any(zero & (S > 1e-14 * max(S.max(), 1e-300))):
+    if np.any((psi.values == 0.0) & (S > 1e-14 * max(S.max(), 1e-300))):
         raise ValueError("density vanishes where the integral weight is positive")
-    integrand = np.zeros_like(S)
-    np.divide(S, psi.values**2, out=integrand, where=~zero)
-    return float(_simpson(integrand, mesh))
+    return float(_simpson(_over_psi2(S, psi), mesh))
 
 
 def functional_quadrature_bound(model: LinearSdeModel, psi: GridDensity, kind: str) -> float:
@@ -196,9 +205,7 @@ def functional_quadrature_bound(model: LinearSdeModel, psi: GridDensity, kind: s
     """
     _check_density(model, psi)
     mesh, w = _weight(model, kind)
-    zero = psi.values == 0.0
-    integrand = np.zeros_like(w)
-    np.divide(w, psi.values**2, out=integrand, where=~zero)
+    integrand = _over_psi2(w, psi)
     return float(abs(_simpson(integrand, mesh) - np.trapezoid(integrand, x=mesh)))
 
 
@@ -207,10 +214,7 @@ def _min_value(model: LinearSdeModel, kind: str) -> float:
     if not np.any(w > 0):
         # identically zero weight: the functional floor is exactly zero
         return 0.0
-    if not regularity_check(model).satisfied:
-        raise ValueError(
-            "optimal-grid theory needs the regularity determinant to be positive"
-        )
+    _require_regular(model)
     return float(_simpson(np.cbrt(w), mesh)) ** 3
 
 
@@ -232,10 +236,7 @@ def optimal_profile(model: LinearSdeModel, kind: str) -> tuple[GridDensity, np.n
     that quantile grids realise.
     """
     _, w = _weight(model, kind)
-    if not regularity_check(model).satisfied:
-        raise ValueError(
-            "optimal-grid theory needs the regularity determinant to be positive"
-        )
+    _require_regular(model)
     psi = density_from_weight(model.T, w)
     return psi, psi.cumulative.copy()
 

@@ -7,13 +7,18 @@ Subcommands:
 * ``mc-verify``    Monte Carlo consistency check of the predicted errors
 * ``ou-table``     analytic vs quadrature optimum table for scalar OU models
 
-Configs are sectioned key-value files; array values use Python literal
-syntax (parsed with ast.literal_eval, never eval).  All CSV output is
-UTF-8 with a header row and 17-significant-digit floats, so repeated runs
-are byte-identical on one platform.  Errors exit nonzero after printing a
-single machine-parsable ``error: ...`` line on stderr; a table with a NaN
-or inf cell is such an error and is not written, and numpy's overflow
-warnings on the way to it are not printed.
+Configs are sectioned key-value files; values other than ``kind``,
+``file`` and ``dir`` use Python literal syntax (parsed with
+ast.literal_eval, never eval).  Every key goes through one reader that
+refuses a value of the wrong type or range, naming the key: a float where
+an integer belongs is refused, never truncated.  ``[grid] N`` is a
+one-element sweep; ``N_sweep`` wins when both are given.  All CSV output
+is UTF-8 with a header row and CRLF line ends; a number is written as
+``%.17g`` and a label as it is, so repeated runs are byte-identical on one
+platform.  Errors exit with status 2 after printing a single
+machine-parsable ``error: ...`` line on stderr; a table with a NaN or inf
+cell is such an error and is not written, and numpy's overflow warnings on
+the way to it are not printed.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from __future__ import annotations
 import argparse
 import ast
 import configparser
-import csv
 import math
 import os
 import sys
@@ -62,7 +66,6 @@ class ExperimentConfig:
 
     model: LinearSdeModel
     grid_kind: str = "uniform"
-    n_steps: int | None = None
     n_sweep: list[int] = field(default_factory=list)
     grid_file: str | None = None
     paths: int = 100_000
@@ -71,11 +74,63 @@ class ExperimentConfig:
     ou_sweep: list[float] = field(default_factory=lambda: list(_DEFAULT_OU_SWEEP))
 
 
-def _literal(cp: configparser.ConfigParser, section: str, key: str):
+def _int(v, low: int, high: float = math.inf) -> int:
+    """v if it is an int in [low, high); a float or a bool is refused, never truncated."""
+    if type(v) is not int or not low <= v < high:
+        raise ValueError(f"{v!r} is not an integer in [{low}, {high})")
+    return v
+
+
+def _real(v, positive: bool = False) -> float:
+    if type(v) not in (int, float) or (positive and not v > 0):  # a bool is refused too
+        raise ValueError(f"{v!r} is not a {'positive ' * positive}number")
+    return float(v)
+
+
+def _list(entry, increasing: bool = False):
+    """Converter to a non-empty list of converted entries, strictly increasing if asked."""
+
+    def convert(v) -> list:
+        out = [entry(x) for x in v] if type(v) in (list, tuple) else []
+        if not out or (increasing and any(b <= a for a, b in zip(out, out[1:]))):
+            raise ValueError(f"{v!r} is not a non-empty{' strictly increasing' * increasing} list")
+        return out
+
+    return convert
+
+
+def _grid_kind(raw: str) -> str:
+    if raw not in _GRID_KINDS:
+        raise ValueError(f"{raw!r} is not one of {_GRID_KINDS}")
+    return raw
+
+
+# Optional keys as (section, key, field, converter); an absent key keeps the
+# field's default. N is a one-element sweep, read first so that N_sweep wins.
+_OPTIONAL = (
+    ("grid", "kind", "grid_kind", _grid_kind),
+    ("grid", "N", "n_sweep", lambda v: [_int(v, 1)]),
+    ("grid", "N_sweep", "n_sweep", _list(lambda N: _int(N, 1), increasing=True)),
+    ("grid", "file", "grid_file", str),
+    ("mc", "paths", "paths", lambda v: _int(v, 100)),
+    ("mc", "seed", "seed", lambda v: _int(v, 0, 2**64)),
+    ("output", "dir", "outdir", str),
+    ("ou", "T_sweep", "ou_sweep", _list(lambda T: _real(T, positive=True))),
+)
+_TEXT_KEYS = ("kind", "file", "dir")  # plain text, not Python literals
+
+
+def _read(cp: configparser.ConfigParser, section: str, key: str, convert):
+    """``[section] key`` parsed and converted; any failure is a ValueError naming the key."""
+    raw = cp.get(section, key).strip()
     try:
-        return ast.literal_eval(cp.get(section, key))
-    except (ValueError, SyntaxError) as exc:
-        raise ValueError(f"config [{section}] {key}: not a valid literal") from exc
+        value = raw if key in _TEXT_KEYS else ast.literal_eval(raw)
+    except (ValueError, TypeError, SyntaxError):
+        raise ValueError(f"config [{section}] {key}: not a valid literal") from None
+    try:
+        return convert(value)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"config [{section}] {key}: {exc}") from None
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -85,84 +140,37 @@ def parse_config(path: str) -> ExperimentConfig:
         cp.read_file(fh)
     if not cp.has_section("model"):
         raise ValueError("config needs a [model] section")
-    model = LinearSdeModel(
-        A=np.array(_literal(cp, "model", "A"), dtype=float),
-        B=np.array(_literal(cp, "model", "B"), dtype=float),
-        M=np.array(_literal(cp, "model", "M"), dtype=float),
-        T=float(_literal(cp, "model", "T")),
-    )
+    A, B, M = (_read(cp, "model", key, lambda v: np.array(v, dtype=float)) for key in "ABM")
+    model = LinearSdeModel(A=A, B=B, M=M, T=_read(cp, "model", "T", _real))
     validate_model(model)
     cfg = ExperimentConfig(model=model)
-
-    if cp.has_section("grid"):
-        if cp.has_option("grid", "kind"):
-            cfg.grid_kind = cp.get("grid", "kind").strip()
-            if cfg.grid_kind not in _GRID_KINDS:
-                raise ValueError(f"config [grid] kind must be one of {_GRID_KINDS}")
-        if cp.has_option("grid", "N"):
-            cfg.n_steps = int(_literal(cp, "grid", "N"))
-            if cfg.n_steps < 1:
-                raise ValueError("config [grid] N must be at least 1")
-        if cp.has_option("grid", "N_sweep"):
-            sweep = [int(v) for v in _literal(cp, "grid", "N_sweep")]
-            if any(b <= a for a, b in zip(sweep, sweep[1:])) or not sweep:
-                raise ValueError("config [grid] N_sweep must be strictly increasing")
-            if min(sweep) < 1:
-                raise ValueError("config [grid] N_sweep entries must be at least 1")
-            cfg.n_sweep = sweep
-        if cp.has_option("grid", "file"):
-            raw = cp.get("grid", "file").strip()
-            cfg.grid_file = os.path.join(os.path.dirname(os.path.abspath(path)), raw)
-        if cfg.grid_kind == "file" and cfg.grid_file is None:
-            raise ValueError("config [grid] kind=file needs a file= entry")
-
-    if cp.has_section("mc"):
-        if cp.has_option("mc", "paths"):
-            cfg.paths = int(_literal(cp, "mc", "paths"))
-            if cfg.paths < 100:
-                raise ValueError("config [mc] paths must be at least 100")
-        if cp.has_option("mc", "seed"):
-            cfg.seed = int(_literal(cp, "mc", "seed"))
-            if not 0 <= cfg.seed < 2**64:
-                raise ValueError("config [mc] seed must fit in uint64")
-
-    if cp.has_section("output") and cp.has_option("output", "dir"):
-        cfg.outdir = cp.get("output", "dir").strip()
-
-    if cp.has_section("ou") and cp.has_option("ou", "T_sweep"):
-        sweep = [float(v) for v in _literal(cp, "ou", "T_sweep")]
-        if not sweep or any(t <= 0 for t in sweep):
-            raise ValueError("config [ou] T_sweep entries must be positive")
-        cfg.ou_sweep = sweep
-
+    for section, key, name, convert in _OPTIONAL:
+        if cp.has_option(section, key):
+            setattr(cfg, name, _read(cp, section, key, convert))
+    if cfg.grid_file is not None:
+        cfg.grid_file = os.path.join(os.path.dirname(os.path.abspath(path)), cfg.grid_file)
+    elif cfg.grid_kind == "file":
+        raise ValueError("config [grid] kind=file needs a file= entry")
     return cfg
-
-
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
 
 
 def _write_csv(outdir: str, name: str, header: list[str], rows, quiet: bool) -> str:
     """Write the table, refusing (before touching the file) any NaN or inf cell.
 
-    rows is a sequence, read twice: once to check it, once to format and
-    write it row by row.
+    rows is a sequence of lists or 1-D arrays, read twice: once to check it,
+    once to format and write it row by row. A string cell is written as it
+    is and a number as ``%.17g``; lines end in CRLF.
     """
     path = os.path.join(outdir, name)
-    bad = sum(isinstance(v, float) and not math.isfinite(v) for row in rows for v in row)
+    bad = sum(not isinstance(v, str) and not math.isfinite(v) for row in rows for v in row)
     if bad:
         raise ValueError(f"{path}: {bad} NaN or inf values, not written")
     os.makedirs(outdir, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
+        fh.write(",".join(header) + "\r\n")
+        for row in rows:
+            cells = row.tolist() if isinstance(row, np.ndarray) else row  # floats format faster
+            fh.write(",".join(v if isinstance(v, str) else "%.17g" % v for v in cells) + "\r\n")
     if not quiet:
         print(f"wrote {path}")
     return path
@@ -171,24 +179,28 @@ def _write_csv(outdir: str, name: str, header: list[str], rows, quiet: bool) -> 
 def _density_for(cfg: ExperimentConfig) -> GridDensity | None:
     if cfg.grid_kind == "uniform":
         return uniform_density(cfg.model.T)
-    if cfg.grid_kind == "terminal-optimal":
-        return optimal_profile(cfg.model, "terminal")[0]
-    if cfg.grid_kind == "integral-optimal":
-        return optimal_profile(cfg.model, "integral")[0]
+    if cfg.grid_kind.endswith("-optimal"):
+        return optimal_profile(cfg.model, cfg.grid_kind.removesuffix("-optimal"))[0]
     return None
 
 
-def _grid_for(cfg: ExperimentConfig, N: int | None) -> tuple[TimeGrid, GridDensity | None]:
+def _grid_for(cfg: ExperimentConfig, N: int | None) -> TimeGrid:
     if cfg.grid_kind == "file":
         pts = np.loadtxt(cfg.grid_file, dtype=float, ndmin=1)
         grid = TimeGrid(pts)
         if grid.horizon != cfg.model.T:
             raise ValueError("grid file horizon does not match the model")
-        return grid, None
-    if N is None:
+        return grid
+    return grid_from_density(_density_for(cfg), N)
+
+
+def _sweep(cfg: ExperimentConfig) -> list:
+    """The grid sizes to run: the config's N sweep, or one pass over a grid file."""
+    if cfg.grid_kind == "file":
+        return [None]
+    if not cfg.n_sweep:
         raise ValueError("grid synthesis needs N or N_sweep in the config")
-    psi = _density_for(cfg)
-    return grid_from_density(psi, N), psi
+    return cfg.n_sweep
 
 
 def cmd_gramian(cfg: ExperimentConfig, quiet: bool = False) -> str:
@@ -197,13 +209,7 @@ def cmd_gramian(cfg: ExperimentConfig, quiet: bool = False) -> str:
     n = model.n
     mesh, F, S, Q = _curves(model)  # Q_t on the mesh comes with the curves
     labels = [f"{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    header = (
-        ["t"]
-        + [f"G_{s}" for s in labels]
-        + [f"Q_{s}" for s in labels]
-        + [f"K_{s}" for s in labels]
-        + ["F", "S"]
-    )
+    header = ["t"] + [f"{X}_{s}" for X in "GQK" for s in labels] + ["F", "S"]
     _, _, K, G = _transition(model.A, model.D, mesh)
     L = mesh.size
     table = np.column_stack((mesh, G.reshape(L, -1), Q.reshape(L, -1), K.reshape(L, -1), F, S))
@@ -211,38 +217,28 @@ def cmd_gramian(cfg: ExperimentConfig, quiet: bool = False) -> str:
 
 
 def _convergence_row(cfg: ExperimentConfig, N: int) -> list:
-    grid, _ = _grid_for(cfg, N)
+    grid = _grid_for(cfg, N)
     _, rep = sigma_path(cfg.model, grid)
     return [grid.n_steps, rep.terminal, rep.integral, rep.n2_terminal, rep.n2_integral]
 
 
 def cmd_convergence(cfg: ExperimentConfig, quiet: bool = False) -> str:
     """Covariance recursion over the N-sweep plus trailing limit reference rows."""
-    sweep = cfg.n_sweep or ([cfg.n_steps] if cfg.n_steps else [])
-    if cfg.grid_kind == "file":
-        sweep = [None]
-    elif not sweep:
-        raise ValueError("convergence needs N or N_sweep in the config")
-    rows = [_convergence_row(cfg, N) for N in sweep]
+    rows = [_convergence_row(cfg, N) for N in _sweep(cfg)]
     psi = _density_for(cfg)
     if psi is not None:
-        phi = None if psi.values[-1] == 0.0 else phi_functional(cfg.model, psi)
+        phi = "" if psi.values[-1] == 0.0 else phi_functional(cfg.model, psi)
         ups = ups_functional(cfg.model, psi)
-        rows.append(["limit", None, None, phi, ups])
+        rows.append(["limit", "", "", phi, ups])
     header = ["N", "T_N", "I_N", "N2T_N", "N2I_N"]
     return _write_csv(cfg.outdir, "convergence.csv", header, rows, quiet)
 
 
 def cmd_mc_verify(cfg: ExperimentConfig, quiet: bool = False) -> str:
     """Monte Carlo terminal-error check, one row per grid size."""
-    sweep = cfg.n_sweep or ([cfg.n_steps] if cfg.n_steps else [])
-    if cfg.grid_kind == "file":
-        sweep = [None]
-    elif not sweep:
-        raise ValueError("mc-verify needs N or N_sweep in the config")
     rows = []
-    for N in sweep:
-        grid, _ = _grid_for(cfg, N)
+    for N in _sweep(cfg):
+        grid = _grid_for(cfg, N)
         x0 = np.zeros(cfg.model.n)
         sample, predicted, stderr = mc_verify_mse(cfg.model, grid, x0, cfg.paths, cfg.seed)
         z = (sample - predicted) / stderr if stderr > 0 else 0.0

@@ -114,6 +114,68 @@ class TestParseConfig:
         with pytest.raises(ValueError):
             parse_config(write_config(tmp_path, bad))
 
+    def test_single_n_is_a_one_element_sweep(self, tmp_path):
+        text = OU_CONFIG.replace("N_sweep = [16, 32, 64]", "N = 8")
+        assert parse_config(write_config(tmp_path, text)).n_sweep == [8]
+        both = OU_CONFIG.replace("N_sweep = [16, 32, 64]", "N = 8\nN_sweep = [16, 32]")
+        assert parse_config(write_config(tmp_path, both)).n_sweep == [16, 32]
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            # a float where an integer belongs was once truncated silently
+            ("paths = 2000", "paths = 150.7", "[mc] paths"),
+            ("seed = 2024", "seed = 7.9", "[mc] seed"),
+            ("N_sweep = [16, 32, 64]", "N = 16.9", "[grid] N"),
+            ("seed = 2024", "seed = True", "[mc] seed"),
+            # a value of the wrong shape once ended in a TypeError traceback
+            ("N_sweep = [16, 32, 64]", "N_sweep = 5", "[grid] N_sweep"),
+            ("N_sweep = [16, 32, 64]", "N = [1, 2]", "[grid] N"),
+            ("T = 1.0", "T = [1.0]", "[model] T"),
+            ("seed = 2024", "seed = 2024\n\n[ou]\nT_sweep = 3.0", "[ou] T_sweep"),
+        ],
+    )
+    def test_malformed_value_one_error_line(self, tmp_path, capsys, old, new, key):
+        text = OU_CONFIG.replace(old, new)
+        assert text != OU_CONFIG
+        out = tmp_path / "out"
+        rc = main(["convergence", "--config", write_config(tmp_path, text), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and key in err
+        assert not out.exists()
+
+
+class TestWriteCsv:
+    # generated once by the csv.writer-based writer this one replaced
+    LIST_BYTES = (
+        b"N,x,y,z\r\n"
+        b"16,0,-0,4.9406564584124654e-324\r\n"
+        b"4096,10000000000000000,1e+17,0.33333333333333331\r\n"
+        b"limit,,-0.66666666666666663,1e-300\r\n"
+    )
+    ARRAY_BYTES = (
+        b"t,G_11,F\r\n"
+        b"0,-0,4.9406564584124654e-324\r\n"
+        b"10000000000000000,1e+17,0.33333333333333331\r\n"
+        b"1.4821969375237396e-323,1.5,-1.0000000000000001e+300\r\n"
+    )
+
+    def test_list_rows_bytes(self, tmp_path):
+        rows = [
+            [16, 0.0, -0.0, 5e-324],
+            [4096, 1e16, 1e17, 1 / 3],
+            ["limit", "", -2 / 3, 1e-300],
+        ]
+        path = cli._write_csv(str(tmp_path), "a.csv", ["N", "x", "y", "z"], rows, True)
+        assert Path(path).read_bytes() == self.LIST_BYTES
+
+    def test_array_rows_bytes(self, tmp_path):
+        table = np.array([[0.0, -0.0, 5e-324], [1e16, 1e17, 1 / 3], [3 * 5e-324, 1.5, -1e300]])
+        path = cli._write_csv(str(tmp_path), "b.csv", ["t", "G_11", "F"], table, True)
+        assert Path(path).read_bytes() == self.ARRAY_BYTES
+
 
 class TestGramian:
     def test_ou_table_values(self, tmp_path):
@@ -484,30 +546,35 @@ def _load_check():
 
 
 class TestBenchmarkReference:
-    """The benchmark's output gate, run in-process: gramian and convergence on
-    two of its workloads, mc-verify on sys4-uniform.
+    """The benchmark's output gate, run in-process on every checked-in reference.
 
     The references in perfbench/reference are only read, never written.
     """
 
-    @pytest.mark.parametrize("workload", ["ou-optimal", "sys4-optimal"])
-    @pytest.mark.parametrize("command", ["gramian", "convergence"])
-    def test_matches_reference(self, tmp_path, workload, command):
+    @staticmethod
+    def check(tmp_path, command, workload, cfg_name=None):
         check = _load_check()
-        cfg_path = REPO / "perfbench" / "workloads" / f"{workload}.cfg"
+        cfg_path = REPO / "perfbench" / "workloads" / f"{cfg_name or workload}.cfg"
         rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path), "--quiet"])
         assert rc == 0
-        name = f"{command}.csv"
+        name = f"{command.replace('-', '_')}.csv"
         reference = REPO / "perfbench" / "reference" / workload / name
         if not reference.exists():
             reference = reference.with_name(name + ".gz")
         assert check.check_file(str(tmp_path / name), str(reference)) == []
 
+    @pytest.mark.parametrize("workload", ["ou-optimal", "sys4-optimal"])
+    @pytest.mark.parametrize("command", ["gramian", "convergence"])
+    def test_matches_reference(self, tmp_path, workload, command):
+        self.check(tmp_path, command, workload)
+
+    def test_ou_table_matches_reference(self, tmp_path):
+        self.check(tmp_path, "ou-table", "ou-optimal")
+
+    def test_uniform_convergence_matches_reference(self, tmp_path):
+        # 86,016 covariance steps on the 4x4 model, about a second
+        self.check(tmp_path, "convergence", "sys4-uniform")
+
     def test_mc_verify_matches_reference(self, tmp_path):
         # predicted and N to the gate's tolerance, |zscore| <= 5 at the config's seed
-        check = _load_check()
-        cfg_path = REPO / "perfbench" / "workloads" / "sys4-uniform-mc.cfg"
-        rc = main(["mc-verify", "--config", str(cfg_path), "--out", str(tmp_path), "--quiet"])
-        assert rc == 0
-        reference = REPO / "perfbench" / "reference" / "sys4-uniform" / "mc_verify.csv"
-        assert check.check_file(str(tmp_path / "mc_verify.csv"), str(reference)) == []
+        self.check(tmp_path, "mc-verify", "sys4-uniform", "sys4-uniform-mc")

@@ -14,7 +14,9 @@ mean-square errors of the best increment-measurable reconstruction are
 read off Sigma alone (``sigma_path``), which is what the grid optimiser
 minimises.  Each call builds a step table: stacked arrays with one row per
 distinct dt, filled by one call of the batched matfun kernel and one
-batched eigh, and a row index per step that the recursions walk.
+batched eigh, and a row index per step.  The mean recursion walks that
+index step by step; the covariance recursion is a chunked prefix scan over
+the same rows, a few batched matrix products per chunk of steps.
 """
 
 from __future__ import annotations
@@ -198,19 +200,39 @@ def kalman_step(
     return KalmanState(state.k + 1, mu, _sigma_step(table.exp_a[0], table.kt3[0], state.sigma))
 
 
+_SCAN_CHUNK = 1024  # steps per prefix scan; bounds its working memory
+
+
 def _sigma_path(model: LinearSdeModel, table: StepTable):
-    # per-row views in lists: indexing a list is cheaper than a stack
-    exp_a, kt3, dts = list(table.exp_a), list(table.kt3), table.dts.tolist()
-    M = model.M
+    """Sigma_k of every step by a chunked parallel-prefix scan.
+
+    Step k maps Sigma to E_k Sigma E_k^T + Q_k, and these affine maps
+    compose associatively: (E2, Q2) after (E1, Q1) is
+    (E2 E1, E2 Q1 E2^T + Q2).  Inside a chunk of _SCAN_CHUNK steps,
+    Hillis-Steele doubling turns row k into the composition of steps
+    lo..k in log2(chunk) batched sweeps; the chunk's Sigma then follows
+    from the carry, the last Sigma of the chunk before.  On stiff models a
+    composite E can decay below the float range; that underflow is not
+    signalled, as what flushes to zero lies far below Q's rounding.
+    """
     N = table.index.size
     sigmas = np.empty((N, model.n, model.n))
     sigma = np.zeros((model.n, model.n))
-    integral = 0.0
-    for k, i in enumerate(table.index):
-        sigma = _sigma_step(exp_a[i], kt3[i], sigma)
-        sigmas[k] = sigma
-        integral += float(np.sum(M * sigma)) * dts[i]
+    for lo in range(0, N, _SCAN_CHUNK):
+        rows = table.index[lo : lo + _SCAN_CHUNK]
+        E, Q = table.exp_a[rows], table.kt3[rows]
+        with np.errstate(under="ignore"):
+            d = 1
+            while d < rows.size:
+                Q[d:] = E[d:] @ Q[:-d] @ E[d:].mT + Q[d:]
+                E[d:] = E[d:] @ E[:-d]
+                d *= 2
+            S = E @ sigma @ E.mT + Q
+        sigmas[lo : lo + rows.size] = 0.5 * (S + S.mT)
+        sigma = sigmas[lo + rows.size - 1]
+    M = model.M
     terminal = float(np.sum(M * sigma))
+    integral = float(np.einsum("kij,ij->k", sigmas, M) @ table.dts[table.index])
     n2 = float(N) ** 2
     return sigmas, ErrorReport(terminal, integral, n2 * terminal, n2 * integral)
 

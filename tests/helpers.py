@@ -126,3 +126,23 @@ def kt_oracle(A, D, t):
     if t * np.linalg.norm(A) < 0.1:
         return kt_series(A, D, t)
     return kt_direct(A, D, t)
+
+
+def sigma_errors_ld(model, table):
+    """(T_N, I_N) by the sequential Sigma recursion in long double, a test oracle.
+
+    Runs Sigma' = E Sigma E^T + Q step by step on the step table's own
+    float64 (E, Q), so it measures the rounding of the recursion and not
+    that of the step matrices.
+    """
+    ld = np.longdouble
+    E = list(table.exp_a.astype(ld))
+    Q = list(table.kt3.astype(ld))
+    dts = list(table.dts.astype(ld))
+    M = model.M.astype(ld)
+    S = np.zeros_like(M)
+    integral = ld(0.0)
+    for i in table.index:
+        S = E[i] @ S @ E[i].T + Q[i]
+        integral += np.sum(M * S) * dts[i]
+    return float(np.sum(M * S)), float(integral)

@@ -1,5 +1,6 @@
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,9 +29,10 @@ from sde_gridopt import (
     solver,
     uniform_density,
 )
+from sde_gridopt.cli import parse_config
 from sde_gridopt.solver import _MC_BLOCK, KalmanState, _simulate_errors, _step_table, _stream
 
-from helpers import random_grid, random_model, random_regular_model
+from helpers import random_grid, random_model, random_regular_model, sigma_errors_ld
 
 
 def rel(err, ref):
@@ -228,7 +230,8 @@ class TestRunFilter:
 
     @pytest.mark.parametrize("kind", ["uniform", "integral-optimal"])
     def test_equals_chain_of_kalman_steps(self, kind):
-        # the sequential oracle: run_filter is kalman_step applied N times, bitwise
+        # the sequential oracle: run_filter's mean is kalman_step applied N times,
+        # bitwise; its Sigma comes from the scan (see test_sigma_matches_long_double)
         rng = np.random.default_rng(31)
         model = random_regular_model(rng, n=2, m=2)
         if kind == "uniform":
@@ -238,17 +241,55 @@ class TestRunFilter:
         grid = grid_from_density(psi, 48)
         inc = WienerIncrements.sample(grid, model.m, rng)
         x0 = np.array([0.3, -1.2])
-        traj, rep = run_filter(model, grid, x0, inc)
+        traj, _ = run_filter(model, grid, x0, inc)
         state = KalmanState(-1, x0, np.zeros((2, 2)))
         for k, dt in enumerate(grid.steps):
             state = kalman_step(model, state, float(dt), inc.increments[k])
             assert traj[k].k == state.k == k
             assert np.array_equal(traj[k].mu, state.mu)
-            assert np.array_equal(traj[k].sigma, state.sigma)
-        assert rep.terminal == float(np.sum(model.M * state.sigma))
 
 
 class TestSigmaPath:
+    def test_sigma_matches_long_double(self):
+        # the scan against the sequential recursion in long double on the same
+        # float64 step matrices, on the benchmark's sys4-uniform model at its
+        # largest N = 65,536; the float64 loop it replaced is off by 9.3e-13
+        workloads = Path(__file__).parents[1] / "perfbench" / "workloads"
+        cfg = parse_config(str(workloads / "sys4-uniform.cfg"))
+        model = cfg.model
+        grid = grid_from_density(uniform_density(model.T), max(cfg.n_sweep))
+        _, rep = sigma_path(model, grid)
+        terminal, integral = sigma_errors_ld(model, _step_table(model, grid.steps))
+        assert rep.terminal == pytest.approx(terminal, rel=3e-13, abs=0)
+        assert rep.integral == pytest.approx(integral, rel=3e-13, abs=0)
+
+    @pytest.mark.parametrize("N", [1, 2, 1023, 1024, 1025, 2051])
+    def test_chunk_boundaries(self, N):
+        rng = np.random.default_rng(N)
+        model = random_model(rng, n=3)
+        grid = random_grid(rng, N)
+        sigmas, rep = sigma_path(model, grid)
+        state = KalmanState(-1, np.zeros(3), np.zeros((3, 3)))
+        for k, dt in enumerate(grid.steps):
+            state = kalman_step(model, state, float(dt), np.zeros(model.m))
+            assert rel(sigmas[k] - state.sigma, state.sigma) < 1e-12
+        assert np.array_equal(sigmas, sigmas.mT)
+        assert rep.terminal == float(np.sum(model.M * sigmas[-1]))
+        integral = sum(float(np.sum(model.M * s)) * dt for s, dt in zip(sigmas, grid.steps))
+        assert rep.integral == pytest.approx(integral, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("T", [1.0, 30.0])
+    def test_stiff_long_horizon(self, T):
+        # composite maps over a chunk decay below the float range at T = 30
+        model = LinearSdeModel(A=np.diag([-1.0, -1000.0]), B=np.eye(2), M=np.eye(2), T=T)
+        grid = grid_from_density(uniform_density(T), 65536)
+        with np.errstate(all="raise"):
+            sigmas, rep = sigma_path(model, grid)
+        assert np.all(np.isfinite(sigmas))
+        terminal, integral = sigma_errors_ld(model, _step_table(model, grid.steps))
+        assert rep.terminal == pytest.approx(terminal, rel=1e-12, abs=0)
+        assert rep.integral == pytest.approx(integral, rel=1e-12, abs=0)
+
     def test_report_matches_run_filter(self, ou):
         grid = random_grid(np.random.default_rng(4), 40)
         inc = WienerIncrements.sample(grid, 1, np.random.default_rng(6))

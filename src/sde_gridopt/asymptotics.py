@@ -13,6 +13,12 @@ to the cube root of their weight, giving the optimal values
 recursion is available through two independent routes (Lyapunov ODE and
 the explicit integral), which is the main transcription safeguard here.
 
+Both functionals read one integrand rule: a density may vanish only where
+its weight is below 1e-14 of the weight's maximum, and the integrand is
+0 there (its limit); any other zero of psi makes the functional infinite
+and is refused.  So Ups_T accepts the integral-optimal profile, which
+pinches at T where S_T = 0, and Phi_T refuses it unless F_T is as small.
+
 Quadrature is composite Simpson on the shared density mesh.  Densities are
 piecewise linear, so integrands have kinks at mesh nodes; the reported
 error bound for a functional value is the Simpson-trapezoid gap on the
@@ -162,50 +168,46 @@ def _require_regular(model: LinearSdeModel) -> None:
         raise ValueError("optimal-grid theory needs the regularity determinant to be positive")
 
 
-def _over_psi2(w: np.ndarray, psi: GridDensity) -> np.ndarray:
-    """The integrand w / psi^2, set to zero where psi vanishes."""
+def _integrand(model: LinearSdeModel, psi: GridDensity, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Mesh and the integrand w / psi^2 of the functional of the given kind.
+
+    The divergence rule of the module docstring: psi = 0 is refused where
+    w > 1e-14 max(w), and the integrand is 0 wherever psi = 0.
+    """
+    _check_density(model, psi)
+    mesh, w = _weight(model, kind)
+    zero = psi.values == 0.0
+    if np.any(zero & (w > 1e-14 * max(w.max(), 1e-300))):
+        raise ValueError(f"density vanishes where the {kind} weight is positive")
     integrand = np.zeros_like(w)
-    np.divide(w, psi.values**2, out=integrand, where=psi.values != 0.0)
-    return integrand
+    np.divide(w, psi.values**2, out=integrand, where=~zero)
+    return mesh, integrand
 
 
 def phi_functional(model: LinearSdeModel, psi: GridDensity) -> float:
-    """Terminal limit functional Phi_T(psi) = int F / psi^2.
-
-    The terminal functional needs a density bounded away from zero on the
-    whole closed interval; densities vanishing at T are refused.
-    """
-    _check_density(model, psi)
-    if psi.values[-1] == 0.0:
-        raise ValueError("terminal functional requires psi > 0 on all of [0, T]")
-    mesh, F = _weight(model, "terminal")
-    return float(_simpson(F / psi.values**2, mesh))
+    """Terminal limit functional Phi_T(psi) = int F / psi^2, by the module's integrand rule."""
+    mesh, integrand = _integrand(model, psi, "terminal")
+    return float(_simpson(integrand, mesh))
 
 
 def ups_functional(model: LinearSdeModel, psi: GridDensity) -> float:
-    """Integral limit functional Ups_T(psi) = int S / psi^2.
+    """Integral limit functional Ups_T(psi) = int S / psi^2, by the module's integrand rule.
 
-    Densities with psi(T) = 0 are accepted: S_T = 0 and the integrand
-    extends continuously (like (T-t)^{1/3} for the optimal profile).  Any
-    zero of psi where S is still positive makes the integral diverge and
-    is refused.
+    The integral-optimal density has psi(T) = 0 where S_T = 0; its
+    integrand tends to 0 there like (T-t)^{1/3}.
     """
-    _check_density(model, psi)
-    mesh, S = _weight(model, "integral")
-    if np.any((psi.values == 0.0) & (S > 1e-14 * max(S.max(), 1e-300))):
-        raise ValueError("density vanishes where the integral weight is positive")
-    return float(_simpson(_over_psi2(S, psi), mesh))
+    mesh, integrand = _integrand(model, psi, "integral")
+    return float(_simpson(integrand, mesh))
 
 
 def functional_quadrature_bound(model: LinearSdeModel, psi: GridDensity, kind: str) -> float:
     """Documented quadrature error estimate for the functional value.
 
     The Simpson-trapezoid gap on the evaluation mesh; it dominates the
-    true quadrature error for these piecewise-smooth integrands.
+    true quadrature error for these piecewise-smooth integrands.  The
+    density is judged by the same integrand rule as the functional.
     """
-    _check_density(model, psi)
-    mesh, w = _weight(model, kind)
-    integrand = _over_psi2(w, psi)
+    mesh, integrand = _integrand(model, psi, kind)
     return float(abs(_simpson(integrand, mesh) - np.trapezoid(integrand, x=mesh)))
 
 
@@ -243,12 +245,8 @@ def optimal_profile(model: LinearSdeModel, kind: str) -> tuple[GridDensity, np.n
 
 def asymptotic_report(model: LinearSdeModel, psi: GridDensity, kind: str) -> AsymptoticReport:
     """Evaluate a density against the theoretical floor of its functional."""
-    if kind == "terminal":
-        value = phi_functional(model, psi)
-    elif kind == "integral":
-        value = ups_functional(model, psi)
-    else:
-        raise ValueError("kind must be 'terminal' or 'integral'")
+    mesh, integrand = _integrand(model, psi, kind)
+    value = float(_simpson(integrand, mesh))
     minimum = _min_value(model, kind)
     _, w = _weight(model, kind)
     bound = model.T**3 * float(w.min())

@@ -43,7 +43,7 @@ from .asymptotics import (
 )
 from .grid import GridDensity, TimeGrid, grid_from_density, uniform_density
 from .matfun import _transition
-from .model import LinearSdeModel, ModelValidationError, validate_model
+from .model import LinearSdeModel, ModelValidationError
 from .solver import mc_verify_mse, sigma_path
 
 __all__ = [
@@ -141,9 +141,7 @@ def parse_config(path: str) -> ExperimentConfig:
     if not cp.has_section("model"):
         raise ValueError("config needs a [model] section")
     A, B, M = (_read(cp, "model", key, lambda v: np.array(v, dtype=float)) for key in "ABM")
-    model = LinearSdeModel(A=A, B=B, M=M, T=_read(cp, "model", "T", _real))
-    validate_model(model)
-    cfg = ExperimentConfig(model=model)
+    cfg = ExperimentConfig(model=LinearSdeModel(A=A, B=B, M=M, T=_read(cp, "model", "T", _real)))
     for section, key, name, convert in _OPTIONAL:
         if cp.has_option(section, key):
             setattr(cfg, name, _read(cp, section, key, convert))

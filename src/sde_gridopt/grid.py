@@ -10,6 +10,8 @@ the horizon (the integral-error case) are allowed to pinch to zero.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 MESH_PANELS = 4096
@@ -169,7 +171,7 @@ def density_from_weight(T: float, w) -> GridDensity:
 
 def grid_from_density(psi: GridDensity, N: int) -> TimeGrid:
     """Quantile grid t_k = Psi^{-1}(k / N), k = 0..N."""
-    N = int(N)
+    N = operator.index(N)
     if N < 1:
         raise ValueError("N must be at least 1")
     t = psi.profile(np.arange(N + 1) / N)

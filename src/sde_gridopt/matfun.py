@@ -81,11 +81,6 @@ def _as_square(A, name: str) -> np.ndarray:
     return A
 
 
-def _check_symmetric(X: np.ndarray, name: str) -> None:
-    if np.linalg.norm(X - X.T) > 1e-12 * max(1.0, np.linalg.norm(X)):
-        raise ValueError(f"{name} must be symmetric")
-
-
 def _T(X: np.ndarray) -> np.ndarray:
     """Transpose of each matrix in a stack."""
     return X.swapaxes(-1, -2)
@@ -95,13 +90,14 @@ def _sym(X: np.ndarray) -> np.ndarray:
     return 0.5 * (X + _T(X))
 
 
-def _check_pair(A, D, t: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Validated (A, D) for a nonnegative step t."""
+def _check_pair(A, D, t: float = 0.0, name: str = "D") -> tuple[np.ndarray, np.ndarray]:
+    """Validated (A, D) for a nonnegative step t; errors call the second matrix name."""
     A = _as_square(A, "A")
-    D = _as_square(D, "D")
+    D = _as_square(D, name)
     if D.shape != A.shape:
-        raise ValueError("A and D must have matching shapes")
-    _check_symmetric(D, "D")
+        raise ValueError(f"A and {name} must have matching shapes")
+    if np.linalg.norm(D - D.T) > 1e-12 * max(1.0, np.linalg.norm(D)):
+        raise ValueError(f"{name} must be symmetric")
     if not np.isfinite(t) or t < 0:
         raise ValueError("t must be nonnegative")
     return A, D
@@ -212,18 +208,13 @@ def ctrl_gramian(A: SquareMatrix, D: SquareMatrix, t: float) -> SquareMatrix:
 
 def obs_gramian(A: SquareMatrix, M: SquareMatrix, t: float) -> SquareMatrix:
     """Observability Gramian Q_t = int_0^t exp(sA^T) M exp(sA) ds."""
-    A = _as_square(A, "A")
-    M = _as_square(M, "M")
-    return ctrl_gramian(A.T, M, t)
+    A, M = _check_pair(A, M, t, name="M")
+    return _transition(A.T, M, [t])[3][0]
 
 
 def weight_propagate(A: SquareMatrix, M: SquareMatrix, t: float) -> SquareMatrix:
-    """Propagated weight R_t = exp(tA^T) M exp(tA)."""
-    A = _as_square(A, "A")
-    M = _as_square(M, "M")
-    if M.shape != A.shape:
-        raise ValueError("A and M must have matching shapes")
-    _check_symmetric(M, "M")
+    """Propagated weight R_t = exp(tA^T) M exp(tA), for any finite t."""
+    A, M = _check_pair(A, M, name="M")
     if not np.isfinite(t):
         raise ValueError("t must be finite")
     E = expm(A, [t])[0]

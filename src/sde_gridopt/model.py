@@ -4,6 +4,11 @@ A model bundles the drift matrix A (n x n), the noise loading B (n x m),
 a symmetric PSD weight M defining the error quadratic form, and the horizon
 T.  The diffusion D = B B^T is computed once and cached; everything
 downstream depends on B only through D.
+
+A model is checked once, when it is built: a wrong shape or any violated
+value invariant (finite entries, positive horizon, symmetric PSD weight)
+raises ModelValidationError, so every routine that takes a model may
+assume it is valid.  Models compare and hash by identity.
 """
 
 from __future__ import annotations
@@ -35,9 +40,9 @@ def frobenius_pairing(K: np.ndarray, L: np.ndarray) -> float:
     return float(np.sum(K * L))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearSdeModel:
-    """Linear SDE dX = AX dt + B dW with weight M and horizon T."""
+    """Linear SDE dX = AX dt + B dW with weight M and horizon T, validated when built."""
 
     A: SquareMatrix
     B: RectMatrix
@@ -59,13 +64,15 @@ class LinearSdeModel:
             raise ModelValidationError(["weight-shape-mismatch"])
         for arr in (A, B, M):
             arr.flags.writeable = False
-        D = B @ B.T
+        with np.errstate(over="ignore", invalid="ignore"):  # a nonfinite D is refused below
+            D = B @ B.T
         D.flags.writeable = False
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "T", float(self.T))
         object.__setattr__(self, "D", D)
+        validate_model(self)
 
     @property
     def n(self) -> int:
@@ -79,28 +86,24 @@ class LinearSdeModel:
 def validate_model(model: LinearSdeModel) -> None:
     """Check all model invariants; silent on success.
 
-    Raises ModelValidationError naming every violated invariant:
-    finite entries, symmetric PSD weight, positive horizon, and a fresh
-    diffusion cache D = B B^T.
+    Construction already runs this check; call it to re-check a model
+    later.  Raises ModelValidationError naming every violated invariant:
+    finite entries (D = B B^T included), positive horizon, symmetric PSD
+    weight, and a fresh diffusion cache D.  The weight and cache checks
+    read finite data only.
     """
-    bad = []
-    if not (
-        np.all(np.isfinite(model.A))
-        and np.all(np.isfinite(model.B))
-        and np.all(np.isfinite(model.M))
-    ):
-        bad.append("nonfinite-entries")
+    finite = [bool(np.all(np.isfinite(X))) for X in (model.A, model.B, model.M, model.D)]
+    bad = [] if all(finite) else ["nonfinite-entries"]
     if not np.isfinite(model.T):
         bad.append("horizon-not-finite")
     elif model.T <= 0:
         bad.append("horizon-not-positive")
-    if np.linalg.norm(model.M - model.M.T) > 1e-12 * max(1.0, np.linalg.norm(model.M)):
+    M, scale = model.M, max(1.0, np.linalg.norm(model.M))
+    if finite[2] and np.linalg.norm(M - M.T) > 1e-12 * scale:
         bad.append("weight-not-symmetric")
-    else:
-        # PSD up to a relative eigenvalue tolerance
-        if np.linalg.eigvalsh(model.M).min() < -1e-10 * max(1.0, np.linalg.norm(model.M)):
-            bad.append("weight-not-psd")
-    if np.linalg.norm(model.D - model.B @ model.B.T) > 1e-12 * max(
+    elif finite[2] and np.linalg.eigvalsh(M).min() < -1e-10 * scale:  # PSD up to roundoff
+        bad.append("weight-not-psd")
+    if all(finite) and np.linalg.norm(model.D - model.B @ model.B.T) > 1e-12 * max(
         1.0, np.linalg.norm(model.D)
     ):
         bad.append("diffusion-cache-stale")

@@ -22,6 +22,7 @@ the same rows, a few batched matrix products per chunk of steps.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,7 +125,7 @@ class WienerIncrements:
 
     @classmethod
     def sample(cls, grid: TimeGrid, m: int, rng: np.random.Generator) -> "WienerIncrements":
-        dW = np.sqrt(grid.steps)[:, None] * rng.standard_normal((grid.n_steps, int(m)))
+        dW = np.sqrt(grid.steps)[:, None] * rng.standard_normal((grid.n_steps, operator.index(m)))
         return cls(grid, dW)
 
 
@@ -275,7 +276,7 @@ def closed_form_sigma(model: LinearSdeModel, grid: TimeGrid, k: int) -> np.ndarr
     Sigma_k = sum_{j<=k} exp(A (t_{k+1} - t_{j+1})) K_{dt_j} dt_j^3
               exp(A^T (t_{k+1} - t_{j+1})).
     """
-    k = int(k)
+    k = operator.index(k)
     if not 0 <= k < grid.n_steps:
         raise ValueError("k must index a grid step")
     pts = grid.points
@@ -397,7 +398,7 @@ def sample_bridge_refinement(
     t0, t1 = float(t0), float(t1)
     if not t1 > t0:
         raise ValueError("need t1 > t0")
-    r = int(r)
+    r = operator.index(r)
     if r < 2:
         raise ValueError("refinement needs r >= 2 subintervals")
     dW = np.atleast_1d(np.asarray(dW, dtype=float))
@@ -511,8 +512,6 @@ def _simulate_errors(
 
 
 def _mc_verify(model: LinearSdeModel, grid: TimeGrid, x0, paths: int, rng, integral: bool):
-    import operator
-
     paths = operator.index(paths)
     if paths < 100:
         raise ValueError("need at least 100 paths for a meaningful check")

@@ -172,6 +172,19 @@ class TestPhiFunctional:
         with pytest.raises(ValueError):
             phi_functional(ou, uniform_density(2.0))
 
+    def test_accepts_terminal_zero_where_weight_vanishes(self):
+        # M = ww^T with w orthogonal to AB: F_T = <mho, M> = 0, F_t > 0 for t < T
+        w = np.array([1.0, 1.0])
+        A = [[-1.0, 0.0], [1.0, -1.0]]
+        model = LinearSdeModel(A=A, B=[[1.0], [0.0]], M=np.outer(w, w), T=1.0)
+        F = weight_curve(model, "terminal").values
+        assert F[-1] == 0.0 and F[:-1].min() > 0.0
+        psi = density_from_weight(1.0, F)
+        assert psi.values[-1] == 0.0
+        value = phi_functional(model, psi)
+        assert 0.0 < value < math.inf
+        assert 0.0 < functional_quadrature_bound(model, psi, "terminal") < 1e-3 * value
+
 
 class TestUpsFunctional:
     def test_uniform_ou_closed_form(self, ou):
@@ -292,6 +305,14 @@ class TestQuadratureBound:
         value = ups_functional(ou, psi)
         assert 0 < bound < 1e-3 * value
 
+    def test_refuses_what_the_functional_refuses(self, ou):
+        # the integral-optimal density vanishes at T, where F_T = 1/12
+        psi, _ = optimal_profile(ou, "integral")
+        with pytest.raises(ValueError):
+            phi_functional(ou, psi)
+        with pytest.raises(ValueError):
+            functional_quadrature_bound(ou, psi, "terminal")
+
     def test_unknown_kind_refused(self, ou):
         with pytest.raises(ValueError):
             functional_quadrature_bound(ou, uniform_density(1.0), "therminal")
@@ -319,6 +340,18 @@ class TestAsymptoticReport:
     def test_kind_validation(self, ou):
         with pytest.raises(ValueError):
             asymptotic_report(ou, uniform_density(1.0), "midcourse")
+
+    def test_value_is_the_functional_bitwise(self, ou, reg2):
+        for model in (ou, reg2):
+            uni = uniform_density(model.T)
+            for kind, fn in (("terminal", phi_functional), ("integral", ups_functional)):
+                for psi in (uni, optimal_profile(model, "terminal")[0]):
+                    assert asymptotic_report(model, psi, kind).value == fn(model, psi)
+            pinched, _ = optimal_profile(model, "integral")
+            rep = asymptotic_report(model, pinched, "integral")
+            assert rep.value == ups_functional(model, pinched)
+            with pytest.raises(ValueError):
+                asymptotic_report(model, pinched, "terminal")
 
 
 class TestLimitSigma:

@@ -236,6 +236,14 @@ class TestWeightPropagate:
         assert np.linalg.eigvalsh(R).min() >= -1e-12 * np.linalg.norm(R)
 
 
+@pytest.mark.parametrize("fn", [obs_gramian, weight_propagate])
+def test_weight_pair_errors_name_m(fn):
+    with pytest.raises(ValueError, match="M must be symmetric"):
+        fn(np.eye(2), np.array([[1.0, 0.3], [0.0, 1.0]]), 0.5)
+    with pytest.raises(ValueError, match="A and M must have matching shapes"):
+        fn(np.eye(2), np.eye(3), 0.5)
+
+
 class TestKtMatrix:
     def test_zero_time_is_mho(self):
         rng = np.random.default_rng(29)

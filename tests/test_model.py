@@ -4,8 +4,10 @@ import pytest
 from sde_gridopt import (
     LinearSdeModel,
     ModelValidationError,
+    TimeGrid,
     frobenius_pairing,
     regularity_check,
+    sigma_path,
     validate_model,
 )
 
@@ -42,37 +44,61 @@ class TestConstruction:
             LinearSdeModel(A=np.eye(2), B=np.ones((2, 1)), M=np.eye(3), T=1.0)
 
 
+class TestModelIdentity:
+    def test_equality_and_hash_are_by_identity(self):
+        a = LinearSdeModel(A=-np.eye(2), B=np.eye(2), M=np.eye(2), T=1.0)
+        b = LinearSdeModel(A=-np.eye(2), B=np.eye(2), M=np.eye(2), T=1.0)
+        assert (a == b) is False
+        assert a == a
+        assert hash(a) == hash(a)
+        assert len({a, b}) == 2
+
+
 class TestValidateModel:
     def test_indefinite_weight_named(self):
-        model = LinearSdeModel(A=np.eye(2), B=np.eye(2), M=[[1.0, 2.0], [2.0, 1.0]], T=1.0)
         with pytest.raises(ModelValidationError) as exc:
-            validate_model(model)
+            LinearSdeModel(A=np.eye(2), B=np.eye(2), M=[[1.0, 2.0], [2.0, 1.0]], T=1.0)
         assert "weight-not-psd" in exc.value.violations
 
     def test_asymmetric_weight_named(self):
-        model = LinearSdeModel(A=np.eye(2), B=np.eye(2), M=[[1.0, 0.3], [0.0, 1.0]], T=1.0)
         with pytest.raises(ModelValidationError) as exc:
-            validate_model(model)
+            LinearSdeModel(A=np.eye(2), B=np.eye(2), M=[[1.0, 0.3], [0.0, 1.0]], T=1.0)
         assert "weight-not-symmetric" in exc.value.violations
 
     def test_horizon_violations(self):
         for T in (0.0, -1.0):
-            model = LinearSdeModel(A=[[-1.0]], B=[[1.0]], M=[[1.0]], T=T)
             with pytest.raises(ModelValidationError) as exc:
-                validate_model(model)
+                LinearSdeModel(A=[[-1.0]], B=[[1.0]], M=[[1.0]], T=T)
             assert "horizon-not-positive" in exc.value.violations
 
     def test_nonfinite_entries_named(self):
-        model = LinearSdeModel(A=[[np.nan]], B=[[1.0]], M=[[1.0]], T=1.0)
         with pytest.raises(ModelValidationError) as exc:
-            validate_model(model)
+            LinearSdeModel(A=[[np.nan]], B=[[1.0]], M=[[1.0]], T=1.0)
         assert "nonfinite-entries" in exc.value.violations
 
     def test_multiple_violations_all_reported(self):
-        model = LinearSdeModel(A=np.eye(2), B=np.eye(2), M=[[1.0, 2.0], [2.0, 1.0]], T=0.0)
         with pytest.raises(ModelValidationError) as exc:
-            validate_model(model)
+            LinearSdeModel(A=np.eye(2), B=np.eye(2), M=[[1.0, 2.0], [2.0, 1.0]], T=0.0)
         assert {"weight-not-psd", "horizon-not-positive"} <= set(exc.value.violations)
+
+    @pytest.mark.parametrize(
+        "data, violation",
+        [
+            (dict(A=[[np.nan]], M=[[1.0]], T=1.0), "nonfinite-entries"),
+            (dict(A=[[-1.0]], M=[[np.inf]], T=1.0), "nonfinite-entries"),
+            (dict(A=[[-1.0]], B=[[1e200]], M=[[1.0]], T=1.0), "nonfinite-entries"),
+            (dict(A=[[-1.0]], M=[[1.0]], T=0.0), "horizon-not-positive"),
+            (dict(A=-np.eye(2), M=[[1.0, 2.0], [2.0, 1.0]], T=1.0), "weight-not-psd"),
+        ],
+        ids=["nan-drift", "inf-weight", "overflowing-diffusion", "zero-horizon", "indefinite-weight"],
+    )
+    def test_invalid_model_never_reaches_the_recursion(self, data, violation):
+        # the model raises when built, so sigma_path cannot return NaN or a negative T_N
+        n = len(data["A"])
+        with pytest.raises(ModelValidationError) as exc:
+            model = LinearSdeModel(**{"B": np.eye(n), **data})
+            sigma_path(model, TimeGrid(np.linspace(0.0, 1.0, 5)))
+        assert exc.value.violations == [violation]
 
     def test_psd_tolerance_allows_roundoff(self):
         # eigenvalues at exactly zero must pass

@@ -338,6 +338,26 @@ class TestClosedFormSigma:
                 closed_form_sigma(ou, grid, k)
 
 
+GRID4 = TimeGrid(np.linspace(0.0, 1.0, 5))
+OU = LinearSdeModel(A=[[-1.0]], B=[[1.0]], M=[[1.0]], T=1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: grid_from_density(uniform_density(1.0), n),
+        lambda n: closed_form_sigma(OU, GRID4, n),
+        lambda n: sample_bridge_refinement(0.0, 1.0, [0.3], n, np.random.default_rng(0)),
+        lambda n: WienerIncrements.sample(GRID4, n, np.random.default_rng(0)),
+    ],
+    ids=["grid_from_density-N", "closed_form_sigma-k", "bridge_refinement-r", "increments-m"],
+)
+def test_integer_argument_refuses_float(call):
+    call(np.int64(2))
+    with pytest.raises(TypeError):
+        call(2.7)  # never truncated to 2
+
+
 class TestReferenceSchemes:
     def test_euler_step_arithmetic(self):
         out = euler_maruyama_step(lambda x: 2.0 * x, lambda x: 1.0, 1.0, 0.5, 0.25)

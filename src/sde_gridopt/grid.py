@@ -27,6 +27,13 @@ __all__ = [
 ]
 
 
+def _index(v) -> int:
+    """v as an int by operator.index; a bool is refused, never read as 0 or 1."""
+    if isinstance(v, bool):
+        raise TypeError(f"{v!r} is a bool, not an integer")
+    return operator.index(v)
+
+
 class TimeGrid:
     """Strictly increasing time points 0 = t_0 < ... < t_N = T."""
 
@@ -171,7 +178,7 @@ def density_from_weight(T: float, w) -> GridDensity:
 
 def grid_from_density(psi: GridDensity, N: int) -> TimeGrid:
     """Quantile grid t_k = Psi^{-1}(k / N), k = 0..N."""
-    N = operator.index(N)
+    N = _index(N)
     if N < 1:
         raise ValueError("N must be at least 1")
     t = psi.profile(np.arange(N + 1) / N)

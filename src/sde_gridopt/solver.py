@@ -16,18 +16,20 @@ minimises.  Each call builds a step table: stacked arrays with one row per
 distinct dt, filled by one call of the batched matfun kernel and one
 batched eigh, and a row index per step.  The mean recursion walks that
 index step by step; the covariance recursion is a chunked prefix scan over
-the same rows, a few batched matrix products per chunk of steps.
+the same rows, a few batched matrix products per chunk of steps, and a
+chunk whose rows repeat the chunk before (every chunk of a uniform grid
+with a dyadic step) reuses its composed maps.  The routes that take a grid
+and a model refuse a grid that does not span the model's [0, T].
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import TimeGrid
+from .grid import TimeGrid, _index
 from .matfun import _transition, kt_matrix, mat_exp
 from .model import LinearSdeModel
 
@@ -97,6 +99,13 @@ def _step_table(model: LinearSdeModel, steps) -> StepTable:
     return StepTable(dts, index, exp_a, phi @ model.B, kt3, kt3_sqrt)
 
 
+def _grid_table(model: LinearSdeModel, grid: TimeGrid) -> StepTable:
+    """The step table of a grid, which must span the model's horizon [0, T]."""
+    if grid.horizon != model.T:
+        raise ValueError("grid horizon does not match the model")
+    return _step_table(model, grid.steps)
+
+
 def _one_step(model: LinearSdeModel, dt: float) -> StepTable:
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive")
@@ -125,7 +134,7 @@ class WienerIncrements:
 
     @classmethod
     def sample(cls, grid: TimeGrid, m: int, rng: np.random.Generator) -> "WienerIncrements":
-        dW = np.sqrt(grid.steps)[:, None] * rng.standard_normal((grid.n_steps, operator.index(m)))
+        dW = np.sqrt(grid.steps)[:, None] * rng.standard_normal((grid.n_steps, _index(m)))
         return cls(grid, dW)
 
 
@@ -182,7 +191,7 @@ def sample_exact_path(
     incs = np.empty((N, model.m))
     states[0] = x0
     x = x0
-    table = _step_table(model, grid.steps)
+    table = _grid_table(model, grid)
     for k, i in enumerate(table.index):
         dW, Z = _draw(model, table, i, rng)
         x = table.exp_a[i] @ x + Z
@@ -204,30 +213,46 @@ def kalman_step(
 _SCAN_CHUNK = 1024  # steps per prefix scan; bounds its working memory
 
 
+def _compose(E: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prefix compositions of a chunk's step maps, in place.
+
+    Hillis-Steele doubling turns row k into the composition of rows 0..k
+    in log2(len(E)) batched sweeps.
+    """
+    d = 1
+    while d < len(E):
+        Q[d:] = E[d:] @ Q[:-d] @ E[d:].mT + Q[d:]
+        E[d:] = E[d:] @ E[:-d]
+        d *= 2
+    return E, Q
+
+
 def _sigma_path(model: LinearSdeModel, table: StepTable):
     """Sigma_k of every step by a chunked parallel-prefix scan.
 
     Step k maps Sigma to E_k Sigma E_k^T + Q_k, and these affine maps
     compose associatively: (E2, Q2) after (E1, Q1) is
     (E2 E1, E2 Q1 E2^T + Q2).  Inside a chunk of _SCAN_CHUNK steps,
-    Hillis-Steele doubling turns row k into the composition of steps
-    lo..k in log2(chunk) batched sweeps; the chunk's Sigma then follows
-    from the carry, the last Sigma of the chunk before.  On stiff models a
+    ``_compose`` turns row k into the composition of steps lo..k; the
+    chunk's Sigma then follows from the carry, the last Sigma of the chunk
+    before.  A chunk whose step rows equal the previous chunk's reuses its
+    composed maps, which would come out bitwise the same.  That happens on
+    uniform grids with a dyadic step T / N, where every step has one
+    length; elsewhere the float steps take several values scattered along
+    the grid (9 at T = 1, N = 1000), chunks rarely repeat, and the test
+    costs one comparison of the chunk's row indices.  On stiff models a
     composite E can decay below the float range; that underflow is not
     signalled, as what flushes to zero lies far below Q's rounding.
     """
     N = table.index.size
     sigmas = np.empty((N, model.n, model.n))
     sigma = np.zeros((model.n, model.n))
+    rows = None
     for lo in range(0, N, _SCAN_CHUNK):
-        rows = table.index[lo : lo + _SCAN_CHUNK]
-        E, Q = table.exp_a[rows], table.kt3[rows]
+        prev, rows = rows, table.index[lo : lo + _SCAN_CHUNK]
         with np.errstate(under="ignore"):
-            d = 1
-            while d < rows.size:
-                Q[d:] = E[d:] @ Q[:-d] @ E[d:].mT + Q[d:]
-                E[d:] = E[d:] @ E[:-d]
-                d *= 2
+            if prev is None or not np.array_equal(rows, prev):
+                E, Q = _compose(table.exp_a[rows], table.kt3[rows])
             S = E @ sigma @ E.mT + Q
         sigmas[lo : lo + rows.size] = 0.5 * (S + S.mT)
         sigma = sigmas[lo + rows.size - 1]
@@ -244,7 +269,7 @@ def sigma_path(model: LinearSdeModel, grid: TimeGrid) -> tuple[np.ndarray, Error
     Returns the (N, n, n) stack and the ErrorReport of <M, Sigma_{N-1}> and
     sum_k <M, Sigma_k> dt_k.  Sigma depends on the grid only.
     """
-    return _sigma_path(model, _step_table(model, grid.steps))
+    return _sigma_path(model, _grid_table(model, grid))
 
 
 def run_filter(
@@ -260,7 +285,7 @@ def run_filter(
     if increments.increments.shape[1] != model.m:
         raise ValueError("increment dimension does not match the model")
     mu = np.asarray(x0, dtype=float).reshape(model.n)
-    table = _step_table(model, grid.steps)
+    table = _grid_table(model, grid)
     sigmas, report = _sigma_path(model, table)
     exp_a, phi_b = list(table.exp_a), list(table.phi_b)
     trajectory = []
@@ -276,7 +301,7 @@ def closed_form_sigma(model: LinearSdeModel, grid: TimeGrid, k: int) -> np.ndarr
     Sigma_k = sum_{j<=k} exp(A (t_{k+1} - t_{j+1})) K_{dt_j} dt_j^3
               exp(A^T (t_{k+1} - t_{j+1})).
     """
-    k = operator.index(k)
+    k = _index(k)
     if not 0 <= k < grid.n_steps:
         raise ValueError("k must index a grid step")
     pts = grid.points
@@ -398,7 +423,7 @@ def sample_bridge_refinement(
     t0, t1 = float(t0), float(t1)
     if not t1 > t0:
         raise ValueError("need t1 > t0")
-    r = operator.index(r)
+    r = _index(r)
     if r < 2:
         raise ValueError("refinement needs r >= 2 subintervals")
     dW = np.atleast_1d(np.asarray(dW, dtype=float))
@@ -512,11 +537,11 @@ def _simulate_errors(
 
 
 def _mc_verify(model: LinearSdeModel, grid: TimeGrid, x0, paths: int, rng, integral: bool):
-    paths = operator.index(paths)
+    paths = _index(paths)
     if paths < 100:
         raise ValueError("need at least 100 paths for a meaningful check")
-    seed = int(rng.integers(2**63)) if isinstance(rng, np.random.Generator) else operator.index(rng)
-    table = _step_table(model, grid.steps)
+    seed = int(rng.integers(2**63)) if isinstance(rng, np.random.Generator) else _index(rng)
+    table = _grid_table(model, grid)
     w2, w2_int = _simulate_errors(model, table, x0, paths, seed)
     _, report = _sigma_path(model, table)
     w, predicted = (w2_int, report.integral) if integral else (w2, report.terminal)

@@ -30,13 +30,33 @@ from sde_gridopt import (
     uniform_density,
 )
 from sde_gridopt.cli import parse_config
-from sde_gridopt.solver import _MC_BLOCK, KalmanState, _simulate_errors, _step_table, _stream
+from sde_gridopt.solver import (
+    _MC_BLOCK,
+    _SCAN_CHUNK,
+    KalmanState,
+    _simulate_errors,
+    _step_table,
+    _stream,
+)
 
 from helpers import random_grid, random_model, random_regular_model, sigma_errors_ld
 
 
 def rel(err, ref):
     return np.linalg.norm(err) / max(np.linalg.norm(ref), 1e-300)
+
+
+def count_compose(monkeypatch):
+    """The (E, Q) stacks of every _compose call from now on."""
+    calls = []
+    real = solver._compose
+
+    def counting(E, Q):
+        calls.append(E.shape)
+        return real(E, Q)
+
+    monkeypatch.setattr(solver, "_compose", counting)
+    return calls
 
 
 class TestJointIncrement:
@@ -290,6 +310,44 @@ class TestSigmaPath:
         assert rep.terminal == pytest.approx(terminal, rel=1e-12, abs=0)
         assert rep.integral == pytest.approx(integral, rel=1e-12, abs=0)
 
+    def test_repeated_chunk_reuses_its_maps(self, monkeypatch):
+        # chunk patterns [a, a, b, a] and a 5-step tail, b differing from a in
+        # one step: chunk 1 reuses a's maps, chunks 2 and 3 compose anew.
+        # Steps are multiples of 2^-12, so the points sum them exactly and
+        # grid.steps gives them back bitwise.
+        rng = np.random.default_rng(17)
+        a = rng.integers(1, 5, _SCAN_CHUNK)
+        b = a.copy()
+        b[517] = 5
+        ticks = np.concatenate((a, a, b, a, rng.integers(1, 5, 5)))
+        grid = TimeGrid(np.concatenate(([0], np.cumsum(ticks))) / 4096.0)
+        assert np.array_equal(grid.steps * 4096.0, ticks)
+        model = random_model(rng, n=3, T=grid.horizon)
+        calls = count_compose(monkeypatch)
+        sigmas, rep = sigma_path(model, grid)
+        assert [shape[0] for shape in calls] == [_SCAN_CHUNK] * 3 + [5]
+        state = KalmanState(-1, np.zeros(3), np.zeros((3, 3)))
+        for k, dt in enumerate(grid.steps):
+            state = kalman_step(model, state, float(dt), np.zeros(model.m))
+            assert rel(sigmas[k] - state.sigma, state.sigma) < 1e-12
+        terminal, integral = sigma_errors_ld(model, _step_table(model, grid.steps))
+        assert rep.terminal == pytest.approx(terminal, rel=3e-13, abs=0)
+        assert rep.integral == pytest.approx(integral, rel=3e-13, abs=0)
+
+    def test_compose_runs_once_per_distinct_chunk(self, monkeypatch):
+        # the benchmark's sys4-uniform model at N = 65,536: one dyadic step,
+        # so 64 equal chunks and one composition; a random grid of
+        # N = 2,051 has three distinct chunks
+        workloads = Path(__file__).parents[1] / "perfbench" / "workloads"
+        model = parse_config(str(workloads / "sys4-uniform.cfg")).model
+        calls = count_compose(monkeypatch)
+        sigma_path(model, grid_from_density(uniform_density(model.T), 65536))
+        assert len(calls) == 1
+        calls.clear()
+        rng = np.random.default_rng(2051)
+        sigma_path(random_model(rng, n=3), random_grid(rng, 2051))
+        assert len(calls) == 3
+
     def test_report_matches_run_filter(self, ou):
         grid = random_grid(np.random.default_rng(4), 40)
         inc = WienerIncrements.sample(grid, 1, np.random.default_rng(6))
@@ -356,6 +414,49 @@ def test_integer_argument_refuses_float(call):
     call(np.int64(2))
     with pytest.raises(TypeError):
         call(2.7)  # never truncated to 2
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: grid_from_density(uniform_density(1.0), n),
+        lambda n: closed_form_sigma(OU, GRID4, n),
+        lambda n: sample_bridge_refinement(0.0, 1.0, [0.3], n, np.random.default_rng(0)),
+        lambda n: WienerIncrements.sample(GRID4, n, np.random.default_rng(0)),
+        lambda n: mc_verify_mse(OU, GRID4, [0.0], n, 5),
+        lambda n: mc_verify_mse(OU, GRID4, [0.0], 100, n),
+    ],
+    ids=[
+        "grid_from_density-N",
+        "closed_form_sigma-k",
+        "bridge_refinement-r",
+        "increments-m",
+        "mc_verify-paths",
+        "mc_verify-seed",
+    ],
+)
+@pytest.mark.parametrize("flag", [True, False])
+def test_integer_argument_refuses_bool(call, flag):
+    with pytest.raises(TypeError):
+        call(flag)  # never read as 1 or 0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: sigma_path(OU, g),
+        lambda g: run_filter(OU, g, [0.0], WienerIncrements.sample(g, 1, np.random.default_rng(0))),
+        lambda g: sample_exact_path(OU, g, [0.0], np.random.default_rng(0)),
+        lambda g: mc_verify_mse(OU, g, [0.0], 100, 5),
+        lambda g: mc_verify_integral(OU, g, [0.0], 100, 5),
+    ],
+    ids=["sigma_path", "run_filter", "sample_exact_path", "mc_verify_mse", "mc_verify_integral"],
+)
+def test_grid_must_span_model_horizon(call):
+    call(GRID4)  # [0, 1], the horizon of OU
+    for T in (5.0, 0.5):
+        with pytest.raises(ValueError, match="grid horizon does not match the model"):
+            call(TimeGrid(np.linspace(0.0, T, 11)))
 
 
 class TestReferenceSchemes:

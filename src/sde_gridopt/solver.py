@@ -20,6 +20,14 @@ the same rows, a few batched matrix products per chunk of steps, and a
 chunk whose rows repeat the chunk before (every chunk of a uniform grid
 with a dyadic step) reuses its composed maps.  The routes that take a grid
 and a model refuse a grid that does not span the model's [0, T].
+
+The Monte Carlo verifiers sample the error X - mu alone.  The drive
+E(dt A) B dW enters X and mu alike and cancels, and so does x0, so given
+the increments err' = exp(dt A) err + (K_dt dt^3)^{1/2} xi from err = 0,
+with n standard normals xi per path-step.  The check thus tests the
+sampling, the square roots and the scan against a direct simulation on the
+same step table, not exp(dt A), E(dt A) B or K_dt against an independent
+route.
 """
 
 from __future__ import annotations
@@ -99,10 +107,15 @@ def _step_table(model: LinearSdeModel, steps) -> StepTable:
     return StepTable(dts, index, exp_a, phi @ model.B, kt3, kt3_sqrt)
 
 
-def _grid_table(model: LinearSdeModel, grid: TimeGrid) -> StepTable:
-    """The step table of a grid, which must span the model's horizon [0, T]."""
+def _check_horizon(model: LinearSdeModel, grid: TimeGrid) -> None:
+    """Refuse a grid that does not span the model's horizon [0, T]."""
     if grid.horizon != model.T:
         raise ValueError("grid horizon does not match the model")
+
+
+def _grid_table(model: LinearSdeModel, grid: TimeGrid) -> StepTable:
+    """The step table of a grid, which must span the model's horizon [0, T]."""
+    _check_horizon(model, grid)
     return _step_table(model, grid.steps)
 
 
@@ -301,6 +314,7 @@ def closed_form_sigma(model: LinearSdeModel, grid: TimeGrid, k: int) -> np.ndarr
     Sigma_k = sum_{j<=k} exp(A (t_{k+1} - t_{j+1})) K_{dt_j} dt_j^3
               exp(A^T (t_{k+1} - t_{j+1})).
     """
+    _check_horizon(model, grid)
     k = _index(k)
     if not 0 <= k < grid.n_steps:
         raise ValueError("k must index a grid step")
@@ -475,26 +489,21 @@ _MC_BLOCK = 2048  # paths per block: one stream and one worker task each
 
 
 def _simulate_errors(
-    model: LinearSdeModel, table: StepTable, x0, paths: int, seed: int, workers=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised exact simulation of the squared reconstruction errors.
+    model: LinearSdeModel, table: StepTable, paths: int, seed: int, integral: bool, workers=None
+) -> np.ndarray:
+    """Per-path squared errors, the error sampled from its exact law.
 
-    Paths run in blocks of _MC_BLOCK (the last may be shorter), states held
-    as (n, block) columns.  Block b draws from the stream addressed by
-    (seed, b): per step one (m + n, block) array whose first m rows are
-    dW / sqrt(dt) and the rest the residual normals.  Each block fills its
-    own slice of the outputs, so the bytes do not depend on how many
-    threads run the blocks (``workers``, default one per available core)
-    and the caller's numpy error state holds inside each of them.  Returns
-    the per-path terminal and integral squared errors.
+    err = X - mu starts at 0 and follows err' = exp_a err + kt3_sqrt xi (see
+    the module docstring), n normals xi per path-step.  Paths run in blocks
+    of _MC_BLOCK (the last may be shorter) as (n, block) columns; block b
+    draws one (n, block) array per step from the stream (seed, b) and fills
+    its own slice of the output, so the bytes do not depend on how many
+    threads run the blocks (``workers``, default one per available core).
+    The caller's numpy error state holds inside each block.  Returns
+    ||err_N||_M^2 per path, or with ``integral`` sum_k ||err_{k+1}||_M^2 dt_k.
     """
-    n, m = model.n, model.m
-    x0 = np.asarray(x0, dtype=float).reshape(n, 1)
-    w2 = np.empty(paths)
-    w2_int = np.empty(paths)
-    # per-row views; E(dt A) B scaled by sqrt(dt) acts on the unit normals
+    out = np.empty(paths)
     exp_a, kt3_sqrt = list(table.exp_a), list(table.kt3_sqrt)
-    phi_dw = list(table.phi_b * np.sqrt(table.dts)[:, None, None])
     dts = table.dts.tolist()
     index = table.index.tolist()
     M = model.M
@@ -504,23 +513,15 @@ def _simulate_errors(
         lo = b * _MC_BLOCK
         hi = min(lo + _MC_BLOCK, paths)
         g = _stream(seed, b)
-        X = np.repeat(x0, hi - lo, axis=1)
-        mu = X.copy()
+        err = np.zeros((model.n, hi - lo))
         acc = np.zeros(hi - lo)
         with np.errstate(**errstate):
             for i in index:
-                z = g.standard_normal((m + n, hi - lo))
-                drive = phi_dw[i] @ z[:m]
-                X = exp_a[i] @ X
-                X += drive
-                X += kt3_sqrt[i] @ z[m:]
-                mu = exp_a[i] @ mu
-                mu += drive
-                err = X - mu
-                last = np.einsum("ij,ij->j", M @ err, err)
-                acc += last * dts[i]
-        w2[lo:hi] = last
-        w2_int[lo:hi] = acc
+                err = exp_a[i] @ err
+                err += kt3_sqrt[i] @ g.standard_normal(err.shape)
+                if integral:
+                    acc += np.einsum("ij,ij->j", M @ err, err) * dts[i]
+            out[lo:hi] = acc if integral else np.einsum("ij,ij->j", M @ err, err)
 
     # imported here: the pool module costs milliseconds at every CLI start
     import os
@@ -533,18 +534,19 @@ def _simulate_errors(
     # a block's exception cancels the blocks not yet started
     with ThreadPoolExecutor(min(workers, n_blocks)) as pool:
         list(pool.map(block, range(n_blocks)))
-    return w2, w2_int
+    return out
 
 
 def _mc_verify(model: LinearSdeModel, grid: TimeGrid, x0, paths: int, rng, integral: bool):
+    np.asarray(x0, dtype=float).reshape(model.n)  # the error law does not depend on x0
     paths = _index(paths)
     if paths < 100:
         raise ValueError("need at least 100 paths for a meaningful check")
     seed = int(rng.integers(2**63)) if isinstance(rng, np.random.Generator) else _index(rng)
     table = _grid_table(model, grid)
-    w2, w2_int = _simulate_errors(model, table, x0, paths, seed)
+    w = _simulate_errors(model, table, paths, seed, integral)
     _, report = _sigma_path(model, table)
-    w, predicted = (w2_int, report.integral) if integral else (w2, report.terminal)
+    predicted = report.integral if integral else report.terminal
     return float(w.mean()), predicted, float(w.std(ddof=1) / math.sqrt(paths))
 
 
@@ -553,9 +555,12 @@ def mc_verify_mse(
 ) -> tuple[float, float, float]:
     """Monte Carlo check of the terminal error against <M, Sigma_{N-1}>.
 
-    ``rng`` is an integer seed (preferred) or a Generator from which one is
-    drawn.  Returns (sample mean square error, predicted value, standard
-    error of the sample mean).
+    Samples ||err_N||_M^2 per path, n normals per path-step; ``x0`` must
+    have n entries but, like the drive, does not enter the error.  Both
+    sides come from one step table, so the check tests the sampling and the
+    Sigma recursion, not the step matrices.  ``rng`` is an integer seed
+    (preferred) or a Generator from which one is drawn.  Returns (sample
+    mean square error, predicted value, standard error of the sample mean).
     """
     return _mc_verify(model, grid, x0, paths, rng, integral=False)
 
@@ -565,8 +570,8 @@ def mc_verify_integral(
 ) -> tuple[float, float, float]:
     """Monte Carlo check of the integral error functional.
 
-    Accumulates ||X_{t_{k+1}} - mu_k||_M^2 dt_k per path and compares the
-    mean to sum_k <M, Sigma_k> dt_k exactly as mc_verify_mse does for the
-    terminal error.
+    Accumulates ||X_{t_{k+1}} - mu_k||_M^2 dt_k per path, sampled as in
+    mc_verify_mse (``x0`` and the drive do not enter, and it tests the
+    same), and compares the mean to sum_k <M, Sigma_k> dt_k.
     """
     return _mc_verify(model, grid, x0, paths, rng, integral=True)

@@ -1,10 +1,11 @@
-"""Shared generators for randomised property tests, and test-only K_t oracles."""
+"""Shared generators for randomised property tests, and test-only oracles."""
 
 import math
 
 import numpy as np
 
 from sde_gridopt import LinearSdeModel, TimeGrid, regularity_check
+from sde_gridopt.solver import _MC_BLOCK, _stream
 
 
 def random_model(rng, n=2, m=None, T=1.0, stable_shift=0.5):
@@ -146,3 +147,26 @@ def sigma_errors_ld(model, table):
         S = E[i] @ S @ E[i].T + Q[i]
         integral += np.sum(M * S) * dts[i]
     return float(np.sum(M * S)), float(integral)
+
+
+def simulate_errors_loop(model, table, paths, seed, integral):
+    """Per-path squared errors by a plain loop over paths, a test oracle.
+
+    Reads the draws the Monte Carlo kernel reads: block b of _MC_BLOCK
+    paths takes one (n, block) array per step from the stream (seed, b),
+    column j for path j.  Each path then runs err' = exp_a err + kt3_sqrt xi
+    from err = 0 on its own, one matrix-vector product at a time.
+    """
+    out = np.empty(paths)
+    for lo in range(0, paths, _MC_BLOCK):
+        g = _stream(seed, lo // _MC_BLOCK)
+        size = min(_MC_BLOCK, paths - lo)
+        xi = [g.standard_normal((model.n, size)) for _ in table.index]
+        for j in range(size):
+            err = np.zeros(model.n)
+            acc = 0.0
+            for k, i in enumerate(table.index):
+                err = table.exp_a[i] @ err + table.kt3_sqrt[i] @ xi[k][:, j]
+                acc += float(err @ model.M @ err) * table.dts[i]
+            out[lo + j] = acc if integral else float(err @ model.M @ err)
+    return out

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -39,7 +40,13 @@ from sde_gridopt.solver import (
     _stream,
 )
 
-from helpers import random_grid, random_model, random_regular_model, sigma_errors_ld
+from helpers import (
+    random_grid,
+    random_model,
+    random_regular_model,
+    sigma_errors_ld,
+    simulate_errors_loop,
+)
 
 
 def rel(err, ref):
@@ -449,8 +456,16 @@ def test_integer_argument_refuses_bool(call, flag):
         lambda g: sample_exact_path(OU, g, [0.0], np.random.default_rng(0)),
         lambda g: mc_verify_mse(OU, g, [0.0], 100, 5),
         lambda g: mc_verify_integral(OU, g, [0.0], 100, 5),
+        lambda g: closed_form_sigma(OU, g, 3),
     ],
-    ids=["sigma_path", "run_filter", "sample_exact_path", "mc_verify_mse", "mc_verify_integral"],
+    ids=[
+        "sigma_path",
+        "run_filter",
+        "sample_exact_path",
+        "mc_verify_mse",
+        "mc_verify_integral",
+        "closed_form_sigma",
+    ],
 )
 def test_grid_must_span_model_horizon(call):
     call(GRID4)  # [0, 1], the horizon of OU
@@ -671,7 +686,10 @@ class TestSimulateErrors:
         sys.setswitchinterval(1e-5)  # interleave the workers' Python steps finely
         try:
             runs = [
-                _simulate_errors(model, table, np.ones(3), paths, 606, workers=w)
+                tuple(
+                    _simulate_errors(model, table, paths, 606, integral, workers=w)
+                    for integral in (False, True)
+                )
                 for w in (1, 2, 3)
             ]
         finally:
@@ -685,7 +703,7 @@ class TestSimulateErrors:
 
     def test_blocks_draw_distinct_streams(self, ou):
         table = _step_table(ou, np.full(4, 0.25))
-        w2, _ = _simulate_errors(ou, table, [0.0], 2 * _MC_BLOCK, 3, workers=1)
+        w2 = _simulate_errors(ou, table, 2 * _MC_BLOCK, 3, False, workers=1)
         assert not np.array_equal(w2[:_MC_BLOCK], w2[_MC_BLOCK:])
 
     def test_caller_error_state_reaches_workers(self):
@@ -693,10 +711,49 @@ class TestSimulateErrors:
         table = _step_table(unstable, np.full(16, 0.125))  # X grows by e^50 a step
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError):
-                _simulate_errors(unstable, table, [0.0], 2 * _MC_BLOCK + 1, 1, workers=2)
+                _simulate_errors(unstable, table, 2 * _MC_BLOCK + 1, 1, False, workers=2)
         with np.errstate(over="ignore", invalid="ignore"):
-            w2, _ = _simulate_errors(unstable, table, [0.0], 2 * _MC_BLOCK + 1, 1, workers=2)
+            w2 = _simulate_errors(unstable, table, 2 * _MC_BLOCK + 1, 1, False, workers=2)
         assert not np.all(np.isfinite(w2))
+
+    def test_matches_per_path_loop(self):
+        # pins the stream layout: block b reads one (n, block) array per step
+        # from (seed, b), column j for path j; the error starts at 0
+        model = random_regular_model(np.random.default_rng(8), n=3)
+        grid = random_grid(np.random.default_rng(9), 12)
+        table = _step_table(model, grid.steps)
+        paths = 2 * _MC_BLOCK + 37
+        for integral in (False, True):
+            got = _simulate_errors(model, table, paths, 606, integral)
+            ref = simulate_errors_loop(model, table, paths, 606, integral)
+            assert np.max(np.abs(got - ref) / ref) <= 1e-12
+        zero = mc_verify_mse(model, grid, np.zeros(3), 300, 4)
+        assert mc_verify_mse(model, grid, np.ones(3), 300, 4) == zero  # x0 does not enter
+        with pytest.raises(ValueError):
+            mc_verify_mse(model, grid, np.ones(2), 300, 4)
+
+    @pytest.mark.parametrize("integral", [False, True], ids=["terminal", "integral"])
+    @pytest.mark.parametrize("wrong", ["kt3_sqrt", "exp_a"])
+    def test_check_catches_a_wrong_table(self, wrong, integral):
+        # sampling from a perturbed table agrees with that table's own
+        # prediction and is refuted by the true table's
+        workloads = Path(__file__).parents[1] / "perfbench" / "workloads"
+        model = parse_config(str(workloads / "sys4-uniform.cfg")).model
+        table = _step_table(model, grid_from_density(uniform_density(model.T), 64).steps)
+        if wrong == "kt3_sqrt":
+            bad = dataclasses.replace(table, kt3_sqrt=1.05 * table.kt3_sqrt, kt3=1.05**2 * table.kt3)
+        else:
+            bad = dataclasses.replace(table, exp_a=1.01 * table.exp_a)
+        paths = 20_000
+        w = _simulate_errors(model, bad, paths, 12, integral)
+        stderr = w.std(ddof=1) / math.sqrt(paths)
+
+        def zscore(t):
+            rep = solver._sigma_path(model, t)[1]
+            return (w.mean() - (rep.integral if integral else rep.terminal)) / stderr
+
+        assert abs(zscore(bad)) <= 5
+        assert abs(zscore(table)) > 5
 
 
 class TestStream:

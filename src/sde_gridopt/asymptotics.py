@@ -20,11 +20,22 @@ and is refused.  So Ups_T accepts the integral-optimal profile, which
 pinches at T where S_T = 0, and Phi_T refuses it unless F_T is as small.
 
 Quadrature is composite Simpson on the shared density mesh.  Densities are
-piecewise linear, so integrands have kinks at mesh nodes; the reported
-error bound for a functional value is the Simpson-trapezoid gap on the
-same mesh, which dominates the actual error in practice.  Near t = T the
-integral-kind integrand behaves like (T-t)^{1/3}: continuous, with a mere
-O(J^{-4/3}) local quadrature error on the last panels.
+piecewise linear, so integrands have kinks at mesh nodes, where Simpson is
+only second order.  Two known gaps follow (ROADMAP.md, open items 1 and 2):
+
+* The error estimate of functional_quadrature_bound, the Simpson-trapezoid
+  gap on the same mesh, does not bound the actual error.  On the scalar OU
+  model (A = -1, B = M = 1, T = 1) and its terminal-optimal density it
+  reports 7.15e-11 against an actual error of 1.43e-10.
+* For the exact cube-root density the integral-kind integrand behaves like
+  (T-t)^{1/3} near T.  The stored integral-optimal density is the
+  piecewise-linear interpolant of S^{1/3} and falls linearly to 0 on its
+  last panel, where S falls linearly too, so its integrand grows like
+  1 / (T-t) there and Ups_T of that density diverges logarithmically.  The
+  integrand rule sets the node at T to 0 and Simpson returns a finite
+  value: on the OU model ups_functional comes out 1.44e-7 below
+  min_ups_value, which Hoelder's inequality rules out, while
+  functional_quadrature_bound reports 7.2e-8.
 """
 
 from __future__ import annotations
@@ -35,8 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import MESH_PANELS, GridDensity, density_from_weight
-from .matfun import _transition, expm, mho, obs_gramian, weight_propagate
-from .model import LinearSdeModel, frobenius_pairing, regularity_check
+from .matfun import _transition, expm, mho
+from .model import LinearSdeModel, regularity_check
 
 __all__ = [
     "WeightCurve",
@@ -89,18 +100,32 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (x[1] - x[0]) / 3.0 * np.tensordot(w, y, 1)
 
 
+def _weights(model: LinearSdeModel, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """F, S and the Gramians Q_s at time-to-go s = T - t, from one kernel call.
+
+    One batched kernel call over the 1-D array s gives exp(sA^T) and Q_s;
+    then R_s = exp(sA^T) M exp(sA), F = <mho, R> and S = <mho, Q>, with
+    tiny negative roundoff clipped to 0.  Row i depends on s[i] alone.
+    """
+    e, _, _, Q = _transition(model.A.T, model.M, s)
+    Um = mho(model.A, model.D).reshape(-1)
+    L = e.shape[0]
+    F = (e @ model.M @ e.swapaxes(1, 2)).reshape(L, -1) @ Um
+    S = Q.reshape(L, -1) @ Um
+    return np.clip(F, 0.0, None), np.clip(S, 0.0, None), Q
+
+
 _CURVE_CACHE: dict = {}
 
 
 def _curves(model: LinearSdeModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Mesh, F, S and the Gramians Q_t on the standard mesh, cached for the last model.
 
-    One batched kernel call over s = T - t on the mesh gives exp(sA^T) and
-    Q_s; then R_s = exp(sA^T) M exp(sA), F = <mho, R> and S = <mho, Q>.
+    ``_weights`` over s = the mesh, with F and S reversed onto the t axis.
     The cache holds one model: a three-grid optimal-grid convergence sweep
     asks for the curves five times (each grid, then the density and the
     functional of its limit row), and an uncached 4x4 build takes some
-    35 ms.  Single-point weight_F / weight_S evaluate one step length each.
+    35 ms.
     """
     key = (
         model.A.tobytes(),
@@ -112,15 +137,8 @@ def _curves(model: LinearSdeModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     if hit is not None:
         return hit
     mesh = np.linspace(0.0, model.T, MESH_PANELS + 1)
-    e, _, _, Q = _transition(model.A.T, model.M, mesh)
-    Um = mho(model.A, model.D).reshape(-1)
-    L = mesh.size
-    Fs = (e @ model.M @ e.swapaxes(1, 2)).reshape(L, -1) @ Um
-    Ss = Q.reshape(L, -1) @ Um
-    # s = T - t: reverse onto the t axis and clip tiny negative roundoff
-    F = np.clip(Fs[::-1], 0.0, None)
-    S = np.clip(Ss[::-1], 0.0, None)
-    out = (mesh, F, S, Q)
+    F, S, Q = _weights(model, mesh)
+    out = (mesh, F[::-1].copy(), S[::-1].copy(), Q)
     _CURVE_CACHE.clear()  # keep one model's curves: commands ask for one at a time
     _CURVE_CACHE[key] = out
     return out
@@ -140,22 +158,21 @@ def weight_curve(model: LinearSdeModel, kind: str) -> WeightCurve:
     return WeightCurve(kind=kind, mesh=mesh, values=w)
 
 
-def weight_F(model: LinearSdeModel, t: float) -> float:
-    """Terminal weight F_t = <mho, R_{T-t}> = (1/12)||sqrt(M) e^{(T-t)A} A B||^2."""
+def _weights_at(model: LinearSdeModel, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     t = float(t)
     if not 0.0 <= t <= model.T:
         raise ValueError("t must lie in [0, T]")
-    R = weight_propagate(model.A, model.M, model.T - t)
-    return frobenius_pairing(mho(model.A, model.D), R)
+    return _weights(model, [model.T - t])
+
+
+def weight_F(model: LinearSdeModel, t: float) -> float:
+    """Terminal weight F_t = <mho, R_{T-t}> = (1/12)||sqrt(M) e^{(T-t)A} A B||^2."""
+    return float(_weights_at(model, t)[0][0])
 
 
 def weight_S(model: LinearSdeModel, t: float) -> float:
     """Integral weight S_t = <mho, Q_{T-t}>; equals the tail integral of F."""
-    t = float(t)
-    if not 0.0 <= t <= model.T:
-        raise ValueError("t must lie in [0, T]")
-    Q = obs_gramian(model.A, model.M, model.T - t)
-    return frobenius_pairing(mho(model.A, model.D), Q)
+    return float(_weights_at(model, t)[1][0])
 
 
 def _check_density(model: LinearSdeModel, psi: GridDensity) -> None:
@@ -194,17 +211,19 @@ def ups_functional(model: LinearSdeModel, psi: GridDensity) -> float:
     """Integral limit functional Ups_T(psi) = int S / psi^2, by the module's integrand rule.
 
     The integral-optimal density has psi(T) = 0 where S_T = 0; its
-    integrand tends to 0 there like (T-t)^{1/3}.
+    integrand is 0 at T by the rule, though it grows toward T on the last
+    panel (the second known gap of the module docstring).
     """
     mesh, integrand = _integrand(model, psi, "integral")
     return float(_simpson(integrand, mesh))
 
 
 def functional_quadrature_bound(model: LinearSdeModel, psi: GridDensity, kind: str) -> float:
-    """Documented quadrature error estimate for the functional value.
+    """Quadrature error estimate for the functional value.
 
-    The Simpson-trapezoid gap on the evaluation mesh; it dominates the
-    true quadrature error for these piecewise-smooth integrands.  The
+    The Simpson-trapezoid gap on the evaluation mesh.  It is an estimate,
+    not a bound: on the terminal-optimal density of the OU model it is half
+    the actual error (the first known gap of the module docstring).  The
     density is judged by the same integrand rule as the functional.
     """
     mesh, integrand = _integrand(model, psi, kind)

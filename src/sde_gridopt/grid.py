@@ -23,7 +23,6 @@ __all__ = [
     "uniform_density",
     "density_from_weight",
     "grid_from_density",
-    "empirical_density",
 ]
 
 
@@ -187,17 +186,3 @@ def grid_from_density(psi: GridDensity, N: int) -> TimeGrid:
     if not np.all(np.diff(t) > 0):
         raise ValueError("density cumulative is not invertible at this resolution")
     return TimeGrid(t)
-
-
-def empirical_density(grid: TimeGrid, window) -> float:
-    """Fraction of grid points per unit time in a window.
-
-    Returns #{k : t_k in [a, b]} / N for window = (a, b).
-    """
-    a, b = float(window[0]), float(window[1])
-    if not (np.isfinite(a) and np.isfinite(b)) or a > b:
-        raise ValueError("window must be an ordered pair (a, b)")
-    if a < 0 or b > grid.horizon:
-        raise ValueError("window must lie inside [0, T]")
-    inside = np.count_nonzero((grid.points >= a) & (grid.points <= b))
-    return inside / grid.n_steps

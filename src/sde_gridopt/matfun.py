@@ -60,8 +60,6 @@ def _k_weights() -> np.ndarray:
 _K_WEIGHTS = _k_weights()
 
 __all__ = [
-    "SquareMatrix",
-    "RectMatrix",
     "mat_exp",
     "phi1",
     "ctrl_gramian",

@@ -19,6 +19,15 @@ import numpy as np
 
 from .matfun import RectMatrix, SquareMatrix
 
+__all__ = [
+    "LinearSdeModel",
+    "ModelValidationError",
+    "RegularityReport",
+    "frobenius_pairing",
+    "regularity_check",
+    "validate_model",
+]
+
 
 class ModelValidationError(ValueError):
     """Raised when model data violates an invariant.

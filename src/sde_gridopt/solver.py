@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import TimeGrid, _index
-from .matfun import _transition, kt_matrix, mat_exp
+from .matfun import _transition
 from .model import LinearSdeModel
 
 __all__ = [
@@ -51,11 +51,6 @@ __all__ = [
     "kalman_step",
     "sigma_path",
     "run_filter",
-    "closed_form_sigma",
-    "euler_maruyama_step",
-    "milstein_step_scalar",
-    "bridge_moments",
-    "sample_bridge_refinement",
     "mc_verify_mse",
     "mc_verify_integral",
 ]
@@ -306,183 +301,6 @@ def run_filter(
         mu = exp_a[i] @ mu + phi_b[i] @ increments.increments[k]
         trajectory.append(KalmanState(k, mu, sigmas[k]))
     return trajectory, report
-
-
-def closed_form_sigma(model: LinearSdeModel, grid: TimeGrid, k: int) -> np.ndarray:
-    """Sigma_k written as an explicit sum, bypassing the recursion.
-
-    Sigma_k = sum_{j<=k} exp(A (t_{k+1} - t_{j+1})) K_{dt_j} dt_j^3
-              exp(A^T (t_{k+1} - t_{j+1})).
-    """
-    _check_horizon(model, grid)
-    k = _index(k)
-    if not 0 <= k < grid.n_steps:
-        raise ValueError("k must index a grid step")
-    pts = grid.points
-    out = np.zeros((model.n, model.n))
-    for j in range(k + 1):
-        dtj = float(pts[j + 1] - pts[j])
-        gap = float(pts[k + 1] - pts[j + 1])
-        Ej = mat_exp(model.A, gap)
-        out += Ej @ (kt_matrix(model.A, model.D, dtj) * dtj**3) @ Ej.T
-    return 0.5 * (out + out.T)
-
-
-def euler_maruyama_step(f, g, x, dt: float, dW):
-    """Explicit Euler step x + f(x) dt + g(x) dW.
-
-    For scalar models the state may carry a leading batch dimension, in
-    which case f, g, and dW are applied elementwise.
-    """
-    x = np.asarray(x, dtype=float)
-    dW = np.asarray(dW, dtype=float)
-    if not (np.all(np.isfinite(x)) and np.isfinite(dt) and np.all(np.isfinite(dW))):
-        raise ValueError("inputs must be finite")
-    gx = np.asarray(g(x), dtype=float)
-    if gx.ndim == 2 and dW.ndim == 1:
-        diffusion = gx @ dW
-    else:
-        diffusion = gx * dW
-    return x + np.asarray(f(x), dtype=float) * dt + diffusion
-
-
-def milstein_step_scalar(f, g, g_prime, x, dt: float, dW):
-    """Milstein step for scalar noise, strong order 1.
-
-    x + f dt + g dW + (1/2) g g' (dW^2 - dt); batch states broadcast.
-    """
-    x = np.asarray(x, dtype=float)
-    dW = np.asarray(dW, dtype=float)
-    if not (np.all(np.isfinite(x)) and np.isfinite(dt) and np.all(np.isfinite(dW))):
-        raise ValueError("inputs must be finite")
-    gx = np.asarray(g(x), dtype=float)
-    return (
-        x
-        + np.asarray(f(x), dtype=float) * dt
-        + gx * dW
-        + 0.5 * gx * np.asarray(g_prime(x), dtype=float) * (dW * dW - dt)
-    )
-
-
-def bridge_moments(t0: float, t1: float, s: float, t: float, dW):
-    """Conditional bridge moments inside one step given its increment.
-
-    Returns the mean offset E[W_s - W_{t0} | dW] = ((s - t0)/(t1 - t0)) dW
-    and the scalar covariance factor
-    cov(W_s, W_t | dW) / I = min(s, t) - t0 - (s - t0)(t - t0)/(t1 - t0).
-    """
-    t0, t1, s, t = float(t0), float(t1), float(s), float(t)
-    if not t1 > t0:
-        raise ValueError("need t1 > t0")
-    if not (t0 <= s <= t1 and t0 <= t <= t1):
-        raise ValueError("bridge times must lie inside [t0, t1]")
-    dW = np.asarray(dW, dtype=float)
-    span = t1 - t0
-    mean = ((s - t0) / span) * dW
-    cov = min(s, t) - t0 - (s - t0) * (t - t0) / span
-    return mean, float(cov)
-
-
-def _reach(base: float, target: float, tries: int = 16):
-    """Increment q with fl(base + q) == target, if one exists nearby."""
-    q = target - base
-    for _ in range(tries):
-        s = base + q
-        if s == target:
-            return q
-        q = math.nextafter(q, math.inf if s < target else -math.inf)
-    return None
-
-
-def _repair(prev: float, acc: float, b: float):
-    """Make the last two increments land exactly on b.
-
-    First tries to reach b from the current level acc.  Failing that
-    (a rounding tie), nudges the level itself by ulps to a waypoint v
-    reachable from prev and from which b is reachable.  Returns
-    (new penultimate increment or None, level, last increment or None).
-    """
-    u = _reach(acc, b)
-    if u is not None:
-        return None, acc, u
-    lo = hi = acc
-    for _ in range(64):
-        lo = math.nextafter(lo, -math.inf)
-        hi = math.nextafter(hi, math.inf)
-        for v in (hi, lo):
-            q = _reach(prev, v)
-            if q is None:
-                continue
-            u = _reach(v, b)
-            if u is not None:
-                return q, v, u
-    return None, acc, None
-
-
-def sample_bridge_refinement(
-    t0: float, t1: float, dW, r: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Split one increment into r sub-increments over equal subintervals.
-
-    Samples the Brownian bridge conditioned on the step increment dW and
-    returns the (r, m) array of sub-increments.  The sub-increments are
-    constructed so that their sequential left-to-right float sum (as in
-    np.cumsum) reproduces dW bitwise in every coordinate: interior levels
-    are tracked in the accumulator, the last increment is compensated, and
-    rounding ties are resolved by a one-ulp waypoint repair of the
-    penultimate level or, failing that, by redrawing that level from its
-    exact conditional law.  In the rare regime where partial sums dwarf
-    |dW| the sum is still exact to one ulp of the final addition.
-    """
-    t0, t1 = float(t0), float(t1)
-    if not t1 > t0:
-        raise ValueError("need t1 > t0")
-    r = _index(r)
-    if r < 2:
-        raise ValueError("refinement needs r >= 2 subintervals")
-    dW = np.atleast_1d(np.asarray(dW, dtype=float))
-    if dW.ndim != 1 or not np.all(np.isfinite(dW)):
-        raise ValueError("dW must be a finite vector")
-    m = dW.shape[0]
-    span = t1 - t0
-    h = span / r
-    inc = np.empty((r, m))
-    acc = np.zeros(m)
-    prev = np.zeros(m)
-    for i in range(1, r):
-        rem = span - (i - 1) * h
-        mean = acc + (h / rem) * (dW - acc)
-        sd = math.sqrt(h * (rem - h) / rem)
-        level = mean + sd * rng.standard_normal(m)
-        inc[i - 1] = level - acc
-        prev = acc.copy()
-        acc = acc + inc[i - 1]
-    inc[r - 1] = dW - acc
-    final = acc + inc[r - 1]
-    rem = span - (r - 2) * h
-    sd_tail = math.sqrt(h * (rem - h) / rem)
-    for j in np.nonzero(final != dW)[0]:
-        p, b = float(prev[j]), float(dW[j])
-        a = float(acc[j])
-        for _ in range(16):
-            q, v, u = _repair(p, a, b)
-            if u is not None:
-                if q is not None:
-                    inc[r - 2, j] = q
-                acc[j] = v
-                inc[r - 1, j] = u
-                break
-            # tie conspiracy: redraw the penultimate level; the retry
-            # condition depends only on sub-ulp alignment, not magnitude
-            mean = p + (h / rem) * (b - p)
-            level = mean + sd_tail * float(rng.standard_normal())
-            inc[r - 2, j] = level - p
-            a = p + inc[r - 2, j]
-            acc[j] = a
-            inc[r - 1, j] = b - a
-        else:
-            inc[r - 1, j] = b - a
-    return inc
 
 
 _MC_BLOCK = 2048  # paths per block: one stream and one worker task each

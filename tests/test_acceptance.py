@@ -18,9 +18,7 @@ from scipy.integrate import cumulative_simpson
 from sde_gridopt import (
     GridDensity,
     WienerIncrements,
-    closed_form_sigma,
     ctrl_gramian,
-    euler_maruyama_step,
     functional_quadrature_bound,
     grid_from_density,
     kt_matrix,
@@ -28,21 +26,27 @@ from sde_gridopt import (
     mc_verify_integral,
     mc_verify_mse,
     mho,
-    milstein_step_scalar,
     min_phi_value,
     min_ups_value,
     obs_gramian,
     optimal_profile,
     phi_functional,
     run_filter,
-    sample_bridge_refinement,
     uniform_density,
     ups_functional,
     weight_curve,
 )
 from sde_gridopt.solver import _step_table, _stream
 
-from helpers import kt_oracle, random_model, random_regular_model
+from helpers import (
+    closed_form_sigma,
+    euler_maruyama_step,
+    kt_oracle,
+    milstein_step_scalar,
+    random_model,
+    random_regular_model,
+    sample_bridge_refinement,
+)
 
 SWEEP = [2**k for k in range(4, 13)]
 

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from sde_gridopt import (
     weight_S,
     weight_curve,
 )
+from sde_gridopt.cli import parse_config
 
 from helpers import random_regular_model
 
@@ -117,6 +119,19 @@ class TestWeightCurve:
                 assert F.values[i] == pytest.approx(weight_F(model, t), rel=1e-9, abs=1e-15)
                 assert S.values[i] == pytest.approx(weight_S(model, t), rel=1e-9, abs=1e-15)
             assert S.values[-1] == 0.0
+
+    def test_single_point_weights_equal_curve(self):
+        # weight_F / weight_S and the curve read one kernel route; they part
+        # only where T - t rounds differently from the mesh value of s
+        workloads = Path(__file__).parents[1] / "perfbench" / "workloads"
+        sys4 = parse_config(str(workloads / "sys4-uniform.cfg")).model
+        reg3 = random_regular_model(np.random.default_rng(3), n=3)
+        for model in (sys4, reg3):
+            for kind, single in (("terminal", weight_F), ("integral", weight_S)):
+                curve = weight_curve(model, kind)
+                tol = 1e-15 * curve.values.max()
+                for t, value in zip(curve.mesh[::7], curve.values[::7]):
+                    assert abs(single(model, t) - value) <= tol
 
     def test_tail_integral_identity_on_curve(self, ou, reg2):
         # int_t^T F du == S_t along the whole mesh

@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import inspect
 import math
 import os
 import subprocess
@@ -17,6 +18,7 @@ from sde_gridopt import (
     asymptotics,
     cli,
     grid_from_density,
+    matfun,
     run_filter,
     uniform_density,
 )
@@ -538,11 +540,15 @@ class TestMain:
 REPO = Path(__file__).resolve().parents[1]
 
 
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", REPO / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _load_check():
-    spec = importlib.util.spec_from_file_location("perfbench_check", REPO / "perfbench" / "check.py")
-    check = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(check)
-    return check
+    return _load_perfbench("check")
 
 
 class TestBenchmarkReference:
@@ -578,3 +584,49 @@ class TestBenchmarkReference:
     def test_mc_verify_matches_reference(self, tmp_path):
         # predicted and N to the gate's tolerance, |zscore| <= 5 at the config's seed
         self.check(tmp_path, "mc-verify", "sys4-uniform", "sys4-uniform-mc")
+
+
+class TestBenchmarkTracer:
+    """The benchmark's --trace mode wraps package functions by name.
+
+    perfbench/tracer.py is only loaded and run, never written; a renamed
+    function would otherwise break the trace mode without a failing test.
+    """
+
+    @staticmethod
+    def traced(tracer):
+        """(module, attribute) of every function the tracer wraps: TRACED and EXPM."""
+        return [tuple(f"sde_gridopt.{name}".rsplit(".", 1)) for name in tracer.SPAN_NAMES]
+
+    def test_every_traced_name_resolves(self):
+        tracer = _load_perfbench("tracer")
+        for module, fn in self.traced(tracer):
+            assert callable(getattr(sys.modules[module], fn, None)), f"{module}.{fn}"
+        # the call observers read these arguments by name
+        assert {"grid", "paths"} <= inspect.signature(sde_gridopt.mc_verify_mse).parameters.keys()
+
+    def test_install_replaces_reexports_and_uninstall_restores(self):
+        tracer = _load_perfbench("tracer")
+        pairs = self.traced(tracer)
+        originals = [getattr(sys.modules[module], fn) for module, fn in pairs]
+        exported = [(fn, f) for (_, fn), f in zip(pairs, originals) if fn in sde_gridopt.__all__]
+        assert exported
+        tr = tracer.Tracer("test")
+        tr.install()
+        try:
+            for (module, fn), original in zip(pairs, originals):
+                wrapped = getattr(sys.modules[module], fn)
+                assert wrapped is not original and wrapped.__wrapped__ is original
+            for fn, original in exported:
+                assert getattr(sde_gridopt, fn).__wrapped__ is original
+            assert asymptotics.expm is matfun.expm  # the expm binding asymptotics calls
+            sde_gridopt.mat_exp([[-1.0]], 0.5)
+        finally:
+            tr.uninstall()
+        names = [tracer.SPAN_NAMES[span[1]] for span in tr.spans]
+        assert names == ["matfun.expm", "matfun.mat_exp"]  # inner span closes first
+        for (module, fn), original in zip(pairs, originals):
+            assert getattr(sys.modules[module], fn) is original
+        for fn, original in exported:
+            assert getattr(sde_gridopt, fn) is original
+        assert asymptotics.expm is matfun.expm

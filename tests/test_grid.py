@@ -8,10 +8,11 @@ from sde_gridopt import (
     GridDensity,
     TimeGrid,
     density_from_weight,
-    empirical_density,
     grid_from_density,
     uniform_density,
 )
+
+from helpers import empirical_density
 
 J = MESH_PANELS
 

@@ -10,20 +10,15 @@ from sde_gridopt import (
     LinearSdeModel,
     TimeGrid,
     WienerIncrements,
-    bridge_moments,
-    closed_form_sigma,
     ctrl_gramian,
-    euler_maruyama_step,
     grid_from_density,
     kalman_step,
     kt_matrix,
     mc_verify_integral,
     mc_verify_mse,
-    milstein_step_scalar,
     optimal_profile,
     phi1,
     run_filter,
-    sample_bridge_refinement,
     sample_exact_path,
     sample_joint_increment,
     sigma_path,
@@ -41,9 +36,14 @@ from sde_gridopt.solver import (
 )
 
 from helpers import (
+    bridge_moments,
+    closed_form_sigma,
+    euler_maruyama_step,
+    milstein_step_scalar,
     random_grid,
     random_model,
     random_regular_model,
+    sample_bridge_refinement,
     sigma_errors_ld,
     simulate_errors_loop,
 )

@@ -249,17 +249,15 @@ def min_ups_value(model: LinearSdeModel) -> float:
     return _min_value(model, "integral")
 
 
-def optimal_profile(model: LinearSdeModel, kind: str) -> tuple[GridDensity, np.ndarray]:
-    """Cube-root-law density and its cumulative (the grid profile inverse).
+def optimal_profile(model: LinearSdeModel, kind: str) -> GridDensity:
+    """Cube-root-law density density_from_weight(w) for w = F or S.
 
-    Returns density_from_weight(w) for w = F or S together with the
-    sampled normalised cumulative, i.e. the inverse of the time profile
-    that quantile grids realise.
+    Its ``cumulative`` samples the inverse of the time profile that
+    quantile grids realise.
     """
     _, w = _weight(model, kind)
     _require_regular(model)
-    psi = density_from_weight(model.T, w)
-    return psi, psi.cumulative.copy()
+    return density_from_weight(model.T, w)
 
 
 def asymptotic_report(model: LinearSdeModel, psi: GridDensity, kind: str) -> AsymptoticReport:

@@ -11,14 +11,14 @@ Configs are sectioned key-value files; values other than ``kind``,
 ``file`` and ``dir`` use Python literal syntax (parsed with
 ast.literal_eval, never eval).  Every key goes through one reader that
 refuses a value of the wrong type or range, naming the key: a float where
-an integer belongs is refused, never truncated.  ``[grid] N`` is a
-one-element sweep; ``N_sweep`` wins when both are given.  All CSV output
-is UTF-8 with a header row and CRLF line ends; a number is written as
-``%.17g`` and a label as it is, so repeated runs are byte-identical on one
-platform.  Errors exit with status 2 after printing a single
-machine-parsable ``error: ...`` line on stderr; a table with a NaN or inf
-cell is such an error and is not written, and numpy's overflow warnings on
-the way to it are not printed.
+an integer belongs is refused, never truncated, and an unknown key is
+refused, never ignored.  ``[grid] N`` is a one-element sweep; ``N_sweep``
+wins when both are given.  All CSV output is UTF-8 with a header row and
+CRLF line ends; a number is written as ``%.17g`` and a label as it is, so
+repeated runs are byte-identical on one platform.  Errors exit with
+status 2 after printing a single machine-parsable ``error: ...`` line on
+stderr; a table with a NaN or inf cell is such an error and is not
+written, and numpy's overflow warnings on the way to it are not printed.
 """
 
 from __future__ import annotations
@@ -99,12 +99,22 @@ def _list(entry, increasing: bool = False):
     return convert
 
 
+def _seed(v) -> int:
+    return _int(v, 0, 2**64)
+
+
 def _grid_kind(raw: str) -> str:
     if raw not in _GRID_KINDS:
         raise ValueError(f"{raw!r} is not one of {_GRID_KINDS}")
     return raw
 
 
+def _array(v) -> np.ndarray:
+    return np.array(v, dtype=float)
+
+
+# The [model] keys as (key, converter), all required.
+_MODEL = (("A", _array), ("B", _array), ("M", _array), ("T", _real))
 # Optional keys as (section, key, field, converter); an absent key keeps the
 # field's default. N is a one-element sweep, read first so that N_sweep wins.
 _OPTIONAL = (
@@ -113,11 +123,19 @@ _OPTIONAL = (
     ("grid", "N_sweep", "n_sweep", _list(lambda N: _int(N, 1), increasing=True)),
     ("grid", "file", "grid_file", str),
     ("mc", "paths", "paths", lambda v: _int(v, 100)),
-    ("mc", "seed", "seed", lambda v: _int(v, 0, 2**64)),
+    ("mc", "seed", "seed", _seed),
     ("output", "dir", "outdir", str),
     ("ou", "T_sweep", "ou_sweep", _list(lambda T: _real(T, positive=True))),
 )
 _TEXT_KEYS = ("kind", "file", "dir")  # plain text, not Python literals
+
+
+def _convert(name: str, value, convert):
+    """convert(value); any failure is a ValueError naming the key or flag."""
+    try:
+        return convert(value)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def _read(cp: configparser.ConfigParser, section: str, key: str, convert):
@@ -127,21 +145,25 @@ def _read(cp: configparser.ConfigParser, section: str, key: str, convert):
         value = raw if key in _TEXT_KEYS else ast.literal_eval(raw)
     except (ValueError, TypeError, SyntaxError):
         raise ValueError(f"config [{section}] {key}: not a valid literal") from None
-    try:
-        return convert(value)
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"config [{section}] {key}: {exc}") from None
+    return _convert(f"config [{section}] {key}", value, convert)
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    """Read and validate an experiment config file."""
-    cp = configparser.ConfigParser()
+    """Read and validate an experiment config file; an unknown key is refused."""
+    # no section can be named "", so [DEFAULT] is a section like any other and
+    # its keys are not copied into every section
+    cp = configparser.ConfigParser(default_section="")
     with open(path, encoding="utf-8") as fh:
         cp.read_file(fh)
+    # configparser lowercases keys, so they are compared in lowercase
+    known = {("model", k.lower()) for k, _ in _MODEL} | {(s, k.lower()) for s, k, *_ in _OPTIONAL}
+    unknown = [f"[{s}] {k}" for s in cp.sections() for k in cp.options(s) if (s, k) not in known]
+    if unknown:
+        raise ValueError(f"config has unknown keys: {', '.join(unknown)}")
     if not cp.has_section("model"):
         raise ValueError("config needs a [model] section")
-    A, B, M = (_read(cp, "model", key, lambda v: np.array(v, dtype=float)) for key in "ABM")
-    cfg = ExperimentConfig(model=LinearSdeModel(A=A, B=B, M=M, T=_read(cp, "model", "T", _real)))
+    A, B, M, T = (_read(cp, "model", key, convert) for key, convert in _MODEL)
+    cfg = ExperimentConfig(model=LinearSdeModel(A=A, B=B, M=M, T=T))
     for section, key, name, convert in _OPTIONAL:
         if cp.has_option(section, key):
             setattr(cfg, name, _read(cp, section, key, convert))
@@ -178,7 +200,7 @@ def _density_for(cfg: ExperimentConfig) -> GridDensity | None:
     if cfg.grid_kind == "uniform":
         return uniform_density(cfg.model.T)
     if cfg.grid_kind.endswith("-optimal"):
-        return optimal_profile(cfg.model, cfg.grid_kind.removesuffix("-optimal"))[0]
+        return optimal_profile(cfg.model, cfg.grid_kind.removesuffix("-optimal"))
     return None
 
 
@@ -233,8 +255,7 @@ def cmd_mc_verify(cfg: ExperimentConfig, quiet: bool = False) -> str:
     rows = []
     for N in _sweep(cfg):
         grid = _grid_for(cfg, N)
-        x0 = np.zeros(cfg.model.n)
-        sample, predicted, stderr = mc_verify_mse(cfg.model, grid, x0, cfg.paths, cfg.seed)
+        sample, predicted, stderr = mc_verify_mse(cfg.model, grid, cfg.paths, cfg.seed)
         z = (sample - predicted) / stderr if stderr > 0 else 0.0
         rows.append([grid.n_steps, sample, predicted, stderr, z])
     header = ["N", "sample_mse", "predicted", "stderr", "zscore"]
@@ -303,9 +324,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.out is not None:
             cfg.outdir = args.out
         if args.seed is not None:
-            if not 0 <= args.seed < 2**64:
-                raise ValueError("--seed must fit in uint64")
-            cfg.seed = args.seed
+            cfg.seed = _convert("--seed", args.seed, _seed)
         # an overflowing model ends in a refused table, reported below
         with np.errstate(over="ignore", invalid="ignore"):
             _COMMANDS[args.command](cfg, quiet=args.quiet)

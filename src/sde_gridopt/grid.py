@@ -152,27 +152,12 @@ def uniform_density(T: float) -> GridDensity:
 def density_from_weight(T: float, w) -> GridDensity:
     """Density proportional to the cube root of a nonnegative weight.
 
-    ``w`` is either a callable on [0, T] or an array of nodal samples on
-    the standard mesh.  The cube-root profile is what makes quantile grids
-    asymptotically optimal for the mean-square error functionals.
+    ``w`` holds the weight's samples on the standard mesh.  The cube-root
+    profile makes quantile grids asymptotically optimal for the mean-square
+    error functionals.  cbrt keeps signs, zeros and non-finite values, so
+    GridDensity refuses the roots of a bad weight as it would the weight.
     """
-    T = float(T)
-    if not np.isfinite(T) or T <= 0:
-        raise ValueError("T must be positive")
-    if callable(w):
-        mesh = np.linspace(0.0, T, MESH_PANELS + 1)
-        wv = np.asarray([w(t) for t in mesh], dtype=float)
-    else:
-        wv = np.asarray(w, dtype=float)
-        if wv.shape != (MESH_PANELS + 1,):
-            raise ValueError(f"weight samples must have shape ({MESH_PANELS + 1},)")
-    if not np.all(np.isfinite(wv)):
-        raise ValueError("weight must be finite")
-    if np.any(wv < 0):
-        raise ValueError("weight must be nonnegative")
-    if not np.any(wv > 0):
-        raise ValueError("weight must not vanish identically")
-    return GridDensity(T, np.cbrt(wv))
+    return GridDensity(T, np.cbrt(np.asarray(w, dtype=float)))
 
 
 def grid_from_density(psi: GridDensity, N: int) -> TimeGrid:

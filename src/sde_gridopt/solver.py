@@ -18,16 +18,17 @@ batched eigh, and a row index per step.  The mean recursion walks that
 index step by step; the covariance recursion is a chunked prefix scan over
 the same rows, a few batched matrix products per chunk of steps, and a
 chunk whose rows repeat the chunk before (every chunk of a uniform grid
-with a dyadic step) reuses its composed maps.  The routes that take a grid
-and a model refuse a grid that does not span the model's [0, T].
+with a dyadic step) reuses its composed maps.  Each route takes its grid
+once (``run_filter`` from the increments) and refuses a grid that does not
+span the model's [0, T].
 
-The Monte Carlo verifiers sample the error X - mu alone.  The drive
-E(dt A) B dW enters X and mu alike and cancels, and so does x0, so given
-the increments err' = exp(dt A) err + (K_dt dt^3)^{1/2} xi from err = 0,
-with n standard normals xi per path-step.  The check thus tests the
-sampling, the square roots and the scan against a direct simulation on the
-same step table, not exp(dt A), E(dt A) B or K_dt against an independent
-route.
+The Monte Carlo verifiers sample the error X - mu alone, from an integer
+seed.  The drive E(dt A) B dW enters X and mu alike and cancels, and so
+does x0, which they do not take: given the increments err' = exp(dt A) err
++ (K_dt dt^3)^{1/2} xi from err = 0, with n standard normals xi per
+path-step.  The check thus tests the sampling, the square roots and the
+scan against a direct simulation on the same step table, not exp(dt A),
+E(dt A) B or K_dt against an independent route.
 """
 
 from __future__ import annotations
@@ -281,19 +282,17 @@ def sigma_path(model: LinearSdeModel, grid: TimeGrid) -> tuple[np.ndarray, Error
 
 
 def run_filter(
-    model: LinearSdeModel, grid: TimeGrid, x0, increments: WienerIncrements
+    model: LinearSdeModel, x0, increments: WienerIncrements
 ) -> tuple[list[KalmanState], ErrorReport]:
-    """Run the conditional-moment recursion along a grid.
+    """Run the conditional-moment recursion along the increments' grid.
 
     Returns the trajectory of states after each step together with the
     error report of ``sigma_path``, which the increments do not affect.
     """
-    if not np.array_equal(increments.grid.points, grid.points):
-        raise ValueError("increments were sampled on a different grid")
     if increments.increments.shape[1] != model.m:
         raise ValueError("increment dimension does not match the model")
     mu = np.asarray(x0, dtype=float).reshape(model.n)
-    table = _grid_table(model, grid)
+    table = _grid_table(model, increments.grid)
     sigmas, report = _sigma_path(model, table)
     exp_a, phi_b = list(table.exp_a), list(table.phi_b)
     trajectory = []
@@ -355,41 +354,38 @@ def _simulate_errors(
     return out
 
 
-def _mc_verify(model: LinearSdeModel, grid: TimeGrid, x0, paths: int, rng, integral: bool):
-    np.asarray(x0, dtype=float).reshape(model.n)  # the error law does not depend on x0
+def _mc_verify(model: LinearSdeModel, grid: TimeGrid, paths: int, seed: int, integral: bool):
     paths = _index(paths)
     if paths < 100:
         raise ValueError("need at least 100 paths for a meaningful check")
-    seed = int(rng.integers(2**63)) if isinstance(rng, np.random.Generator) else _index(rng)
     table = _grid_table(model, grid)
-    w = _simulate_errors(model, table, paths, seed, integral)
+    w = _simulate_errors(model, table, paths, _index(seed), integral)
     _, report = _sigma_path(model, table)
     predicted = report.integral if integral else report.terminal
     return float(w.mean()), predicted, float(w.std(ddof=1) / math.sqrt(paths))
 
 
 def mc_verify_mse(
-    model: LinearSdeModel, grid: TimeGrid, x0, paths: int, rng
+    model: LinearSdeModel, grid: TimeGrid, paths: int, seed: int
 ) -> tuple[float, float, float]:
     """Monte Carlo check of the terminal error against <M, Sigma_{N-1}>.
 
-    Samples ||err_N||_M^2 per path, n normals per path-step; ``x0`` must
-    have n entries but, like the drive, does not enter the error.  Both
-    sides come from one step table, so the check tests the sampling and the
-    Sigma recursion, not the step matrices.  ``rng`` is an integer seed
-    (preferred) or a Generator from which one is drawn.  Returns (sample
-    mean square error, predicted value, standard error of the sample mean).
+    Samples ||err_N||_M^2 per path from the integer ``seed``, n normals per
+    path-step; neither x0 nor the drive enters the error.  Both sides come
+    from one step table, so the check tests the sampling and the Sigma
+    recursion, not the step matrices.  Returns (sample mean square error,
+    predicted value, standard error of the sample mean).
     """
-    return _mc_verify(model, grid, x0, paths, rng, integral=False)
+    return _mc_verify(model, grid, paths, seed, integral=False)
 
 
 def mc_verify_integral(
-    model: LinearSdeModel, grid: TimeGrid, x0, paths: int, rng
+    model: LinearSdeModel, grid: TimeGrid, paths: int, seed: int
 ) -> tuple[float, float, float]:
     """Monte Carlo check of the integral error functional.
 
     Accumulates ||X_{t_{k+1}} - mu_k||_M^2 dt_k per path, sampled as in
-    mc_verify_mse (``x0`` and the drive do not enter, and it tests the
-    same), and compares the mean to sum_k <M, Sigma_k> dt_k.
+    mc_verify_mse (it tests the same), and compares the mean to
+    sum_k <M, Sigma_k> dt_k.
     """
-    return _mc_verify(model, grid, x0, paths, rng, integral=True)
+    return _mc_verify(model, grid, paths, seed, integral=True)

@@ -53,7 +53,7 @@ SWEEP = [2**k for k in range(4, 13)]
 
 def n2_terminal(model, grid):
     zero = WienerIncrements(grid, np.zeros((grid.n_steps, model.m)))
-    _, rep = run_filter(model, grid, np.zeros(model.n), zero)
+    _, rep = run_filter(model, np.zeros(model.n), zero)
     return rep
 
 
@@ -75,7 +75,7 @@ def test_criterion_1_uniform_terminal_convergence(ou):
 
 
 def test_criterion_2_optimal_grid_convergence(ou):
-    psi, _ = optimal_profile(ou, "terminal")
+    psi = optimal_profile(ou, "terminal")
     opt = n2_terminal(ou, grid_from_density(psi, 4096)).n2_terminal
     uni = n2_terminal(ou, grid_from_density(uniform_density(1.0), 4096)).n2_terminal
 
@@ -95,7 +95,7 @@ def test_criterion_3_limit_covariance_profile(ou):
     N = 4096
     grid = grid_from_density(uni, N)
     zero = WienerIncrements(grid, np.zeros((N, 1)))
-    traj, _ = run_filter(ou, grid, [0.0], zero)
+    traj, _ = run_filter(ou, [0.0], zero)
     finite = N**2 * traj[N // 2].sigma[0, 0]
     assert finite == pytest.approx(a[0, 0], rel=0.02)
     print(
@@ -107,11 +107,11 @@ def test_criterion_3_limit_covariance_profile(ou):
 def test_criterion_4_monte_carlo_consistency(ou):
     start = time.perf_counter()
     grid = grid_from_density(uniform_density(1.0), 32)
-    sample, predicted, stderr = mc_verify_mse(ou, grid, [0.0], 100_000, 2024)
+    sample, predicted, stderr = mc_verify_mse(ou, grid, 100_000, 2024)
     z_term = (sample - predicted) / stderr
     assert abs(sample - predicted) <= 3.0 * stderr
 
-    s_int, p_int, se_int = mc_verify_integral(ou, grid, [0.0], 100_000, 2024)
+    s_int, p_int, se_int = mc_verify_integral(ou, grid, 100_000, 2024)
     z_int = (s_int - p_int) / se_int
     assert abs(s_int - p_int) <= 3.0 * se_int
     elapsed = time.perf_counter() - start
@@ -130,14 +130,14 @@ def test_criterion_5_holder_optimality(ou):
             value = phi_functional(model, psi)
             bound = functional_quadrature_bound(model, psi, "terminal")
             assert value + bound >= floor - 1e-9
-        psi_opt, _ = optimal_profile(model, "terminal")
+        psi_opt = optimal_profile(model, "terminal")
         assert phi_functional(model, psi_opt) == pytest.approx(floor, rel=1e-8)
 
     # integral criterion: truncate the vanishing tail of the optimal
     # density at distance eps from the horizon; the functional approaches
     # the infimum from above as eps drops
     floor = min_ups_value(ou)
-    psi_opt, _ = optimal_profile(ou, "integral")
+    psi_opt = optimal_profile(ou, "integral")
     bound_opt = functional_quadrature_bound(ou, psi_opt, "integral")
     gaps = []
     for eps in (1e-1, 1e-2, 1e-3):
@@ -199,7 +199,7 @@ def test_criterion_6_identity_battery(ou):
         for N in (16, 64):
             grid = grid_from_density(uniform_density(1.0), N)
             zero = WienerIncrements(grid, np.zeros((N, model.m)))
-            traj, _ = run_filter(model, grid, np.zeros(n), zero)
+            traj, _ = run_filter(model, np.zeros(n), zero)
             for k in (0, N // 2, N - 1):
                 ref = closed_form_sigma(model, grid, k)
                 assert np.linalg.norm(traj[k].sigma - ref) <= 1e-12 * max(

@@ -33,6 +33,7 @@ from sde_gridopt.cli import parse_config
 from helpers import random_regular_model
 
 J = MESH_PANELS
+MESH = np.linspace(0.0, 1.0, J + 1)  # the standard mesh on [0, 1]
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +160,7 @@ class TestPhiFunctional:
         assert got == pytest.approx(0.036027696531807804, rel=1e-12)
 
     def test_general_density_against_quad(self, ou):
-        psi = density_from_weight(1.0, lambda t: (2.0 + math.sin(2 * math.pi * t)) ** 3)
+        psi = density_from_weight(1.0, (2.0 + np.sin(2 * np.pi * MESH)) ** 3)
         total, _ = quad(lambda t: 2.0 + math.sin(2 * math.pi * t), 0.0, 1.0)
 
         def integrand(t):
@@ -170,7 +171,7 @@ class TestPhiFunctional:
 
     def test_optimal_density_attains_minimum(self, ou, reg2):
         for model in (ou, reg2):
-            psi, _ = optimal_profile(model, "terminal")
+            psi = optimal_profile(model, "terminal")
             assert phi_functional(model, psi) == pytest.approx(
                 min_phi_value(model), rel=1e-8
             )
@@ -208,7 +209,7 @@ class TestUpsFunctional:
         assert got == pytest.approx((1.0 + math.exp(-2.0)) / 48.0, rel=1e-9)
 
     def test_accepts_terminal_zero_optimal_density(self, ou):
-        psi, _ = optimal_profile(ou, "integral")
+        psi = optimal_profile(ou, "integral")
         assert psi.values[-1] == 0.0
         got = ups_functional(ou, psi)
         assert got == pytest.approx(min_ups_value(ou), rel=2e-5)
@@ -265,28 +266,31 @@ class TestMinima:
 
 class TestOptimalProfile:
     def test_terminal_profile_matches_exponential_law(self, ou):
-        psi, cum = optimal_profile(ou, "terminal")
+        psi = optimal_profile(ou, "terminal")
         lam = 2.0 / 3.0
         ref = lam * np.exp(lam * psi.mesh) / (math.exp(lam) - 1.0)
         assert np.allclose(psi.values, ref, rtol=1e-7)
         assert psi.values[-1] / psi.values[0] == pytest.approx(math.exp(lam), rel=1e-6)
 
+    def test_returns_the_density_alone(self, ou):
+        for kind in ("terminal", "integral"):
+            assert isinstance(optimal_profile(ou, kind), GridDensity)
+
     def test_terminal_cumulative_frozen_midpoint(self, ou):
-        psi, cum = optimal_profile(ou, "terminal")
+        psi = optimal_profile(ou, "terminal")
         ref = (math.exp(1.0 / 3.0) - 1.0) / (math.exp(2.0 / 3.0) - 1.0)
         assert psi.cum_at(0.5) == pytest.approx(ref, rel=1e-8)
         assert psi.cum_at(0.5) == pytest.approx(0.41742979353768556, rel=1e-12)
-        assert np.array_equal(cum, psi.cumulative)
 
     def test_integral_profile_pinches_to_zero(self, ou):
-        psi, _ = optimal_profile(ou, "integral")
+        psi = optimal_profile(ou, "integral")
         assert psi.values[-1] == 0.0
         assert np.all(psi.values[:-1] > 0)
 
     def test_integral_profile_cube_root_coefficient(self, ou):
         # near T the optimal density behaves like C (T - t)^{1/3} with
         # C = F_T^{1/3} / (min Ups)^{1/3}
-        psi, _ = optimal_profile(ou, "integral")
+        psi = optimal_profile(ou, "integral")
         C = np.cbrt(weight_F(ou, ou.T)) / np.cbrt(min_ups_value(ou))
         h = ou.T / J
         for k in (4, 8, 16):
@@ -295,8 +299,8 @@ class TestOptimalProfile:
 
     def test_profile_invariant_under_weight_scaling(self, ou):
         doubled = LinearSdeModel(A=ou.A, B=ou.B, M=[[2.0]], T=1.0)
-        a, _ = optimal_profile(ou, "terminal")
-        b, _ = optimal_profile(doubled, "terminal")
+        a = optimal_profile(ou, "terminal")
+        b = optimal_profile(doubled, "terminal")
         assert np.allclose(a.values, b.values, rtol=1e-13)
 
     def test_refusals(self, ou):
@@ -315,14 +319,14 @@ class TestQuadratureBound:
         assert 0 < bound < 1e-7 * value
 
     def test_cube_root_integrand_bound_still_small(self, ou):
-        psi, _ = optimal_profile(ou, "integral")
+        psi = optimal_profile(ou, "integral")
         bound = functional_quadrature_bound(ou, psi, "integral")
         value = ups_functional(ou, psi)
         assert 0 < bound < 1e-3 * value
 
     def test_refuses_what_the_functional_refuses(self, ou):
         # the integral-optimal density vanishes at T, where F_T = 1/12
-        psi, _ = optimal_profile(ou, "integral")
+        psi = optimal_profile(ou, "integral")
         with pytest.raises(ValueError):
             phi_functional(ou, psi)
         with pytest.raises(ValueError):
@@ -360,9 +364,9 @@ class TestAsymptoticReport:
         for model in (ou, reg2):
             uni = uniform_density(model.T)
             for kind, fn in (("terminal", phi_functional), ("integral", ups_functional)):
-                for psi in (uni, optimal_profile(model, "terminal")[0]):
+                for psi in (uni, optimal_profile(model, "terminal")):
                     assert asymptotic_report(model, psi, kind).value == fn(model, psi)
-            pinched, _ = optimal_profile(model, "integral")
+            pinched = optimal_profile(model, "integral")
             rep = asymptotic_report(model, pinched, "integral")
             assert rep.value == ups_functional(model, pinched)
             with pytest.raises(ValueError):
@@ -388,7 +392,7 @@ class TestLimitSigma:
             assert np.linalg.norm(a - b) <= 1e-8 * max(np.linalg.norm(a), 1e-300)
 
     def test_routes_agree_on_skewed_density(self, ou):
-        psi = density_from_weight(1.0, lambda t: (2.0 + math.sin(2 * math.pi * t)) ** 3)
+        psi = density_from_weight(1.0, (2.0 + np.sin(2 * np.pi * MESH)) ** 3)
         a = limit_sigma(ou, psi, 0.8, route="ode")
         b = limit_sigma(ou, psi, 0.8, route="integral")
         assert abs(a[0, 0] - b[0, 0]) <= 1e-8 * abs(a[0, 0])
@@ -423,7 +427,7 @@ class TestLimitSigma:
             limit_sigma(ou, uni, 0.5, route="lyapunov")
         with pytest.raises(ValueError):
             limit_sigma(ou, uniform_density(2.0), 0.5)
-        pinched, _ = optimal_profile(ou, "integral")
+        pinched = optimal_profile(ou, "integral")
         with pytest.raises(ValueError):
             limit_sigma(ou, pinched, 0.5)
 

@@ -1,3 +1,4 @@
+import ast
 import csv
 import importlib.util
 import inspect
@@ -147,6 +148,32 @@ class TestParseConfig:
         assert len(err.splitlines()) == 1
         assert err.startswith("error:") and key in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, keys",
+        [
+            # misspelt keys were once ignored: 100,000 paths, seed 0 and dir "out"
+            (
+                OU_CONFIG.replace("paths = 2000", "path = 150\nSed = 3") + "\n[output]\ndri = x\n",
+                ["[mc] path", "[mc] sed", "[output] dri"],
+            ),
+            # a [DEFAULT] key is named where it is written, not in every section
+            ("[DEFAULT]\nseed = 3\n\n" + OU_CONFIG, ["[DEFAULT] seed"]),
+        ],
+        ids=["misspelt", "default-section"],
+    )
+    def test_unknown_keys_one_error_line(self, tmp_path, capsys, text, keys):
+        out = tmp_path / "out"
+        rc = main(["convergence", "--config", write_config(tmp_path, text), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: config has unknown keys: {', '.join(keys)}\n"
+        assert not out.exists()
+
+    def test_keys_compared_in_lowercase(self, tmp_path):
+        text = OU_CONFIG.replace("N_sweep", "n_SWEEP").replace("paths", "PATHS")
+        cfg = parse_config(write_config(tmp_path, text))
+        assert cfg.n_sweep == [16, 32, 64] and cfg.paths == 2000
 
 
 class TestWriteCsv:
@@ -322,7 +349,7 @@ class TestConvergence:
         assert rows[0][0] == "10"
         model = cfg.model
         zero = WienerIncrements(grid, np.zeros((10, 1)))
-        _, rep = run_filter(model, grid, np.zeros(1), zero)
+        _, rep = run_filter(model, np.zeros(1), zero)
         assert float(rows[0][1]) == rep.terminal
 
     def test_grid_file_horizon_mismatch(self, tmp_path):
@@ -372,7 +399,7 @@ class TestMcVerify:
         _, rows = read_csv(cmd_mc_verify(cfg, quiet=True))
         grid = grid_from_density(uniform_density(1.0), 8)
         zero = WienerIncrements(grid, np.zeros((8, 1)))
-        _, rep = run_filter(cfg.model, grid, np.zeros(1), zero)
+        _, rep = run_filter(cfg.model, np.zeros(1), zero)
         assert float(rows[0][2]) == rep.terminal  # %.17g roundtrips exactly
 
     def test_seed_override_changes_samples(self, tmp_path):
@@ -475,6 +502,12 @@ class TestMain:
         cfg_path = write_config(tmp_path, OU_CONFIG)
         rc = main(["mc-verify", "--config", cfg_path, "--seed", "-3", "--quiet"])
         assert rc == 2
+
+    def test_seed_override_read_like_config_seed(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, OU_CONFIG)
+        rc = main(["mc-verify", "--config", cfg_path, "--seed", str(2**64), "--quiet"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --seed: ")
 
     def test_quiet_suppresses_progress(self, tmp_path, capsys):
         text = OU_CONFIG.replace("[16, 32, 64]", "[8]")
@@ -604,6 +637,29 @@ class TestBenchmarkTracer:
             assert callable(getattr(sys.modules[module], fn, None)), f"{module}.{fn}"
         # the call observers read these arguments by name
         assert {"grid", "paths"} <= inspect.signature(sde_gridopt.mc_verify_mse).parameters.keys()
+
+    def test_every_cli_name_child_reads_resolves(self):
+        # child.py reads cli.<name> attributes, the private _convergence_row too
+        tree = ast.parse((REPO / "perfbench" / "child.py").read_text(encoding="utf-8"))
+        names = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "cli"
+        }
+        assert "_convergence_row" in names
+        for name in names:
+            assert hasattr(cli, name), f"cli.{name}"
+
+    def test_convergence_row_returns_the_n_row(self, tmp_path):
+        # child.py times cli._convergence_row(cfg, N) for the largest N
+        cfg = parse_config(write_config(tmp_path, OU_CONFIG))
+        cfg.outdir = str(tmp_path / "out")
+        _, rows = read_csv(cmd_convergence(cfg, quiet=True))
+        row = cli._convergence_row(cfg, max(cfg.n_sweep))
+        assert row[0] == 64
+        assert ["%.17g" % v for v in row] == rows[2]
 
     def test_install_replaces_reexports_and_uninstall_restores(self):
         tracer = _load_perfbench("tracer")

@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from sde_gridopt import (
 from helpers import empirical_density
 
 J = MESH_PANELS
+MESH = np.linspace(0.0, 1.0, J + 1)  # the standard mesh on [0, 1]
 
 
 class TestTimeGrid:
@@ -102,7 +102,7 @@ class TestDensityFromWeight:
         assert np.allclose(psi.values, 0.5, rtol=1e-14)
 
     def test_cube_root_shape(self):
-        psi = density_from_weight(1.0, lambda t: (1.0 + t) ** 3)
+        psi = density_from_weight(1.0, (1.0 + MESH) ** 3)
         ratio = psi.values / psi.values[0]
         assert np.allclose(ratio, 1.0 + psi.mesh, rtol=1e-12)
 
@@ -115,6 +115,34 @@ class TestDensityFromWeight:
             density_from_weight(1.0, bad)
         with pytest.raises(ValueError):
             density_from_weight(1.0, np.ones(J))  # wrong length
+
+    def test_callable_weight_refused(self):
+        # nodal samples only: a callable is not sampled on the mesh
+        with pytest.raises(TypeError):
+            density_from_weight(1.0, lambda t: 1.0 + t)
+
+    @pytest.mark.parametrize(
+        "T, w",
+        [
+            (1.0, np.zeros(J + 1)),
+            (1.0, np.where(np.arange(J + 1) == 5, -1.0, 1.0)),
+            (1.0, np.where(np.arange(J + 1) == 5, np.nan, 1.0)),
+            (1.0, np.where(np.arange(J + 1) == 5, np.inf, 1.0)),
+            (1.0, np.ones(J)),
+            (0.0, np.ones(J + 1)),
+            (-1.0, np.ones(J + 1)),
+            (np.inf, np.ones(J + 1)),
+            (np.nan, np.ones(J + 1)),
+        ],
+        ids=[
+            "all-zero", "negative", "nan", "inf", "wrong-length",
+            "T-zero", "T-negative", "T-inf", "T-nan",
+        ],
+    )
+    def test_refused_weight_raises_value_error(self, T, w):
+        # the density refuses on the cube roots what the weight may not be
+        with pytest.raises(ValueError):
+            density_from_weight(T, w)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(31)
@@ -139,7 +167,7 @@ class TestGridFromDensity:
             grid_from_density(uniform_density(1.0), 0)
 
     def test_terminal_zero_density_still_invertible(self):
-        psi = density_from_weight(1.0, lambda t: 1.0 - t)
+        psi = density_from_weight(1.0, 1.0 - MESH)
         grid = grid_from_density(psi, 64)
         assert grid.points[-1] == 1.0
         assert np.all(np.diff(grid.points) > 0)
@@ -153,8 +181,7 @@ class TestGridFromDensity:
 
     def test_step_sizes_match_density_reciprocal(self):
         # N dt_{floor(N tau)} -> 1 / psi(phi(tau)) on a smooth density
-        w = lambda t: (2.0 + math.sin(2 * math.pi * t)) ** 3
-        psi = density_from_weight(1.0, w)
+        psi = density_from_weight(1.0, (2.0 + np.sin(2 * np.pi * MESH)) ** 3)
         N = 4096
         grid = grid_from_density(psi, N)
         for tau in np.arange(0.1, 0.95, 0.1):

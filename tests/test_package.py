@@ -1,11 +1,16 @@
 """The package's public surface: each name written once, in its module's __all__."""
 
+import importlib
+import re
+from pathlib import Path
+
 import pytest
 
 import sde_gridopt
 from sde_gridopt import asymptotics, grid, matfun, model, solver
 
 MODULES = (model, matfun, grid, solver, asymptotics)
+REPO = Path(__file__).resolve().parents[1]
 
 PUBLIC = {
     "__version__",
@@ -91,3 +96,27 @@ def test_test_only_code_is_not_in_the_package(name):
     with pytest.raises(ImportError):
         exec(f"from sde_gridopt import {name}", {})
     assert not any(hasattr(mod, name) for mod in MODULES)
+
+
+def test_version_written_once():
+    # pyproject.toml reads the version from the package, which holds the only copy
+    tomllib = pytest.importorskip("tomllib")
+    with (REPO / "pyproject.toml").open("rb") as fh:
+        pyproject = tomllib.load(fh)
+    assert "version" not in pyproject["project"]
+    assert pyproject["project"]["dynamic"] == ["version"]
+    module, name = pyproject["tool"]["setuptools"]["dynamic"]["version"]["attr"].rsplit(".", 1)
+    assert getattr(importlib.import_module(module), name) is sde_gridopt.__version__
+
+
+def test_readme_quickstart_prints_the_stated_limits(capsys):
+    # the first python block of README.md runs as written and prints the
+    # limits its comments state, to the digits they state
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    stated = re.findall(r"^print\(.*\)\s+# ~(\d+\.\d+)", block, flags=re.M)
+    assert stated == ["0.03603", "0.03240"]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    for line, digits in zip(printed, stated):
+        assert f"{float(line):.{len(digits.split('.')[1])}f}" == digits

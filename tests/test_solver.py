@@ -193,8 +193,8 @@ class TestRunFilter:
         grid = grid_from_density(uniform_density(1.0), 32)
         inc1 = WienerIncrements.sample(grid, 1, np.random.default_rng(1))
         inc2 = WienerIncrements.sample(grid, 1, np.random.default_rng(2))
-        traj1, rep1 = run_filter(ou, grid, [0.0], inc1)
-        traj2, rep2 = run_filter(ou, grid, [0.0], inc2)
+        traj1, rep1 = run_filter(ou, [0.0], inc1)
+        traj2, rep2 = run_filter(ou, [0.0], inc2)
         for s1, s2 in zip(traj1, traj2):
             assert np.array_equal(s1.sigma, s2.sigma)
         assert rep1 == rep2
@@ -205,29 +205,29 @@ class TestRunFilter:
         a = WienerIncrements.sample(grid, 1, rng)
         b = WienerIncrements.sample(grid, 1, rng)
         both = WienerIncrements(grid, a.increments + b.increments)
-        mu_a = run_filter(ou, grid, [0.0], a)[0][-1].mu
-        mu_b = run_filter(ou, grid, [0.0], b)[0][-1].mu
-        mu_ab = run_filter(ou, grid, [0.0], both)[0][-1].mu
+        mu_a = run_filter(ou, [0.0], a)[0][-1].mu
+        mu_b = run_filter(ou, [0.0], b)[0][-1].mu
+        mu_ab = run_filter(ou, [0.0], both)[0][-1].mu
         assert np.allclose(mu_ab, mu_a + mu_b, rtol=1e-12, atol=1e-15)
 
     def test_zero_drift_zero_error(self):
         model = LinearSdeModel(A=np.zeros((2, 2)), B=np.eye(2), M=np.eye(2), T=1.0)
         grid = grid_from_density(uniform_density(1.0), 8)
         inc = WienerIncrements.sample(grid, 2, np.random.default_rng(0))
-        _, rep = run_filter(model, grid, np.zeros(2), inc)
+        _, rep = run_filter(model, np.zeros(2), inc)
         assert rep.terminal == 0.0 and rep.integral == 0.0
 
     def test_report_rescaling(self, ou):
         grid = grid_from_density(uniform_density(1.0), 64)
         inc = WienerIncrements(grid, np.zeros((64, 1)))
-        _, rep = run_filter(ou, grid, [0.0], inc)
+        _, rep = run_filter(ou, [0.0], inc)
         assert rep.n2_terminal == 64.0**2 * rep.terminal
         assert rep.n2_integral == 64.0**2 * rep.integral
 
     def test_uniform_ou_matches_limit_value(self, ou):
         grid = grid_from_density(uniform_density(1.0), 4096)
         inc = WienerIncrements(grid, np.zeros((4096, 1)))
-        _, rep = run_filter(ou, grid, [0.0], inc)
+        _, rep = run_filter(ou, [0.0], inc)
         assert rep.n2_terminal == pytest.approx(0.036028, rel=0.01)
 
     def test_matches_closed_form_sigma(self):
@@ -236,7 +236,7 @@ class TestRunFilter:
             model = random_model(rng, n=n)
             grid = random_grid(rng, 24)
             inc = WienerIncrements.sample(grid, model.m, rng)
-            traj, _ = run_filter(model, grid, np.zeros(n), inc)
+            traj, _ = run_filter(model, np.zeros(n), inc)
             sigmas, _ = sigma_path(model, grid)
             assert sigmas.shape == (24, n, n)
             for k in (0, 5, 11, 23):
@@ -244,15 +244,18 @@ class TestRunFilter:
                 assert rel(traj[k].sigma - ref, ref) < 1e-12
                 assert rel(sigmas[k] - ref, ref) < 1e-12
 
+    def test_grid_comes_with_the_increments(self, ou):
+        # the grid is read from the increments, never passed beside them
+        grid = grid_from_density(uniform_density(1.0), 8)
+        inc = WienerIncrements(grid, np.zeros((8, 1)))
+        with pytest.raises(TypeError):
+            run_filter(ou, grid, [0.0], inc)
+
     def test_mismatched_inputs_raise(self, ou):
         grid = grid_from_density(uniform_density(1.0), 8)
-        other = grid_from_density(uniform_density(1.0), 9)
-        inc = WienerIncrements.sample(other, 1, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            run_filter(ou, grid, [0.0], inc)
         wide = WienerIncrements(grid, np.zeros((8, 2)))
         with pytest.raises(ValueError):
-            run_filter(ou, grid, [0.0], wide)
+            run_filter(ou, [0.0], wide)
 
 
     @pytest.mark.parametrize("kind", ["uniform", "integral-optimal"])
@@ -264,11 +267,11 @@ class TestRunFilter:
         if kind == "uniform":
             psi = uniform_density(model.T)
         else:
-            psi = optimal_profile(model, "integral")[0]
+            psi = optimal_profile(model, "integral")
         grid = grid_from_density(psi, 48)
         inc = WienerIncrements.sample(grid, model.m, rng)
         x0 = np.array([0.3, -1.2])
-        traj, _ = run_filter(model, grid, x0, inc)
+        traj, _ = run_filter(model, x0, inc)
         state = KalmanState(-1, x0, np.zeros((2, 2)))
         for k, dt in enumerate(grid.steps):
             state = kalman_step(model, state, float(dt), inc.increments[k])
@@ -358,7 +361,7 @@ class TestSigmaPath:
     def test_report_matches_run_filter(self, ou):
         grid = random_grid(np.random.default_rng(4), 40)
         inc = WienerIncrements.sample(grid, 1, np.random.default_rng(6))
-        traj, rep = run_filter(ou, grid, [1.0], inc)
+        traj, rep = run_filter(ou, [1.0], inc)
         sigmas, rep2 = sigma_path(ou, grid)
         assert rep2 == rep
         assert np.array_equal(sigmas, np.array([s.sigma for s in traj]))
@@ -430,8 +433,8 @@ def test_integer_argument_refuses_float(call):
         lambda n: closed_form_sigma(OU, GRID4, n),
         lambda n: sample_bridge_refinement(0.0, 1.0, [0.3], n, np.random.default_rng(0)),
         lambda n: WienerIncrements.sample(GRID4, n, np.random.default_rng(0)),
-        lambda n: mc_verify_mse(OU, GRID4, [0.0], n, 5),
-        lambda n: mc_verify_mse(OU, GRID4, [0.0], 100, n),
+        lambda n: mc_verify_mse(OU, GRID4, n, 5),
+        lambda n: mc_verify_mse(OU, GRID4, 100, n),
     ],
     ids=[
         "grid_from_density-N",
@@ -452,10 +455,10 @@ def test_integer_argument_refuses_bool(call, flag):
     "call",
     [
         lambda g: sigma_path(OU, g),
-        lambda g: run_filter(OU, g, [0.0], WienerIncrements.sample(g, 1, np.random.default_rng(0))),
+        lambda g: run_filter(OU, [0.0], WienerIncrements.sample(g, 1, np.random.default_rng(0))),
         lambda g: sample_exact_path(OU, g, [0.0], np.random.default_rng(0)),
-        lambda g: mc_verify_mse(OU, g, [0.0], 100, 5),
-        lambda g: mc_verify_integral(OU, g, [0.0], 100, 5),
+        lambda g: mc_verify_mse(OU, g, 100, 5),
+        lambda g: mc_verify_integral(OU, g, 100, 5),
         lambda g: closed_form_sigma(OU, g, 3),
     ],
     ids=[
@@ -619,8 +622,8 @@ class TestBridgeRefinement:
             fine_pts.extend(t0 + (t1 - t0) * np.arange(1, r + 1) / r)
         fine = TimeGrid(np.array(fine_pts))
         fine_inc = WienerIncrements(fine, np.vstack(fine_inc))
-        _, rep_coarse = run_filter(ou, coarse, [0.0], inc)
-        _, rep_fine = run_filter(ou, fine, [0.0], fine_inc)
+        _, rep_coarse = run_filter(ou, [0.0], inc)
+        _, rep_fine = run_filter(ou, [0.0], fine_inc)
         assert rep_fine.terminal < rep_coarse.terminal
 
 
@@ -628,53 +631,57 @@ class TestMcVerify:
     def test_zero_drift_exact_zero(self):
         model = LinearSdeModel(A=np.zeros((2, 2)), B=np.eye(2), M=np.eye(2), T=1.0)
         grid = grid_from_density(uniform_density(1.0), 4)
-        sample, predicted, stderr = mc_verify_mse(model, grid, np.zeros(2), 500, 9)
+        sample, predicted, stderr = mc_verify_mse(model, grid, 500, 9)
         assert sample == 0.0 and predicted == 0.0 and stderr == 0.0
 
     def test_ou_consistency(self, ou):
         grid = grid_from_density(uniform_density(1.0), 16)
-        sample, predicted, stderr = mc_verify_mse(ou, grid, [0.0], 20_000, 2024)
+        sample, predicted, stderr = mc_verify_mse(ou, grid, 20_000, 2024)
         assert abs(sample - predicted) <= 4 * stderr
         assert predicted > 0
 
     def test_integral_consistency(self, ou):
         grid = grid_from_density(uniform_density(1.0), 16)
-        sample, predicted, stderr = mc_verify_integral(ou, grid, [0.0], 20_000, 2024)
+        sample, predicted, stderr = mc_verify_integral(ou, grid, 20_000, 2024)
         assert abs(sample - predicted) <= 4 * stderr
 
     def test_reproducible_and_seed_sensitive(self, ou):
         grid = grid_from_density(uniform_density(1.0), 8)
-        a = mc_verify_mse(ou, grid, [0.0], 1000, 42)
-        b = mc_verify_mse(ou, grid, [0.0], 1000, 42)
-        c = mc_verify_mse(ou, grid, [0.0], 1000, 43)
+        a = mc_verify_mse(ou, grid, 1000, 42)
+        b = mc_verify_mse(ou, grid, 1000, 42)
+        c = mc_verify_mse(ou, grid, 1000, 43)
         assert a == b
         assert a[0] != c[0]
 
     def test_path_floor(self, ou):
         grid = grid_from_density(uniform_density(1.0), 4)
         with pytest.raises(ValueError):
-            mc_verify_mse(ou, grid, [0.0], 50, 1)
+            mc_verify_mse(ou, grid, 50, 1)
 
-    def test_generator_accepted_as_seed_source(self, ou):
+    def test_x0_not_taken(self, ou):
+        # neither x0 nor the drive enters the error, so neither is an argument
         grid = grid_from_density(uniform_density(1.0), 4)
-        out = mc_verify_mse(ou, grid, [0.0], 200, np.random.default_rng(5))
-        assert np.isfinite(out[0])
+        for verify in (mc_verify_mse, mc_verify_integral):
+            with pytest.raises(TypeError):
+                verify(ou, grid, [0.0], 200, 1)
+
+    def test_generator_seed_refused(self, ou):
+        # the seed is an integer only; a Generator is not drawn from
+        grid = grid_from_density(uniform_density(1.0), 4)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            mc_verify_mse(ou, grid, paths=200, seed=np.random.default_rng(5))
 
     def test_paths_not_truncated(self, ou):
         grid = grid_from_density(uniform_density(1.0), 4)
         with pytest.raises(TypeError):
-            mc_verify_mse(ou, grid, [0.0], 150.7, 1)
-        assert mc_verify_mse(ou, grid, [0.0], np.int64(150), 1) == mc_verify_mse(
-            ou, grid, [0.0], 150, 1
-        )
+            mc_verify_mse(ou, grid, 150.7, 1)
+        assert mc_verify_mse(ou, grid, np.int64(150), 1) == mc_verify_mse(ou, grid, 150, 1)
 
     def test_seed_not_truncated(self, ou):
         grid = grid_from_density(uniform_density(1.0), 4)
         with pytest.raises(TypeError):
-            mc_verify_mse(ou, grid, [0.0], 200, 7.9)
-        assert mc_verify_mse(ou, grid, [0.0], 200, np.uint64(7)) == mc_verify_mse(
-            ou, grid, [0.0], 200, 7
-        )
+            mc_verify_mse(ou, grid, 200, 7.9)
+        assert mc_verify_mse(ou, grid, 200, np.uint64(7)) == mc_verify_mse(ou, grid, 200, 7)
 
 
 class TestSimulateErrors:
@@ -727,10 +734,6 @@ class TestSimulateErrors:
             got = _simulate_errors(model, table, paths, 606, integral)
             ref = simulate_errors_loop(model, table, paths, 606, integral)
             assert np.max(np.abs(got - ref) / ref) <= 1e-12
-        zero = mc_verify_mse(model, grid, np.zeros(3), 300, 4)
-        assert mc_verify_mse(model, grid, np.ones(3), 300, 4) == zero  # x0 does not enter
-        with pytest.raises(ValueError):
-            mc_verify_mse(model, grid, np.ones(2), 300, 4)
 
     @pytest.mark.parametrize("integral", [False, True], ids=["terminal", "integral"])
     @pytest.mark.parametrize("wrong", ["kt3_sqrt", "exp_a"])

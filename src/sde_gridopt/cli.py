@@ -177,20 +177,30 @@ def parse_config(path: str) -> ExperimentConfig:
 def _write_csv(outdir: str, name: str, header: list[str], rows, quiet: bool) -> str:
     """Write the table, refusing (before touching the file) any NaN or inf cell.
 
-    rows is a sequence of lists or 1-D arrays, read twice: once to check it,
-    once to format and write it row by row. A string cell is written as it
-    is and a number as ``%.17g``; lines end in CRLF.
+    rows is a 2-D float array or a list of lists; lines end in CRLF.  An
+    array is checked by one ``np.isfinite`` and written row by row through
+    one ``%.17g`` row format, never as one string.  A list is checked and
+    written cell by cell: a string cell as it is, a number as ``%.17g``.
+    Both give the same bytes for the same numbers.
     """
     path = os.path.join(outdir, name)
-    bad = sum(not isinstance(v, str) and not math.isfinite(v) for row in rows for v in row)
+    table = isinstance(rows, np.ndarray)
+    if table:
+        bad = rows.size - np.count_nonzero(np.isfinite(rows))
+    else:
+        bad = sum(not isinstance(v, str) and not math.isfinite(v) for row in rows for v in row)
     if bad:
         raise ValueError(f"{path}: {bad} NaN or inf values, not written")
     os.makedirs(outdir, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for row in rows:
-            cells = row.tolist() if isinstance(row, np.ndarray) else row  # floats format faster
-            fh.write(",".join(v if isinstance(v, str) else "%.17g" % v for v in cells) + "\r\n")
+        if table:
+            fmt = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
+            for row in rows:
+                fh.write(fmt % tuple(row.tolist()))  # Python floats format faster
+        else:
+            for row in rows:
+                fh.write(",".join(v if isinstance(v, str) else "%.17g" % v for v in row) + "\r\n")
     if not quiet:
         print(f"wrote {path}")
     return path

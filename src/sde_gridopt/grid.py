@@ -33,6 +33,14 @@ def _index(v) -> int:
     return operator.index(v)
 
 
+def _no_nan(v, name: str) -> np.ndarray:
+    """v as a float array; NaN is refused, naming it, while +-inf is left to clip."""
+    v = np.asarray(v, dtype=float)
+    if np.isnan(v).any():
+        raise ValueError(f"{name} must not be NaN")
+    return v
+
+
 class TimeGrid:
     """Strictly increasing time points 0 = t_0 < ... < t_N = T."""
 
@@ -101,12 +109,12 @@ class GridDensity:
             arr.flags.writeable = False
 
     def psi_at(self, t):
-        """Density value by linear interpolation; t may be an array."""
-        return np.interp(t, self.mesh, self.values)
+        """Density value by linear interpolation; t may be an array; NaN is refused."""
+        return np.interp(_no_nan(t, "t"), self.mesh, self.values)
 
     def cum_at(self, t):
-        """Cumulative Psi(t), exact for the piecewise-linear density."""
-        t = np.asarray(t, dtype=float)
+        """Cumulative Psi(t), exact for the piecewise-linear density; NaN is refused."""
+        t = _no_nan(t, "t")
         scalar = t.ndim == 0
         tt = np.clip(np.atleast_1d(t), 0.0, self.T)
         h = self.T / MESH_PANELS
@@ -121,15 +129,17 @@ class GridDensity:
     def profile(self, u):
         """Quantile function Psi^{-1}(u), the grid generator.
 
-        u <= 0 maps to 0 and u >= 1 to T exactly; interior values are
-        solved panel-wise from the quadratic cumulative.
+        u <= 0 maps to 0 and u >= 1 to T exactly, +-inf included, and NaN is
+        refused; interior values are solved panel-wise from the quadratic
+        cumulative.
         """
-        u = np.asarray(u, dtype=float)
+        u = _no_nan(u, "u")
         scalar = u.ndim == 0
         uu = np.atleast_1d(u)
         h = self.T / MESH_PANELS
         i = np.clip(np.searchsorted(self.cumulative, uu, side="right") - 1, 0, MESH_PANELS - 1)
         d = uu - self.cumulative[i]
+        np.clip(d, 0.0, 1.0, out=d)  # +-inf to the ends; the identity for u in [0, 1]
         a = self.values[i]
         b = (self.values[i + 1] - self.values[i]) / h
         # stable positive root of a s + b s^2 / 2 = d

@@ -115,6 +115,14 @@ def _grid_table(model: LinearSdeModel, grid: TimeGrid) -> StepTable:
     return _step_table(model, grid.steps)
 
 
+def _initial_state(model: LinearSdeModel, x0) -> np.ndarray:
+    """x0 as the model's state vector; a wrong size or a NaN or inf entry is refused."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.size != model.n or not np.all(np.isfinite(x0)):
+        raise ValueError(f"x0 must be {model.n} finite values, shape ({model.n},)")
+    return x0.reshape(model.n)
+
+
 def _one_step(model: LinearSdeModel, dt: float) -> StepTable:
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive")
@@ -194,7 +202,7 @@ def sample_exact_path(
     model: LinearSdeModel, grid: TimeGrid, x0, rng: np.random.Generator
 ) -> PathSample:
     """Simulate X on the grid from its exact Gaussian transition."""
-    x0 = np.asarray(x0, dtype=float).reshape(model.n)
+    x0 = _initial_state(model, x0)
     N = grid.n_steps
     states = np.empty((N + 1, model.n))
     incs = np.empty((N, model.m))
@@ -291,7 +299,7 @@ def run_filter(
     """
     if increments.increments.shape[1] != model.m:
         raise ValueError("increment dimension does not match the model")
-    mu = np.asarray(x0, dtype=float).reshape(model.n)
+    mu = _initial_state(model, x0)
     table = _grid_table(model, increments.grid)
     sigmas, report = _sigma_path(model, table)
     exp_a, phi_b = list(table.exp_a), list(table.phi_b)

@@ -2,8 +2,9 @@
 
 The oracles and reference schemes below (long-double K_t and Sigma, the
 closed-form Sigma_k sum, Euler-Maruyama and Milstein steps, Brownian bridge
-moments and refinement, the empirical grid density) are what the tests
-compare the package against; no route of the package calls them.
+moments and refinement, the empirical grid density, the cell-by-cell CSV
+text) are what the tests compare the package against; no route of the
+package calls them.
 """
 
 import math
@@ -370,3 +371,16 @@ def empirical_density(grid: TimeGrid, window) -> float:
         raise ValueError("window must lie inside [0, T]")
     inside = np.count_nonzero((grid.points >= a) & (grid.points <= b))
     return inside / grid.n_steps
+
+
+def csv_text_oracle(header, rows) -> str:
+    """The CSV text the command line writes, built cell by cell.
+
+    Each number goes through its own ``"%.17g" % v`` and each string is
+    written as it is; lines end in CRLF.  This is the per-cell writer the
+    one-format array path replaced.
+    """
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(v if isinstance(v, str) else "%.17g" % v for v in row))
+    return "".join(line + "\r\n" for line in lines)

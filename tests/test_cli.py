@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -31,6 +32,8 @@ from sde_gridopt.cli import (
     main,
     parse_config,
 )
+
+from helpers import csv_text_oracle
 
 OU_CONFIG = """\
 [model]
@@ -204,6 +207,53 @@ class TestWriteCsv:
         table = np.array([[0.0, -0.0, 5e-324], [1e16, 1e17, 1 / 3], [3 * 5e-324, 1.5, -1e300]])
         path = cli._write_csv(str(tmp_path), "b.csv", ["t", "G_11", "F"], table, True)
         assert Path(path).read_bytes() == self.ARRAY_BYTES
+
+    def test_array_and_its_list_rows_same_bytes(self, tmp_path):
+        table = np.array([[0.0, -0.0, 5e-324], [1e16, 1e17, 1 / 3], [3 * 5e-324, 1.5, -1e300]])
+        header = ["t", "G_11", "F"]
+        a = cli._write_csv(str(tmp_path), "a.csv", header, table, True)
+        b = cli._write_csv(str(tmp_path), "b.csv", header, table.tolist(), True)
+        assert Path(a).read_bytes() == Path(b).read_bytes() == self.ARRAY_BYTES
+        assert csv_text_oracle(header, table.tolist()).encode() == self.ARRAY_BYTES
+
+    @pytest.mark.parametrize("workload", ["ou-optimal", "sys4-optimal"])
+    def test_gramian_matches_cell_by_cell_text(self, tmp_path, monkeypatch, workload):
+        # the real gramian tables: 4097 rows of 5 and of 51 columns
+        written = []
+        write = cli._write_csv
+
+        def spy(outdir, name, header, rows, quiet):
+            written.append((header, rows))
+            return write(outdir, name, header, rows, quiet)
+
+        monkeypatch.setattr(cli, "_write_csv", spy)
+        cfg = parse_config(str(REPO / "perfbench" / "workloads" / f"{workload}.cfg"))
+        cfg.outdir = str(tmp_path)
+        path = cmd_gramian(cfg, quiet=True)
+        (header, table), = written
+        assert isinstance(table, np.ndarray) and table.shape[0] == 4097
+        assert Path(path).read_bytes() == csv_text_oracle(header, table).encode()
+
+    @pytest.mark.parametrize("form", ["array", "list"])
+    def test_nonfinite_cells_counted_and_refused(self, tmp_path, form):
+        table = np.array([[0.0, np.nan, 1.0], [np.inf, 2.0, np.nan]])
+        rows = table if form == "array" else table.tolist()
+        outdir = tmp_path / "new"
+        with pytest.raises(ValueError, match="3 NaN or inf values, not written"):
+            cli._write_csv(str(outdir), "t.csv", ["a", "b", "c"], rows, True)
+        assert not outdir.exists()
+
+    def test_array_rows_streamed(self, tmp_path):
+        # the sys4 gramian's shape; the whole text would be about 4.4 MB
+        table = np.random.default_rng(0).standard_normal((4097, 51))
+        header = [f"c{j}" for j in range(51)]
+        tracemalloc.start()
+        try:
+            cli._write_csv(str(tmp_path), "big.csv", header, table, True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestGramian:

@@ -95,6 +95,21 @@ class TestGridDensity:
         assert psi.profile(-0.5) == 0.0
         assert psi.profile(1.5) == 3.0
 
+    def test_infinite_arguments_clip_to_the_ends(self):
+        # +-inf must reach the pinned ends without an invalid-value warning
+        psi = uniform_density(2.0)
+        assert psi.profile(-np.inf) == 0.0 and psi.profile(np.inf) == 2.0
+        assert psi.cum_at(-np.inf) == 0.0 and psi.cum_at(np.inf) == 1.0
+        assert psi.psi_at(-np.inf) == 0.5 and psi.psi_at(np.inf) == 0.5
+        assert np.array_equal(psi.profile([0.5, np.inf]), [1.0, 2.0])
+
+    @pytest.mark.parametrize("method", ["psi_at", "cum_at", "profile"])
+    @pytest.mark.parametrize("arg", [np.nan, [0.5, np.nan]])
+    def test_nan_argument_refused(self, method, arg):
+        psi = uniform_density(2.0)
+        with pytest.raises(ValueError, match="must not be NaN"):
+            getattr(psi, method)(arg)
+
 
 class TestDensityFromWeight:
     def test_constant_weight_is_uniform(self):

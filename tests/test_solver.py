@@ -159,6 +159,12 @@ class TestSamplePath:
         assert path.states.shape == (6, 1)
         assert path.increments.increments.shape == (5, 1)
 
+    @pytest.mark.parametrize("x0", [[math.nan], [math.inf], [0.0, 0.0]])
+    def test_bad_initial_state_refused(self, ou, x0):
+        grid = grid_from_density(uniform_density(1.0), 4)
+        with pytest.raises(ValueError, match=r"x0 must be 1 finite values, shape \(1,\)"):
+            sample_exact_path(ou, grid, x0, np.random.default_rng(0))
+
     def test_same_draws_as_joint_increments(self):
         # one step table per path, same stream layout as sample_joint_increment
         model = random_model(np.random.default_rng(8), n=3, m=2)
@@ -256,6 +262,13 @@ class TestRunFilter:
         wide = WienerIncrements(grid, np.zeros((8, 2)))
         with pytest.raises(ValueError):
             run_filter(ou, [0.0], wide)
+
+    @pytest.mark.parametrize("x0", [[math.nan], [-math.inf], [0.0, 0.0]])
+    def test_bad_initial_state_refused(self, ou, x0):
+        grid = grid_from_density(uniform_density(1.0), 8)
+        inc = WienerIncrements(grid, np.zeros((8, 1)))
+        with pytest.raises(ValueError, match=r"x0 must be 1 finite values, shape \(1,\)"):
+            run_filter(ou, x0, inc)
 
 
     @pytest.mark.parametrize("kind", ["uniform", "integral-optimal"])

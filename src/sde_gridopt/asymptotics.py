@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import MESH_PANELS, GridDensity, density_from_weight
-from .matfun import _transition, expm, mho
+from .matfun import _Tc, _right, _transition, expm, mho
 from .model import LinearSdeModel, regularity_check
 
 __all__ = [
@@ -110,7 +110,7 @@ def _weights(model: LinearSdeModel, s) -> tuple[np.ndarray, np.ndarray, np.ndarr
     e, _, _, Q = _transition(model.A.T, model.M, s)
     Um = mho(model.A, model.D).reshape(-1)
     L = e.shape[0]
-    F = (e @ model.M @ e.swapaxes(1, 2)).reshape(L, -1) @ Um
+    F = (_right(e, model.M) @ _Tc(e)).reshape(L, -1) @ Um
     S = Q.reshape(L, -1) @ Um
     return np.clip(F, 0.0, None), np.clip(S, 0.0, None), Q
 
@@ -326,7 +326,7 @@ def limit_sigma(
     v = np.linspace(0.0, tau, steps + 1)
     phit = psi.profile(v)
     E = expm(A, phit[-1] - phit)
-    terms = E @ Um @ E.swapaxes(1, 2) * _phi_prime(psi, v)[:, None, None] ** 3
+    terms = _right(E, Um) @ _Tc(E) * _phi_prime(psi, v)[:, None, None] ** 3
     S = _simpson(terms, v)
     return 0.5 * (S + S.T)
 

@@ -84,6 +84,25 @@ def _T(X: np.ndarray) -> np.ndarray:
     return X.swapaxes(-1, -2)
 
 
+def _Tc(X: np.ndarray) -> np.ndarray:
+    """Contiguous transpose of each matrix in a stack.
+
+    numpy multiplies stacks of small matrices about three times faster
+    against a contiguous operand than against a transposed view, with the
+    same bits.
+    """
+    return np.ascontiguousarray(_T(X))
+
+
+def _right(X: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """X @ F for a stack X and one matrix F, as one 2-D product.
+
+    Same bits as the broadcast product, which numpy runs matrix by matrix
+    at about five times the cost on stacks of 4x4 matrices.
+    """
+    return (X.reshape(-1, X.shape[-1]) @ F).reshape(X.shape[:-1] + F.shape[-1:])
+
+
 def _sym(X: np.ndarray) -> np.ndarray:
     return 0.5 * (X + _T(X))
 
@@ -106,7 +125,7 @@ def _double(A, D, e, f, E, K):
     I = np.eye(A.shape[0])
     g = I + f
     AEE = A @ E @ E
-    K = (g @ K @ _T(g) + K) / 8.0 + AEE @ D @ _T(AEE) / 16.0
+    K = (g @ K @ _Tc(g) + K) / 8.0 + _right(AEE, D) @ _Tc(AEE) / 16.0
     return e @ e, 2.0 * f + f @ f, E + 0.5 * f @ E, K
 
 
@@ -166,7 +185,7 @@ def _transition(A: np.ndarray, D: np.ndarray, t):
     back = np.argsort(order)
     e, E, K = e[back], E[back], _sym(K[back])
     t = t[:, None, None]
-    return e, E, K, _sym(t * E @ D @ _T(E) + K * t**3)
+    return e, E, K, _sym(_right(t * E, D) @ _Tc(E) + K * t**3)
 
 
 def expm(A: np.ndarray, t) -> np.ndarray:

@@ -16,11 +16,13 @@ minimises.  Each call builds a step table: stacked arrays with one row per
 distinct dt, filled by one call of the batched matfun kernel and one
 batched eigh, and a row index per step.  The mean recursion walks that
 index step by step; the covariance recursion is a chunked prefix scan over
-the same rows, a few batched matrix products per chunk of steps, and a
-chunk whose rows repeat the chunk before (every chunk of a uniform grid
-with a dyadic step) reuses its composed maps.  Each route takes its grid
-once (``run_filter`` from the increments) and refuses a grid that does not
-span the model's [0, T].
+the same rows: log2 of the chunk length batched sweeps compose a chunk's
+maps, and one carry, two products over the whole chunk, applies them to
+the last Sigma before it.  A chunk whose rows repeat the chunk before
+(every chunk of a uniform grid with a dyadic step) reuses its composed
+maps and costs the carry alone.  Each route takes its grid once
+(``run_filter`` from the increments) and refuses a grid that does not span
+the model's [0, T].
 
 The Monte Carlo verifiers sample the error X - mu alone, from an integer
 seed.  The drive E(dt A) B dW enters X and mu alike and cancels, and so
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import TimeGrid, _index
-from .matfun import _transition
+from .matfun import _Tc, _right, _transition
 from .model import LinearSdeModel
 
 __all__ = [
@@ -100,7 +102,7 @@ def _step_table(model: LinearSdeModel, steps) -> StepTable:
     # PSD square roots; eigenvalues clipped at zero against roundoff
     w, V = np.linalg.eigh(kt3)
     kt3_sqrt = V * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
-    return StepTable(dts, index, exp_a, phi @ model.B, kt3, kt3_sqrt)
+    return StepTable(dts, index, exp_a, _right(phi, model.B), kt3, kt3_sqrt)
 
 
 def _check_horizon(model: LinearSdeModel, grid: TimeGrid) -> None:
@@ -115,12 +117,12 @@ def _grid_table(model: LinearSdeModel, grid: TimeGrid) -> StepTable:
     return _step_table(model, grid.steps)
 
 
-def _initial_state(model: LinearSdeModel, x0) -> np.ndarray:
-    """x0 as the model's state vector; a wrong size or a NaN or inf entry is refused."""
-    x0 = np.asarray(x0, dtype=float)
-    if x0.size != model.n or not np.all(np.isfinite(x0)):
-        raise ValueError(f"x0 must be {model.n} finite values, shape ({model.n},)")
-    return x0.reshape(model.n)
+def _vector(v, size: int, name: str) -> np.ndarray:
+    """v as a vector of size floats; a wrong size or a NaN or inf entry is refused."""
+    v = np.asarray(v, dtype=float)
+    if v.size != size or not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} must be {size} finite values, shape ({size},)")
+    return v.reshape(size)
 
 
 def _one_step(model: LinearSdeModel, dt: float) -> StepTable:
@@ -202,7 +204,7 @@ def sample_exact_path(
     model: LinearSdeModel, grid: TimeGrid, x0, rng: np.random.Generator
 ) -> PathSample:
     """Simulate X on the grid from its exact Gaussian transition."""
-    x0 = _initial_state(model, x0)
+    x0 = _vector(x0, model.n, "x0")
     N = grid.n_steps
     states = np.empty((N + 1, model.n))
     incs = np.empty((N, model.m))
@@ -220,11 +222,20 @@ def sample_exact_path(
 def kalman_step(
     model: LinearSdeModel, state: KalmanState, dt: float, dW
 ) -> KalmanState:
-    """One conditional-moment update given the increment over the step."""
+    """One conditional-moment update given the increment over the step.
+
+    The state's mean and the increment are refused as ``x0`` is, and its
+    covariance unless it is a finite (n, n) matrix.
+    """
     table = _one_step(model, dt)
-    dW = np.asarray(dW, dtype=float).reshape(model.m)
-    mu = table.exp_a[0] @ state.mu + table.phi_b[0] @ dW
-    return KalmanState(state.k + 1, mu, _sigma_step(table.exp_a[0], table.kt3[0], state.sigma))
+    n = model.n
+    mu = _vector(state.mu, n, "state.mu")
+    sigma = np.asarray(state.sigma, dtype=float)
+    if sigma.shape != (n, n) or not np.all(np.isfinite(sigma)):
+        raise ValueError(f"state.sigma must be a finite ({n}, {n}) matrix")
+    dW = _vector(dW, model.m, "dW")
+    mu = table.exp_a[0] @ mu + table.phi_b[0] @ dW
+    return KalmanState(state.k + 1, mu, _sigma_step(table.exp_a[0], table.kt3[0], sigma))
 
 
 _SCAN_CHUNK = 1024  # steps per prefix scan; bounds its working memory
@@ -234,12 +245,14 @@ def _compose(E: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Prefix compositions of a chunk's step maps, in place.
 
     Hillis-Steele doubling turns row k into the composition of rows 0..k
-    in log2(len(E)) batched sweeps.
+    in log2(len(E)) batched sweeps, each against contiguous transposes
+    (``_Tc``).
     """
     d = 1
     while d < len(E):
-        Q[d:] = E[d:] @ Q[:-d] @ E[d:].mT + Q[d:]
-        E[d:] = E[d:] @ E[:-d]
+        Ed = E[d:]
+        Q[d:] += Ed @ Q[:-d] @ _Tc(Ed)
+        E[d:] = Ed @ E[:-d]
         d *= 2
     return E, Q
 
@@ -252,14 +265,18 @@ def _sigma_path(model: LinearSdeModel, table: StepTable):
     (E2 E1, E2 Q1 E2^T + Q2).  Inside a chunk of _SCAN_CHUNK steps,
     ``_compose`` turns row k into the composition of steps lo..k; the
     chunk's Sigma then follows from the carry, the last Sigma of the chunk
-    before.  A chunk whose step rows equal the previous chunk's reuses its
-    composed maps, which would come out bitwise the same.  That happens on
-    uniform grids with a dyadic step T / N, where every step has one
-    length; elsewhere the float steps take several values scattered along
-    the grid (9 at T = 1, N = 1000), chunks rarely repeat, and the test
-    costs one comparison of the chunk's row indices.  On stiff models a
-    composite E can decay below the float range; that underflow is not
-    signalled, as what flushes to zero lies far below Q's rounding.
+    before, as E Sigma E^T + Q: one 2-D product of the stacked E against
+    Sigma, one stacked product against E^T (made contiguous once per
+    composed chunk), then Q added and the result symmetrised in place into
+    the output.  A chunk whose step rows equal the previous chunk's reuses
+    its composed maps and E^T, which would come out bitwise the same, and
+    costs the carry alone.  That happens on uniform grids with a dyadic
+    step T / N, where every step has one length; elsewhere the float steps
+    take several values scattered along the grid (9 at T = 1, N = 1000),
+    chunks rarely repeat, and the test costs one comparison of the chunk's
+    row indices.  On stiff models a composite E can decay below the float
+    range; that underflow is not signalled, as what flushes to zero lies
+    far below Q's rounding.
     """
     N = table.index.size
     sigmas = np.empty((N, model.n, model.n))
@@ -270,9 +287,13 @@ def _sigma_path(model: LinearSdeModel, table: StepTable):
         with np.errstate(under="ignore"):
             if prev is None or not np.array_equal(rows, prev):
                 E, Q = _compose(table.exp_a[rows], table.kt3[rows])
-            S = E @ sigma @ E.mT + Q
-        sigmas[lo : lo + rows.size] = 0.5 * (S + S.mT)
-        sigma = sigmas[lo + rows.size - 1]
+                Et = _Tc(E)
+            S = _right(E, sigma) @ Et
+            S += Q
+        out = sigmas[lo : lo + rows.size]
+        np.add(S, S.mT, out=out)
+        out *= 0.5
+        sigma = out[-1]
     M = model.M
     terminal = float(np.sum(M * sigma))
     integral = float(np.einsum("kij,ij->k", sigmas, M) @ table.dts[table.index])
@@ -299,7 +320,7 @@ def run_filter(
     """
     if increments.increments.shape[1] != model.m:
         raise ValueError("increment dimension does not match the model")
-    mu = _initial_state(model, x0)
+    mu = _vector(x0, model.n, "x0")
     table = _grid_table(model, increments.grid)
     sigmas, report = _sigma_path(model, table)
     exp_a, phi_b = list(table.exp_a), list(table.phi_b)

@@ -313,7 +313,9 @@ class TestKtMatrix:
 class TestTransition:
     def test_batch_equals_batch_of_one(self, ou):
         # t ||A|| spans doubling counts s = 0..7, with t = 0 and negative t,
-        # in an order that interleaves rows of different s
+        # in an order that interleaves rows of different s; the kernel runs
+        # whole stacks through 2-D and stacked products, and a row's bits
+        # must not depend on its batch
         x = np.array([1.2, 0.0, 10.0, 0.05, -0.7, 0.3, 2.5, 0.15, -3.0, 0.6])
         s = np.maximum(np.frexp(np.abs(x) / KT_BRANCH_THRESHOLD)[1], 0)
         assert set(range(6)) <= set(s) and s.max() >= 7
@@ -326,7 +328,7 @@ class TestTransition:
                 one = _transition(model.A, model.D, [ti])
                 for got, ref in zip(batch, one):
                     assert got.shape == (t.size, model.n, model.n)
-                    assert rel(got[i] - ref[0], ref[0]) <= 1e-14
+                    assert np.array_equal(got[i], ref[0])
 
 
 class TestMho:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -193,6 +194,24 @@ class TestKalmanStep:
         out = kalman_step(ou, state, 1.0, np.array([0.3]))
         assert out.sigma[0, 0] == pytest.approx(0.03275595748796561, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "mu, sigma, dW, match",
+        [
+            ([math.nan], [[0.0]], [0.0], r"state.mu must be 1 finite values, shape \(1,\)"),
+            ([0.0, 0.0, 0.0], [[0.0]], [0.0], r"state.mu must be 1 finite values, shape \(1,\)"),
+            ([0.0], [[math.inf]], [0.0], r"state.sigma must be a finite \(1, 1\) matrix"),
+            ([0.0], np.zeros((2, 2)), [0.0], r"state.sigma must be a finite \(1, 1\) matrix"),
+            ([0.0], [[0.0]], [math.nan], r"dW must be 1 finite values, shape \(1,\)"),
+            ([0.0], [[0.0]], [0.0, 0.0], r"dW must be 1 finite values, shape \(1,\)"),
+        ],
+        ids=["nan-mu", "long-mu", "inf-sigma", "wide-sigma", "nan-dW", "long-dW"],
+    )
+    def test_bad_state_or_increment_refused(self, ou, mu, sigma, dW, match):
+        # the rule run_filter applies to x0 and WienerIncrements to its increments
+        state = KalmanState(-1, np.array(mu), np.array(sigma))
+        with pytest.raises(ValueError, match=match):
+            kalman_step(ou, state, 0.1, dW)
+
 
 class TestRunFilter:
     def test_sigma_independent_of_increments(self, ou):
@@ -370,6 +389,22 @@ class TestSigmaPath:
         rng = np.random.default_rng(2051)
         sigma_path(random_model(rng, n=3), random_grid(rng, 2051))
         assert len(calls) == 3
+
+    def test_scan_memory_above_output(self):
+        # the benchmark's sys4-uniform model at N = 65,536: the scan's working
+        # arrays (chunk stacks, their transposes, the step table and the
+        # integral's weights) stay within 3 MB beside the 8.4 MB output
+        workloads = Path(__file__).parents[1] / "perfbench" / "workloads"
+        model = parse_config(str(workloads / "sys4-uniform.cfg")).model
+        grid = grid_from_density(uniform_density(model.T), 65536)
+        tracemalloc.start()
+        try:
+            sigmas, _ = sigma_path(model, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sigmas.shape == (65536, 4, 4)
+        assert peak - sigmas.nbytes <= 3_000_000
 
     def test_report_matches_run_filter(self, ou):
         grid = random_grid(np.random.default_rng(4), 40)

@@ -10,8 +10,8 @@ with weights F_t = <mho, R_{T-t}> and S_t = <mho, Q_{T-t}>.  By the
 Hoelder argument both functionals are minimised by densities proportional
 to the cube root of their weight, giving the optimal values
 (int w^{1/3})^3.  The limit covariance Sigma(tau) of the rescaled
-recursion is available through two independent routes (Lyapunov ODE and
-the explicit integral), which is the main transcription safeguard here.
+recursion is computed from its explicit integral; the tests hold the
+Lyapunov ODE route as an independent oracle for it.
 
 Both functionals read one integrand rule: a density may vanish only where
 its weight is below 1e-14 of the weight's maximum, and the integrand is
@@ -53,8 +53,6 @@ __all__ = [
     "WeightCurve",
     "AsymptoticReport",
     "weight_curve",
-    "weight_F",
-    "weight_S",
     "phi_functional",
     "ups_functional",
     "functional_quadrature_bound",
@@ -125,7 +123,7 @@ def _curves(model: LinearSdeModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     The cache holds one model: a three-grid optimal-grid convergence sweep
     asks for the curves five times (each grid, then the density and the
     functional of its limit row), and an uncached 4x4 build takes some
-    35 ms.
+    35 ms.  The arrays are read-only, as every caller shares them.
     """
     key = (
         model.A.tobytes(),
@@ -139,6 +137,8 @@ def _curves(model: LinearSdeModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     mesh = np.linspace(0.0, model.T, MESH_PANELS + 1)
     F, S, Q = _weights(model, mesh)
     out = (mesh, F[::-1].copy(), S[::-1].copy(), Q)
+    for arr in out:
+        arr.flags.writeable = False
     _CURVE_CACHE.clear()  # keep one model's curves: commands ask for one at a time
     _CURVE_CACHE[key] = out
     return out
@@ -156,23 +156,6 @@ def weight_curve(model: LinearSdeModel, kind: str) -> WeightCurve:
     """Sampled weight curve of the requested kind on the standard mesh."""
     mesh, w = _weight(model, kind)
     return WeightCurve(kind=kind, mesh=mesh, values=w)
-
-
-def _weights_at(model: LinearSdeModel, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    t = float(t)
-    if not 0.0 <= t <= model.T:
-        raise ValueError("t must lie in [0, T]")
-    return _weights(model, [model.T - t])
-
-
-def weight_F(model: LinearSdeModel, t: float) -> float:
-    """Terminal weight F_t = <mho, R_{T-t}> = (1/12)||sqrt(M) e^{(T-t)A} A B||^2."""
-    return float(_weights_at(model, t)[0][0])
-
-
-def weight_S(model: LinearSdeModel, t: float) -> float:
-    """Integral weight S_t = <mho, Q_{T-t}>; equals the tail integral of F."""
-    return float(_weights_at(model, t)[1][0])
 
 
 def _check_density(model: LinearSdeModel, psi: GridDensity) -> None:
@@ -271,62 +254,31 @@ def asymptotic_report(model: LinearSdeModel, psi: GridDensity, kind: str) -> Asy
     return AsymptoticReport(kind=kind, value=value, minimum=minimum, lower_bound=bound, ratio=ratio)
 
 
-def _phi_prime(psi: GridDensity, u: np.ndarray) -> np.ndarray:
-    """Derivative of the time profile phi = Psi^{-1}: 1 / psi(phi(u))."""
-    return 1.0 / psi.psi_at(psi.profile(u))
-
-
-def limit_sigma(
-    model: LinearSdeModel, psi: GridDensity, tau: float, route: str = "ode"
-) -> np.ndarray:
+def limit_sigma(model: LinearSdeModel, psi: GridDensity, tau: float) -> np.ndarray:
     """Limit covariance Sigma(tau) of the rescaled recursion N^2 Sigma_{floor(N tau)}.
 
-    route='ode' integrates the Lyapunov ODE
-        Sigma' = phi'(v) (A Sigma + Sigma A^T) + phi'(v)^3 mho
-    with classical RK4 on 4096 steps; route='integral' evaluates
-        int_0^tau exp((phi(tau)-phi(v)) A) mho exp(...)^T phi'(v)^3 dv
-    by Simpson quadrature on 4097 nodes, whose exponentials come from one
-    batched expm call.  The two routes share nothing but phi and are
-    cross-checked in tests.  Requires a density bounded away from zero
-    (phi' finite on [0, 1]).
+    Evaluates the explicit integral
+        int_0^tau exp((phi(tau)-phi(v)) A) mho exp(...)^T phi'(v)^3 dv,
+    with phi = Psi^{-1} the time profile and phi' = 1 / psi(phi), by
+    Simpson quadrature on 4097 nodes, whose exponentials come from one
+    batched expm call.  It solves the Lyapunov ODE
+        Sigma' = phi'(v) (A Sigma + Sigma A^T) + phi'(v)^3 mho,  Sigma(0) = 0,
+    which the tests integrate by RK4 as an independent check.  Requires a
+    density bounded away from zero (phi' finite on [0, 1]).
     """
-    if route not in ("ode", "integral"):
-        raise ValueError("route must be 'ode' or 'integral'")
     _check_density(model, psi)
     tau = float(tau)
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
     if psi.values[-1] == 0.0:
         raise ValueError("limit covariance requires psi > 0 on all of [0, T]")
-    n = model.n
     if tau == 0.0:
-        return np.zeros((n, n))
-    Um = mho(model.A, model.D)
-    A = model.A
-    steps = 4096
-    if route == "ode":
-        # phi' at the 2*steps+1 half-step nodes used by RK4
-        u = np.linspace(0.0, tau, 2 * steps + 1)
-        dp = _phi_prime(psi, u)
-        hv = tau / steps
-        S = np.zeros((n, n))
-
-        def rhs(p, Sig):
-            return p * (A @ Sig + Sig @ A.T) + p**3 * Um
-
-        for i in range(steps):
-            p0, pm, p1 = dp[2 * i], dp[2 * i + 1], dp[2 * i + 2]
-            k1 = rhs(p0, S)
-            k2 = rhs(pm, S + 0.5 * hv * k1)
-            k3 = rhs(pm, S + 0.5 * hv * k2)
-            k4 = rhs(p1, S + hv * k3)
-            S = S + (hv / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            S = 0.5 * (S + S.T)
-        return S
-    v = np.linspace(0.0, tau, steps + 1)
+        return np.zeros((model.n, model.n))
+    v = np.linspace(0.0, tau, 4097)
     phit = psi.profile(v)
-    E = expm(A, phit[-1] - phit)
-    terms = _right(E, Um) @ _Tc(E) * _phi_prime(psi, v)[:, None, None] ** 3
+    E = expm(model.A, phit[-1] - phit)
+    dphi = 1.0 / psi.psi_at(phit)
+    terms = _right(E, mho(model.A, model.D)) @ _Tc(E) * dphi[:, None, None] ** 3
     S = _simpson(terms, v)
     return 0.5 * (S + S.T)
 

@@ -11,13 +11,13 @@ Configs are sectioned key-value files; values other than ``kind``,
 ``file`` and ``dir`` use Python literal syntax (parsed with
 ast.literal_eval, never eval).  Every key goes through one reader that
 refuses a value of the wrong type or range, naming the key: a float where
-an integer belongs is refused, never truncated, and an unknown key is
-refused, never ignored.  ``[grid] N`` is a one-element sweep; ``N_sweep``
-wins when both are given.  All CSV output is UTF-8 with a header row and
-CRLF line ends; a number is written as ``%.17g`` and a label as it is, so
-repeated runs are byte-identical on one platform.  Errors exit with
-status 2 after printing a single machine-parsable ``error: ...`` line on
-stderr; a table with a NaN or inf cell is such an error and is not
+an integer belongs is refused, never truncated, and an unknown key, or
+``[grid] file`` beside any kind but ``file``, is refused, never ignored.
+``[grid] N`` is a one-element sweep; ``N_sweep`` wins when both are
+given.  All CSV output is UTF-8 with a header row and CRLF line ends; a
+number is written as ``%.17g`` and a label as it is, so repeated runs are
+byte-identical on one platform.  Errors exit with status 2 after printing
+a single machine-parsable ``error: ...`` line on stderr; a table with a NaN or inf cell is such an error and is not
 written, and numpy's overflow warnings on the way to it are not printed.
 """
 
@@ -168,6 +168,8 @@ def parse_config(path: str) -> ExperimentConfig:
         if cp.has_option(section, key):
             setattr(cfg, name, _read(cp, section, key, convert))
     if cfg.grid_file is not None:
+        if cfg.grid_kind != "file":
+            raise ValueError(f"config [grid] file: read only with kind = file, not {cfg.grid_kind}")
         cfg.grid_file = os.path.join(os.path.dirname(os.path.abspath(path)), cfg.grid_file)
     elif cfg.grid_kind == "file":
         raise ValueError("config [grid] kind=file needs a file= entry")

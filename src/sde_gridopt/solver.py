@@ -49,7 +49,6 @@ __all__ = [
     "KalmanState",
     "PathSample",
     "ErrorReport",
-    "sample_joint_increment",
     "sample_exact_path",
     "kalman_step",
     "sigma_path",
@@ -105,15 +104,10 @@ def _step_table(model: LinearSdeModel, steps) -> StepTable:
     return StepTable(dts, index, exp_a, _right(phi, model.B), kt3, kt3_sqrt)
 
 
-def _check_horizon(model: LinearSdeModel, grid: TimeGrid) -> None:
-    """Refuse a grid that does not span the model's horizon [0, T]."""
-    if grid.horizon != model.T:
-        raise ValueError("grid horizon does not match the model")
-
-
 def _grid_table(model: LinearSdeModel, grid: TimeGrid) -> StepTable:
     """The step table of a grid, which must span the model's horizon [0, T]."""
-    _check_horizon(model, grid)
+    if grid.horizon != model.T:
+        raise ValueError("grid horizon does not match the model")
     return _step_table(model, grid.steps)
 
 
@@ -123,17 +117,6 @@ def _vector(v, size: int, name: str) -> np.ndarray:
     if v.size != size or not np.all(np.isfinite(v)):
         raise ValueError(f"{name} must be {size} finite values, shape ({size},)")
     return v.reshape(size)
-
-
-def _one_step(model: LinearSdeModel, dt: float) -> StepTable:
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError("dt must be positive")
-    return _step_table(model, [dt])
-
-
-def _sigma_step(exp_a: np.ndarray, kt3: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    sigma = exp_a @ sigma @ exp_a.T + kt3
-    return 0.5 * (sigma + sigma.T)
 
 
 @dataclass(frozen=True)
@@ -184,26 +167,14 @@ class ErrorReport:
     n2_integral: float
 
 
-def _draw(model: LinearSdeModel, table: StepTable, i: int, rng: np.random.Generator):
-    dW = math.sqrt(table.dts[i]) * rng.standard_normal(model.m)
-    Z = table.phi_b[i] @ dW + table.kt3_sqrt[i] @ rng.standard_normal(model.n)
-    return dW, Z
-
-
-def sample_joint_increment(
-    model: LinearSdeModel, dt: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (dW, Z) for one step: the increment and the exact state update.
-
-    Consumes m normals for dW, then n for the residual orthogonal to dW.
-    """
-    return _draw(model, _one_step(model, dt), 0, rng)
-
-
 def sample_exact_path(
     model: LinearSdeModel, grid: TimeGrid, x0, rng: np.random.Generator
 ) -> PathSample:
-    """Simulate X on the grid from its exact Gaussian transition."""
+    """Simulate X on the grid from its exact Gaussian transition.
+
+    Each step draws m normals for dW, then n for the part of the state
+    update Z orthogonal to dW.
+    """
     x0 = _vector(x0, model.n, "x0")
     N = grid.n_steps
     states = np.empty((N + 1, model.n))
@@ -212,7 +183,8 @@ def sample_exact_path(
     x = x0
     table = _grid_table(model, grid)
     for k, i in enumerate(table.index):
-        dW, Z = _draw(model, table, i, rng)
+        dW = math.sqrt(table.dts[i]) * rng.standard_normal(model.m)
+        Z = table.phi_b[i] @ dW + table.kt3_sqrt[i] @ rng.standard_normal(model.n)
         x = table.exp_a[i] @ x + Z
         states[k + 1] = x
         incs[k] = dW
@@ -227,15 +199,19 @@ def kalman_step(
     The state's mean and the increment are refused as ``x0`` is, and its
     covariance unless it is a finite (n, n) matrix.
     """
-    table = _one_step(model, dt)
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError("dt must be positive")
+    table = _step_table(model, [dt])
     n = model.n
     mu = _vector(state.mu, n, "state.mu")
     sigma = np.asarray(state.sigma, dtype=float)
     if sigma.shape != (n, n) or not np.all(np.isfinite(sigma)):
         raise ValueError(f"state.sigma must be a finite ({n}, {n}) matrix")
     dW = _vector(dW, model.m, "dW")
-    mu = table.exp_a[0] @ mu + table.phi_b[0] @ dW
-    return KalmanState(state.k + 1, mu, _sigma_step(table.exp_a[0], table.kt3[0], sigma))
+    E = table.exp_a[0]
+    mu = E @ mu + table.phi_b[0] @ dW
+    sigma = E @ sigma @ E.T + table.kt3[0]
+    return KalmanState(state.k + 1, mu, 0.5 * (sigma + sigma.T))
 
 
 _SCAN_CHUNK = 1024  # steps per prefix scan; bounds its working memory

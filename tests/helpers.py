@@ -1,19 +1,21 @@
 """Shared generators for randomised property tests, and test-only code.
 
 The oracles and reference schemes below (long-double K_t and Sigma, the
-closed-form Sigma_k sum, Euler-Maruyama and Milstein steps, Brownian bridge
-moments and refinement, the empirical grid density, the cell-by-cell CSV
-text) are what the tests compare the package against; no route of the
-package calls them.
+closed-form Sigma_k sum, the one-step joint increment, the single-point
+weights F_t and S_t, the Lyapunov ODE route to the limit covariance,
+Euler-Maruyama and Milstein steps, Brownian bridge moments and refinement,
+the empirical grid density, the cell-by-cell CSV text) are what the tests
+compare the package against; no route of the package calls them.
 """
 
 import math
 
 import numpy as np
 
-from sde_gridopt import LinearSdeModel, TimeGrid, kt_matrix, mat_exp, regularity_check
+from sde_gridopt import LinearSdeModel, TimeGrid, kt_matrix, mat_exp, mho, regularity_check
+from sde_gridopt.asymptotics import _weights
 from sde_gridopt.grid import _index
-from sde_gridopt.solver import _MC_BLOCK, _check_horizon, _stream
+from sde_gridopt.solver import _MC_BLOCK, _step_table, _stream
 
 
 def random_model(rng, n=2, m=None, T=1.0, stable_shift=0.5):
@@ -186,7 +188,8 @@ def closed_form_sigma(model: LinearSdeModel, grid: TimeGrid, k: int) -> np.ndarr
     Sigma_k = sum_{j<=k} exp(A (t_{k+1} - t_{j+1})) K_{dt_j} dt_j^3
               exp(A^T (t_{k+1} - t_{j+1})).
     """
-    _check_horizon(model, grid)
+    if grid.horizon != model.T:
+        raise ValueError("grid horizon does not match the model")
     k = _index(k)
     if not 0 <= k < grid.n_steps:
         raise ValueError("k must index a grid step")
@@ -198,6 +201,73 @@ def closed_form_sigma(model: LinearSdeModel, grid: TimeGrid, k: int) -> np.ndarr
         Ej = mat_exp(model.A, gap)
         out += Ej @ (kt_matrix(model.A, model.D, dtj) * dtj**3) @ Ej.T
     return 0.5 * (out + out.T)
+
+
+def sample_joint_increment(
+    model: LinearSdeModel, dt: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw (dW, Z) for one step: the increment and the exact state update.
+
+    Consumes m normals for dW, then n for the residual orthogonal to dW,
+    the layout sample_exact_path draws in, written out here on its own.
+    """
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError("dt must be positive")
+    table = _step_table(model, [dt])
+    dW = math.sqrt(table.dts[0]) * rng.standard_normal(model.m)
+    Z = table.phi_b[0] @ dW + table.kt3_sqrt[0] @ rng.standard_normal(model.n)
+    return dW, Z
+
+
+def _weights_at(model: LinearSdeModel, t: float):
+    t = float(t)
+    if not 0.0 <= t <= model.T:
+        raise ValueError("t must lie in [0, T]")
+    return _weights(model, [model.T - t])
+
+
+def weight_F(model: LinearSdeModel, t: float) -> float:
+    """Terminal weight F_t = <mho, R_{T-t}> = (1/12)||sqrt(M) e^{(T-t)A} A B||^2.
+
+    Reads the library's kernel route at the one time-to-go T - t.
+    """
+    return float(_weights_at(model, t)[0][0])
+
+
+def weight_S(model: LinearSdeModel, t: float) -> float:
+    """Integral weight S_t = <mho, Q_{T-t}>; equals the tail integral of F."""
+    return float(_weights_at(model, t)[1][0])
+
+
+def limit_sigma_ode(model: LinearSdeModel, psi, tau: float) -> np.ndarray:
+    """Limit covariance Sigma(tau) by its Lyapunov ODE, an oracle for limit_sigma.
+
+    Integrates Sigma' = phi'(v) (A Sigma + Sigma A^T) + phi'(v)^3 mho from
+    Sigma(0) = 0 with classical RK4 on 4096 steps, phi' = 1 / psi(phi) at
+    the half-step nodes.  It shares only the density's profile phi with
+    the quadrature route.
+    """
+    tau = float(tau)
+    steps = 4096
+    u = np.linspace(0.0, tau, 2 * steps + 1)
+    dp = 1.0 / psi.psi_at(psi.profile(u))
+    hv = tau / steps
+    A = model.A
+    Um = mho(A, model.D)
+    S = np.zeros((model.n, model.n))
+
+    def rhs(p, Sig):
+        return p * (A @ Sig + Sig @ A.T) + p**3 * Um
+
+    for i in range(steps):
+        p0, pm, p1 = dp[2 * i], dp[2 * i + 1], dp[2 * i + 2]
+        k1 = rhs(p0, S)
+        k2 = rhs(pm, S + 0.5 * hv * k1)
+        k3 = rhs(pm, S + 0.5 * hv * k2)
+        k4 = rhs(p1, S + hv * k3)
+        S = S + (hv / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        S = 0.5 * (S + S.T)
+    return S
 
 
 def euler_maruyama_step(f, g, x, dt: float, dW):

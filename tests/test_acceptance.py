@@ -42,6 +42,7 @@ from helpers import (
     closed_form_sigma,
     euler_maruyama_step,
     kt_oracle,
+    limit_sigma_ode,
     milstein_step_scalar,
     random_model,
     random_regular_model,
@@ -87,8 +88,8 @@ def test_criterion_2_optimal_grid_convergence(ou):
 
 def test_criterion_3_limit_covariance_profile(ou):
     uni = uniform_density(1.0)
-    a = limit_sigma(ou, uni, 0.5, route="ode")
-    b = limit_sigma(ou, uni, 0.5, route="integral")
+    a = limit_sigma_ode(ou, uni, 0.5)
+    b = limit_sigma(ou, uni, 0.5)
     route_gap = np.linalg.norm(a - b) / np.linalg.norm(a)
     assert route_gap <= 1e-8
 

@@ -1,3 +1,4 @@
+import inspect
 import math
 from pathlib import Path
 
@@ -24,13 +25,11 @@ from sde_gridopt import (
     phi_functional,
     uniform_density,
     ups_functional,
-    weight_F,
-    weight_S,
     weight_curve,
 )
 from sde_gridopt.cli import parse_config
 
-from helpers import random_regular_model
+from helpers import limit_sigma_ode, random_regular_model, weight_F, weight_S
 
 J = MESH_PANELS
 MESH = np.linspace(0.0, 1.0, J + 1)  # the standard mesh on [0, 1]
@@ -97,6 +96,17 @@ class TestWeightCurve:
     def test_kind_validation(self, ou):
         with pytest.raises(ValueError):
             weight_curve(ou, "therminal")
+
+    def test_cached_curves_are_read_only(self, ou):
+        # a caller that scales a returned curve must not change the cached one
+        before = min_phi_value(ou)
+        for kind in ("terminal", "integral"):
+            curve = weight_curve(ou, kind)
+            for arr in (curve.mesh, curve.values):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[:] *= 8
+        assert not any(arr.flags.writeable for arr in asymptotics._curves(ou))
+        assert min_phi_value(ou) == before
 
     def test_curve_matches_single_point_route(self, ou, reg2):
         # oracle: F from scipy's exponential, S as the quad tail integral of
@@ -375,26 +385,25 @@ class TestAsymptoticReport:
 
 class TestLimitSigma:
     def test_zero_time_is_zero(self, ou):
-        for route in ("ode", "integral"):
-            out = limit_sigma(ou, uniform_density(1.0), 0.0, route=route)
+        for route in (limit_sigma, limit_sigma_ode):
+            out = route(ou, uniform_density(1.0), 0.0)
             assert np.array_equal(out, np.zeros((1, 1)))
 
-    def test_unknown_route_refused_at_zero_time(self, ou):
-        with pytest.raises(ValueError):
-            limit_sigma(ou, uniform_density(1.0), 0.0, route="lyapunov")
+    def test_signature_takes_no_route(self):
+        assert list(inspect.signature(limit_sigma).parameters) == ["model", "psi", "tau"]
 
     def test_routes_agree(self, ou, reg2):
         cases = [(ou, 0.3), (ou, 1.0), (reg2, 0.7)]
         for model, tau in cases:
             uni = uniform_density(model.T)
-            a = limit_sigma(model, uni, tau, route="ode")
-            b = limit_sigma(model, uni, tau, route="integral")
+            a = limit_sigma_ode(model, uni, tau)
+            b = limit_sigma(model, uni, tau)
             assert np.linalg.norm(a - b) <= 1e-8 * max(np.linalg.norm(a), 1e-300)
 
     def test_routes_agree_on_skewed_density(self, ou):
         psi = density_from_weight(1.0, (2.0 + np.sin(2 * np.pi * MESH)) ** 3)
-        a = limit_sigma(ou, psi, 0.8, route="ode")
-        b = limit_sigma(ou, psi, 0.8, route="integral")
+        a = limit_sigma_ode(ou, psi, 0.8)
+        b = limit_sigma(ou, psi, 0.8)
         assert abs(a[0, 0] - b[0, 0]) <= 1e-8 * abs(a[0, 0])
 
     def test_terminal_pairing_equals_phi(self, ou, reg2):
@@ -406,7 +415,7 @@ class TestLimitSigma:
             )
 
     def test_ode_residual(self, ou):
-        # central difference of the ODE route satisfies the Lyapunov
+        # central difference of limit_sigma satisfies the Lyapunov
         # equation at tau = 0.6
         psi = uniform_density(1.0)
         h = 1e-4
@@ -423,8 +432,6 @@ class TestLimitSigma:
         uni = uniform_density(1.0)
         with pytest.raises(ValueError):
             limit_sigma(ou, uni, 1.5)
-        with pytest.raises(ValueError):
-            limit_sigma(ou, uni, 0.5, route="lyapunov")
         with pytest.raises(ValueError):
             limit_sigma(ou, uniform_density(2.0), 0.5)
         pinched = optimal_profile(ou, "integral")

@@ -115,6 +115,16 @@ class TestParseConfig:
         with pytest.raises(ValueError):
             parse_config(write_config(tmp_path, text))
 
+    @pytest.mark.parametrize("kind", ["uniform", "terminal-optimal"])
+    def test_file_entry_refused_without_file_kind(self, tmp_path, capsys, kind):
+        text = OU_CONFIG.replace("kind = uniform", f"kind = {kind}\nfile = nosuchfile.txt")
+        with pytest.raises(ValueError, match=r"^config \[grid\] file: "):
+            parse_config(write_config(tmp_path, text))
+        cfg_path = write_config(tmp_path, text)
+        assert main(["convergence", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: config [grid] file: ")
+        assert not (tmp_path / "convergence.csv").exists()
+
     def test_path_floor(self, tmp_path):
         bad = OU_CONFIG.replace("paths = 2000", "paths = 10")
         with pytest.raises(ValueError):

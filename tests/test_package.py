@@ -41,7 +41,6 @@ PUBLIC = {
     "KalmanState",
     "PathSample",
     "ErrorReport",
-    "sample_joint_increment",
     "sample_exact_path",
     "kalman_step",
     "sigma_path",
@@ -53,8 +52,6 @@ PUBLIC = {
     "AsymptoticReport",
     "OuClosedForms",
     "weight_curve",
-    "weight_F",
-    "weight_S",
     "phi_functional",
     "ups_functional",
     "functional_quadrature_bound",
@@ -69,6 +66,10 @@ PUBLIC = {
 # reference schemes and oracles that only the tests call; they live in tests/helpers.py
 TEST_ONLY = (
     "closed_form_sigma",
+    "sample_joint_increment",
+    "weight_F",
+    "weight_S",
+    "limit_sigma_ode",
     "euler_maruyama_step",
     "milstein_step_scalar",
     "bridge_moments",

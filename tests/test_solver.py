@@ -21,7 +21,6 @@ from sde_gridopt import (
     phi1,
     run_filter,
     sample_exact_path,
-    sample_joint_increment,
     sigma_path,
     solver,
     uniform_density,
@@ -45,6 +44,7 @@ from helpers import (
     random_model,
     random_regular_model,
     sample_bridge_refinement,
+    sample_joint_increment,
     sigma_errors_ld,
     simulate_errors_loop,
 )

@@ -11,8 +11,9 @@ Configs are sectioned key-value files; values other than ``kind``,
 ``file`` and ``dir`` use Python literal syntax (parsed with
 ast.literal_eval, never eval).  Every key goes through one reader that
 refuses a value of the wrong type or range, naming the key: a float where
-an integer belongs is refused, never truncated, and an unknown key, or
-``[grid] file`` beside any kind but ``file``, is refused, never ignored.
+an integer belongs is refused, never truncated, and an unknown key,
+``[grid] file`` beside any kind but ``file``, or ``N`` or ``N_sweep``
+beside ``kind = file``, is refused, never ignored.
 ``[grid] N`` is a one-element sweep; ``N_sweep`` wins when both are
 given.  All CSV output is UTF-8 with a header row and CRLF line ends; a
 number is written as ``%.17g`` and a label as it is, so repeated runs are
@@ -173,6 +174,9 @@ def parse_config(path: str) -> ExperimentConfig:
         cfg.grid_file = os.path.join(os.path.dirname(os.path.abspath(path)), cfg.grid_file)
     elif cfg.grid_kind == "file":
         raise ValueError("config [grid] kind=file needs a file= entry")
+    for key in ("N", "N_sweep"):
+        if cfg.grid_kind == "file" and cp.has_option("grid", key):
+            raise ValueError(f"config [grid] {key}: not read with kind = file")
     return cfg
 
 

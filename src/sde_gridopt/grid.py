@@ -176,8 +176,6 @@ def grid_from_density(psi: GridDensity, N: int) -> TimeGrid:
     if N < 1:
         raise ValueError("N must be at least 1")
     t = psi.profile(np.arange(N + 1) / N)
-    t[0] = 0.0
-    t[-1] = psi.T
     if not np.all(np.diff(t) > 0):
         raise ValueError("density cumulative is not invertible at this resolution")
     return TimeGrid(t)

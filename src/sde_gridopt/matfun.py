@@ -79,11 +79,6 @@ def _as_square(A, name: str) -> np.ndarray:
     return A
 
 
-def _T(X: np.ndarray) -> np.ndarray:
-    """Transpose of each matrix in a stack."""
-    return X.swapaxes(-1, -2)
-
-
 def _Tc(X: np.ndarray) -> np.ndarray:
     """Contiguous transpose of each matrix in a stack.
 
@@ -91,7 +86,7 @@ def _Tc(X: np.ndarray) -> np.ndarray:
     against a contiguous operand than against a transposed view, with the
     same bits.
     """
-    return np.ascontiguousarray(_T(X))
+    return np.ascontiguousarray(X.mT)
 
 
 def _right(X: np.ndarray, F: np.ndarray) -> np.ndarray:
@@ -104,7 +99,7 @@ def _right(X: np.ndarray, F: np.ndarray) -> np.ndarray:
 
 
 def _sym(X: np.ndarray) -> np.ndarray:
-    return 0.5 * (X + _T(X))
+    return 0.5 * (X + X.mT)
 
 
 def _check_pair(A, D, t: float = 0.0, name: str = "D") -> tuple[np.ndarray, np.ndarray]:

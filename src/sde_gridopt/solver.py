@@ -13,16 +13,19 @@ with Sigma independent of the draws.  The terminal and integral
 mean-square errors of the best increment-measurable reconstruction are
 read off Sigma alone (``sigma_path``), which is what the grid optimiser
 minimises.  Each call builds a step table: stacked arrays with one row per
-distinct dt, filled by one call of the batched matfun kernel and one
-batched eigh, and a row index per step.  The mean recursion walks that
-index step by step; the covariance recursion is a chunked prefix scan over
-the same rows: log2 of the chunk length batched sweeps compose a chunk's
-maps, and one carry, two products over the whole chunk, applies them to
-the last Sigma before it.  A chunk whose rows repeat the chunk before
-(every chunk of a uniform grid with a dyadic step) reuses its composed
-maps and costs the carry alone.  Each route takes its grid once
-(``run_filter`` from the increments) and refuses a grid that does not span
-the model's [0, T].
+distinct dt, filled by one call of the batched matfun kernel, and a row
+index per step.  The mean recursion walks that index step by step; the
+covariance recursion is a chunked prefix scan over the same rows: log2 of
+the chunk length batched sweeps compose a chunk's maps, and one carry, two
+products over the whole chunk, applies them to the last Sigma before it.
+A chunk whose rows repeat the chunk before (every chunk of a uniform grid
+with a dyadic step) reuses its composed maps and costs the carry alone.
+Each route takes its grid once (``run_filter`` from the increments) and
+refuses a grid that does not span the model's [0, T].
+
+The samplers key every draw by an integer seed (``_stream``): increments
+come from (seed, 0), a path's n residual normals per step from (seed, 1),
+and only the samplers take the square root of K_dt dt^3 (``_psd_root``).
 
 The Monte Carlo verifiers sample the error X - mu alone, from an integer
 seed.  The drive E(dt A) B dW enters X and mu alike and cancels, and so
@@ -63,9 +66,10 @@ def _stream(seed: int, index: int) -> np.random.Generator:
 
     Within a stream the Philox counter addresses each variate, so the
     triple (seed, index, position) locates every number drawn anywhere in
-    the package independently of scheduling.  The Monte Carlo verifiers
-    key one stream per path block, (seed, block), so their bytes are the
-    same on any number of cores.
+    the package independently of scheduling.  The path samplers read
+    (seed, 0) for the increments and (seed, 1) for the residual normals;
+    the Monte Carlo verifiers key one stream per path block, (seed, block),
+    so their bytes are the same on any number of cores.
     """
     seed = int(seed)
     index = int(index)
@@ -87,7 +91,6 @@ class StepTable:
     exp_a: np.ndarray  # (L, n, n)
     phi_b: np.ndarray  # (L, n, m), E(dt A) B
     kt3: np.ndarray  # (L, n, n), K_dt dt^3
-    kt3_sqrt: np.ndarray  # (L, n, n), PSD square roots: kt3_sqrt @ kt3_sqrt.T = kt3
 
 
 def _step_table(model: LinearSdeModel, steps) -> StepTable:
@@ -97,11 +100,13 @@ def _step_table(model: LinearSdeModel, steps) -> StepTable:
     """
     dts, index = np.unique(steps, return_inverse=True)
     exp_a, phi, kt, _ = _transition(model.A, model.D, dts)
-    kt3 = kt * (dts**3)[:, None, None]
-    # PSD square roots; eigenvalues clipped at zero against roundoff
+    return StepTable(dts, index, exp_a, _right(phi, model.B), kt * (dts**3)[:, None, None])
+
+
+def _psd_root(kt3: np.ndarray) -> np.ndarray:
+    """PSD square roots R @ R.T = kt3; eigenvalues clipped at zero against roundoff."""
     w, V = np.linalg.eigh(kt3)
-    kt3_sqrt = V * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
-    return StepTable(dts, index, exp_a, _right(phi, model.B), kt3, kt3_sqrt)
+    return V * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
 
 
 def _grid_table(model: LinearSdeModel, grid: TimeGrid) -> StepTable:
@@ -135,9 +140,10 @@ class WienerIncrements:
         object.__setattr__(self, "increments", inc)
 
     @classmethod
-    def sample(cls, grid: TimeGrid, m: int, rng: np.random.Generator) -> "WienerIncrements":
-        dW = np.sqrt(grid.steps)[:, None] * rng.standard_normal((grid.n_steps, _index(m)))
-        return cls(grid, dW)
+    def sample(cls, grid: TimeGrid, m: int, seed: int) -> "WienerIncrements":
+        """N x m increments from the integer seed's stream (seed, 0), row k for step k."""
+        xi = _stream(_index(seed), 0).standard_normal((grid.n_steps, _index(m)))
+        return cls(grid, np.sqrt(grid.steps)[:, None] * xi)
 
 
 @dataclass(frozen=True)
@@ -167,28 +173,24 @@ class ErrorReport:
     n2_integral: float
 
 
-def sample_exact_path(
-    model: LinearSdeModel, grid: TimeGrid, x0, rng: np.random.Generator
-) -> PathSample:
+def sample_exact_path(model: LinearSdeModel, grid: TimeGrid, x0, seed: int) -> PathSample:
     """Simulate X on the grid from its exact Gaussian transition.
 
-    Each step draws m normals for dW, then n for the part of the state
-    update Z orthogonal to dW.
+    The increments are ``WienerIncrements.sample(grid, m, seed)``; the part
+    of each state update orthogonal to dW takes n normals per step from the
+    stream (seed, 1), drawn as one (N, n) array, row k for step k.
     """
     x0 = _vector(x0, model.n, "x0")
-    N = grid.n_steps
-    states = np.empty((N + 1, model.n))
-    incs = np.empty((N, model.m))
-    states[0] = x0
-    x = x0
+    incs = WienerIncrements.sample(grid, model.m, seed)
     table = _grid_table(model, grid)
+    xi = _stream(seed, 1).standard_normal((grid.n_steps, model.n))
+    root = _psd_root(table.kt3)
+    states = np.empty((grid.n_steps + 1, model.n))
+    states[0] = x = x0
     for k, i in enumerate(table.index):
-        dW = math.sqrt(table.dts[i]) * rng.standard_normal(model.m)
-        Z = table.phi_b[i] @ dW + table.kt3_sqrt[i] @ rng.standard_normal(model.n)
-        x = table.exp_a[i] @ x + Z
+        x = table.exp_a[i] @ x + (table.phi_b[i] @ incs.increments[k] + root[i] @ xi[k])
         states[k + 1] = x
-        incs[k] = dW
-    return PathSample(states=states, increments=WienerIncrements(grid, incs))
+    return PathSample(states=states, increments=incs)
 
 
 def kalman_step(
@@ -315,7 +317,7 @@ def _simulate_errors(
 ) -> np.ndarray:
     """Per-path squared errors, the error sampled from its exact law.
 
-    err = X - mu starts at 0 and follows err' = exp_a err + kt3_sqrt xi (see
+    err = X - mu starts at 0 and follows err' = exp_a err + root(kt3) xi (see
     the module docstring), n normals xi per path-step.  Paths run in blocks
     of _MC_BLOCK (the last may be shorter) as (n, block) columns; block b
     draws one (n, block) array per step from the stream (seed, b) and fills
@@ -325,7 +327,7 @@ def _simulate_errors(
     ||err_N||_M^2 per path, or with ``integral`` sum_k ||err_{k+1}||_M^2 dt_k.
     """
     out = np.empty(paths)
-    exp_a, kt3_sqrt = list(table.exp_a), list(table.kt3_sqrt)
+    exp_a, roots = list(table.exp_a), list(_psd_root(table.kt3))
     dts = table.dts.tolist()
     index = table.index.tolist()
     M = model.M
@@ -340,7 +342,7 @@ def _simulate_errors(
         with np.errstate(**errstate):
             for i in index:
                 err = exp_a[i] @ err
-                err += kt3_sqrt[i] @ g.standard_normal(err.shape)
+                err += roots[i] @ g.standard_normal(err.shape)
                 if integral:
                     acc += np.einsum("ij,ij->j", M @ err, err) * dts[i]
             out[lo:hi] = acc if integral else np.einsum("ij,ij->j", M @ err, err)

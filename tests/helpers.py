@@ -1,11 +1,11 @@
 """Shared generators for randomised property tests, and test-only code.
 
 The oracles and reference schemes below (long-double K_t and Sigma, the
-closed-form Sigma_k sum, the one-step joint increment, the single-point
-weights F_t and S_t, the Lyapunov ODE route to the limit covariance,
-Euler-Maruyama and Milstein steps, Brownian bridge moments and refinement,
-the empirical grid density, the cell-by-cell CSV text) are what the tests
-compare the package against; no route of the package calls them.
+closed-form Sigma_k sum, the PSD root, the one-step joint increment, the
+single-point weights F_t and S_t, the Lyapunov ODE route to the limit
+covariance, Euler-Maruyama and Milstein steps, Brownian bridge moments and
+refinement, the empirical grid density, the cell-by-cell CSV text) are what
+the tests compare the package against; no route of the package calls them.
 """
 
 import math
@@ -159,14 +159,25 @@ def sigma_errors_ld(model, table):
     return float(np.sum(M * S)), float(integral)
 
 
+def psd_root(S):
+    """The PSD square root R of one symmetric matrix, R @ R.T = S, by its eigenpairs.
+
+    Eigenvalues below zero, which only roundoff makes, are clipped to zero.
+    """
+    w, V = np.linalg.eigh(S)
+    return V * np.sqrt(np.clip(w, 0.0, None))
+
+
 def simulate_errors_loop(model, table, paths, seed, integral):
     """Per-path squared errors by a plain loop over paths, a test oracle.
 
     Reads the draws the Monte Carlo kernel reads: block b of _MC_BLOCK
     paths takes one (n, block) array per step from the stream (seed, b),
-    column j for path j.  Each path then runs err' = exp_a err + kt3_sqrt xi
-    from err = 0 on its own, one matrix-vector product at a time.
+    column j for path j.  Each path then runs err' = exp_a err + R xi from
+    err = 0 on its own, one matrix-vector product at a time, with R the
+    ``psd_root`` of kt3.
     """
+    roots = [psd_root(kt3) for kt3 in table.kt3]
     out = np.empty(paths)
     for lo in range(0, paths, _MC_BLOCK):
         g = _stream(seed, lo // _MC_BLOCK)
@@ -176,7 +187,7 @@ def simulate_errors_loop(model, table, paths, seed, integral):
             err = np.zeros(model.n)
             acc = 0.0
             for k, i in enumerate(table.index):
-                err = table.exp_a[i] @ err + table.kt3_sqrt[i] @ xi[k][:, j]
+                err = table.exp_a[i] @ err + roots[i] @ xi[k][:, j]
                 acc += float(err @ model.M @ err) * table.dts[i]
             out[lo + j] = acc if integral else float(err @ model.M @ err)
     return out
@@ -209,13 +220,13 @@ def sample_joint_increment(
     """Draw (dW, Z) for one step: the increment and the exact state update.
 
     Consumes m normals for dW, then n for the residual orthogonal to dW,
-    the layout sample_exact_path draws in, written out here on its own.
+    whose covariance K_dt dt^3 enters through its ``psd_root``.
     """
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive")
     table = _step_table(model, [dt])
     dW = math.sqrt(table.dts[0]) * rng.standard_normal(model.m)
-    Z = table.phi_b[0] @ dW + table.kt3_sqrt[0] @ rng.standard_normal(model.n)
+    Z = table.phi_b[0] @ dW + psd_root(table.kt3[0]) @ rng.standard_normal(model.n)
     return dW, Z
 
 

@@ -246,13 +246,14 @@ def test_criterion_7_scheme_baselines(ou):
     grid = grid_from_density(uniform_density(1.0), N)
     dt = float(grid.steps[0])
     table = _step_table(ou, [dt])
+    root = math.sqrt(table.kt3[0, 0, 0])  # the scalar K_dt dt^3 is its own eigenvalue
     g = _stream(271828, 0)
     X = np.zeros(paths)
     xe = np.zeros(paths)
     for k in range(N):
         dW = math.sqrt(dt) * g.standard_normal(paths)
         xi = g.standard_normal(paths)
-        X = table.exp_a[0, 0, 0] * X + table.phi_b[0, 0, 0] * dW + table.kt3_sqrt[0, 0, 0] * xi
+        X = table.exp_a[0, 0, 0] * X + table.phi_b[0, 0, 0] * dW + root * xi
         xe = euler_maruyama_step(lambda x: -x, lambda x: 1.0, xe, dt, dW)
     err2 = (X - xe) ** 2
     se = err2.std(ddof=1) / math.sqrt(paths)

@@ -59,6 +59,9 @@ M = [[1.0, 0.0], [0.0, 1.0]]
 T = 1.0
 """
 
+# a grid file fixes N, so its configs carry no N_sweep
+FILE_CONFIG = OU_CONFIG.replace("kind = uniform\nN_sweep = [16, 32, 64]", "kind = file")
+
 # exp(800) overflows, so every table built on this model holds inf or NaN
 UNSTABLE_CONFIG = OU_CONFIG.replace("[[-1.0]]", "[[400.0]]").replace("T = 1.0", "T = 2.0")
 
@@ -106,14 +109,28 @@ class TestParseConfig:
             parse_config(write_config(tmp_path, bad))
 
     def test_grid_file_resolved_relative_to_config(self, tmp_path):
-        text = OU_CONFIG.replace("kind = uniform", "kind = file\nfile = pts.txt")
+        text = FILE_CONFIG.replace("kind = file", "kind = file\nfile = pts.txt")
         cfg = parse_config(write_config(tmp_path, text))
         assert cfg.grid_file == str(tmp_path / "pts.txt")
 
     def test_file_kind_needs_file_entry(self, tmp_path):
-        text = OU_CONFIG.replace("kind = uniform", "kind = file")
         with pytest.raises(ValueError):
+            parse_config(write_config(tmp_path, FILE_CONFIG))
+
+    @pytest.mark.parametrize(
+        "key, value", [("N", "8"), ("N_sweep", "[16, 32]")], ids=["N", "N_sweep"]
+    )
+    def test_grid_size_refused_with_file_kind(self, tmp_path, capsys, key, value):
+        # a grid file fixes N, so a size beside it would be silently unread
+        grid = grid_from_density(uniform_density(1.0), 2)
+        np.savetxt(tmp_path / "pts.txt", grid.points, fmt="%.17g")
+        text = FILE_CONFIG.replace("kind = file", f"kind = file\nfile = pts.txt\n{key} = {value}")
+        with pytest.raises(ValueError, match=rf"^config \[grid\] {key}: "):
             parse_config(write_config(tmp_path, text))
+        cfg_path = write_config(tmp_path, text)
+        assert main(["convergence", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config [grid] {key}: ")
+        assert not (tmp_path / "convergence.csv").exists()
 
     @pytest.mark.parametrize("kind", ["uniform", "terminal-optimal"])
     def test_file_entry_refused_without_file_kind(self, tmp_path, capsys, kind):
@@ -401,7 +418,7 @@ class TestConvergence:
     def test_grid_file_kind(self, tmp_path):
         grid = grid_from_density(uniform_density(1.0), 10)
         np.savetxt(tmp_path / "pts.txt", grid.points, fmt="%.17g")
-        text = OU_CONFIG.replace("kind = uniform", "kind = file\nfile = pts.txt")
+        text = FILE_CONFIG.replace("kind = file", "kind = file\nfile = pts.txt")
         cfg = parse_config(write_config(tmp_path, text))
         cfg.outdir = str(tmp_path / "out")
         _, rows = read_csv(cmd_convergence(cfg, quiet=True))
@@ -414,7 +431,7 @@ class TestConvergence:
 
     def test_grid_file_horizon_mismatch(self, tmp_path):
         np.savetxt(tmp_path / "pts.txt", np.linspace(0.0, 2.0, 11))
-        text = OU_CONFIG.replace("kind = uniform", "kind = file\nfile = pts.txt")
+        text = FILE_CONFIG.replace("kind = file", "kind = file\nfile = pts.txt")
         rc = main(["convergence", "--config", write_config(tmp_path, text), "--quiet"])
         assert rc == 2
 

@@ -67,6 +67,7 @@ PUBLIC = {
 TEST_ONLY = (
     "closed_form_sigma",
     "sample_joint_increment",
+    "psd_root",
     "weight_F",
     "weight_S",
     "limit_sigma_ode",

@@ -40,6 +40,7 @@ from helpers import (
     closed_form_sigma,
     euler_maruyama_step,
     milstein_step_scalar,
+    psd_root,
     random_grid,
     random_model,
     random_regular_model,
@@ -82,7 +83,7 @@ class TestJointIncrement:
         n_draws = 40_000
         dW = math.sqrt(dt) * g.standard_normal((n_draws, 1))
         xi = g.standard_normal((n_draws, 1))
-        Z = dW @ table.phi_b[0].T + xi @ table.kt3_sqrt[0].T
+        Z = dW @ table.phi_b[0].T + xi @ psd_root(table.kt3[0]).T
 
         G = ctrl_gramian(ou.A, ou.D, dt)[0, 0]
         se = math.sqrt(2.0 / n_draws)
@@ -101,7 +102,7 @@ class TestJointIncrement:
             g = _stream(55, seed)
             n_draws = 30_000
             xi = g.standard_normal((n_draws, 1))
-            residual = xi @ table.kt3_sqrt[0].T
+            residual = xi @ psd_root(table.kt3[0]).T
             k3 = kt_matrix(ou.A, ou.D, dt)[0, 0] * dt**3
             se = k3 * math.sqrt(2.0 / n_draws)
             assert abs(residual.var() - k3) <= 3 * se
@@ -117,7 +118,7 @@ class TestJointIncrement:
         u = rng2.standard_normal(1)
         v = rng2.standard_normal(1)
         assert np.array_equal(dW, math.sqrt(0.5) * u)
-        assert np.array_equal(Z, table.phi_b[0] @ dW + table.kt3_sqrt[0] @ v)
+        assert np.array_equal(Z, table.phi_b[0] @ dW + psd_root(table.kt3[0]) @ v)
 
     def test_invalid_dt(self, ou):
         with pytest.raises(ValueError):
@@ -132,7 +133,7 @@ class TestSamplePath:
     def test_deterministic_flow_without_noise(self):
         model = LinearSdeModel(A=[[-0.7]], B=[[0.0]], M=[[1.0]], T=1.0)
         grid = grid_from_density(uniform_density(1.0), 8)
-        path = sample_exact_path(model, grid, [2.0], np.random.default_rng(1))
+        path = sample_exact_path(model, grid, [2.0], 1)
         for k, t in enumerate(grid.points):
             assert path.states[k, 0] == pytest.approx(2.0 * math.exp(-0.7 * t), rel=1e-12)
         assert np.all(path.increments.increments != 0)
@@ -141,22 +142,19 @@ class TestSamplePath:
         # with x0 = 0 the state recursion is exactly cumsum's running sum
         model = LinearSdeModel(A=[[0.0]], B=[[1.0]], M=[[1.0]], T=1.0)
         grid = grid_from_density(uniform_density(1.0), 16)
-        path = sample_exact_path(model, grid, [0.0], np.random.default_rng(7))
+        path = sample_exact_path(model, grid, [0.0], 7)
         walk = np.cumsum(path.increments.increments[:, 0])
         assert np.array_equal(path.states[1:, 0], walk)
 
     def test_terminal_variance_ou(self, ou):
         grid = TimeGrid([0.0, 0.5, 1.0])
-        rng = np.random.default_rng(10)
-        draws = np.array(
-            [sample_exact_path(ou, grid, [0.0], rng).states[-1, 0] for _ in range(4000)]
-        )
+        draws = np.array([sample_exact_path(ou, grid, [0.0], j).states[-1, 0] for j in range(4000)])
         G = ctrl_gramian(ou.A, ou.D, 1.0)[0, 0]
         assert abs(draws.var() - G) <= 3 * G * math.sqrt(2.0 / draws.size)
 
     def test_shapes(self, ou):
         grid = grid_from_density(uniform_density(1.0), 5)
-        path = sample_exact_path(ou, grid, [0.0], np.random.default_rng(2))
+        path = sample_exact_path(ou, grid, [0.0], 2)
         assert path.states.shape == (6, 1)
         assert path.increments.increments.shape == (5, 1)
 
@@ -164,19 +162,25 @@ class TestSamplePath:
     def test_bad_initial_state_refused(self, ou, x0):
         grid = grid_from_density(uniform_density(1.0), 4)
         with pytest.raises(ValueError, match=r"x0 must be 1 finite values, shape \(1,\)"):
-            sample_exact_path(ou, grid, x0, np.random.default_rng(0))
+            sample_exact_path(ou, grid, x0, 0)
 
     def test_same_draws_as_joint_increments(self):
-        # one step table per path, same stream layout as sample_joint_increment
+        # pins the stream layout: step k reads row k of an (N, m) array from
+        # (seed, 0) for dW and of an (N, n) array from (seed, 1) for the
+        # residual, which takes a root computed here, one step table per step
         model = random_model(np.random.default_rng(8), n=3, m=2)
         grid = random_grid(np.random.default_rng(9), 12)
-        path = sample_exact_path(model, grid, np.ones(3), np.random.default_rng(5))
-        rng = np.random.default_rng(5)
+        path = sample_exact_path(model, grid, np.ones(3), 5)
+        dW = np.sqrt(grid.steps)[:, None] * _stream(5, 0).standard_normal((12, 2))
+        xi = _stream(5, 1).standard_normal((12, 3))
+        assert np.array_equal(path.increments.increments, dW)
+        # the increments the filter gets from WienerIncrements.sample on that seed
+        assert np.array_equal(dW, WienerIncrements.sample(grid, model.m, 5).increments)
         x = np.ones(3)
         for k, dt in enumerate(grid.steps):
-            dW, Z = sample_joint_increment(model, float(dt), rng)
-            x = _step_table(model, [dt]).exp_a[0] @ x + Z
-            assert np.array_equal(path.increments.increments[k], dW)
+            table = _step_table(model, [dt])
+            Z = table.phi_b[0] @ dW[k] + psd_root(table.kt3[0]) @ xi[k]
+            x = table.exp_a[0] @ x + Z
             assert np.array_equal(path.states[k + 1], x)
 
 
@@ -216,8 +220,8 @@ class TestKalmanStep:
 class TestRunFilter:
     def test_sigma_independent_of_increments(self, ou):
         grid = grid_from_density(uniform_density(1.0), 32)
-        inc1 = WienerIncrements.sample(grid, 1, np.random.default_rng(1))
-        inc2 = WienerIncrements.sample(grid, 1, np.random.default_rng(2))
+        inc1 = WienerIncrements.sample(grid, 1, 1)
+        inc2 = WienerIncrements.sample(grid, 1, 2)
         traj1, rep1 = run_filter(ou, [0.0], inc1)
         traj2, rep2 = run_filter(ou, [0.0], inc2)
         for s1, s2 in zip(traj1, traj2):
@@ -226,9 +230,8 @@ class TestRunFilter:
 
     def test_mean_linear_in_increments(self, ou):
         grid = grid_from_density(uniform_density(1.0), 16)
-        rng = np.random.default_rng(3)
-        a = WienerIncrements.sample(grid, 1, rng)
-        b = WienerIncrements.sample(grid, 1, rng)
+        a = WienerIncrements.sample(grid, 1, 3)
+        b = WienerIncrements.sample(grid, 1, 4)
         both = WienerIncrements(grid, a.increments + b.increments)
         mu_a = run_filter(ou, [0.0], a)[0][-1].mu
         mu_b = run_filter(ou, [0.0], b)[0][-1].mu
@@ -238,7 +241,7 @@ class TestRunFilter:
     def test_zero_drift_zero_error(self):
         model = LinearSdeModel(A=np.zeros((2, 2)), B=np.eye(2), M=np.eye(2), T=1.0)
         grid = grid_from_density(uniform_density(1.0), 8)
-        inc = WienerIncrements.sample(grid, 2, np.random.default_rng(0))
+        inc = WienerIncrements.sample(grid, 2, 0)
         _, rep = run_filter(model, np.zeros(2), inc)
         assert rep.terminal == 0.0 and rep.integral == 0.0
 
@@ -260,7 +263,7 @@ class TestRunFilter:
         for n in (1, 3):
             model = random_model(rng, n=n)
             grid = random_grid(rng, 24)
-            inc = WienerIncrements.sample(grid, model.m, rng)
+            inc = WienerIncrements.sample(grid, model.m, n)
             traj, _ = run_filter(model, np.zeros(n), inc)
             sigmas, _ = sigma_path(model, grid)
             assert sigmas.shape == (24, n, n)
@@ -301,7 +304,7 @@ class TestRunFilter:
         else:
             psi = optimal_profile(model, "integral")
         grid = grid_from_density(psi, 48)
-        inc = WienerIncrements.sample(grid, model.m, rng)
+        inc = WienerIncrements.sample(grid, model.m, 31)
         x0 = np.array([0.3, -1.2])
         traj, _ = run_filter(model, x0, inc)
         state = KalmanState(-1, x0, np.zeros((2, 2)))
@@ -408,7 +411,7 @@ class TestSigmaPath:
 
     def test_report_matches_run_filter(self, ou):
         grid = random_grid(np.random.default_rng(4), 40)
-        inc = WienerIncrements.sample(grid, 1, np.random.default_rng(6))
+        inc = WienerIncrements.sample(grid, 1, 6)
         traj, rep = run_filter(ou, [1.0], inc)
         sigmas, rep2 = sigma_path(ou, grid)
         assert rep2 == rep
@@ -428,7 +431,7 @@ class TestSigmaPath:
         assert calls == [[0.1, 0.2, 0.3]]  # one kernel call over the distinct dt
         assert list(table.dts) == [0.1, 0.2, 0.3]
         assert list(table.dts[table.index]) == list(steps)
-        assert table.exp_a.shape == table.kt3.shape == table.kt3_sqrt.shape == (3, 1, 1)
+        assert table.exp_a.shape == table.phi_b.shape == table.kt3.shape == (3, 1, 1)
         calls.clear()
         grid = TimeGrid(np.arange(9) / 8.0)  # dyadic: every step is exactly 1/8
         sigma_path(ou, grid)
@@ -464,9 +467,18 @@ OU = LinearSdeModel(A=[[-1.0]], B=[[1.0]], M=[[1.0]], T=1.0)
         lambda n: grid_from_density(uniform_density(1.0), n),
         lambda n: closed_form_sigma(OU, GRID4, n),
         lambda n: sample_bridge_refinement(0.0, 1.0, [0.3], n, np.random.default_rng(0)),
-        lambda n: WienerIncrements.sample(GRID4, n, np.random.default_rng(0)),
+        lambda n: WienerIncrements.sample(GRID4, n, 0),
+        lambda n: WienerIncrements.sample(GRID4, 1, n),
+        lambda n: sample_exact_path(OU, GRID4, [0.0], n),
     ],
-    ids=["grid_from_density-N", "closed_form_sigma-k", "bridge_refinement-r", "increments-m"],
+    ids=[
+        "grid_from_density-N",
+        "closed_form_sigma-k",
+        "bridge_refinement-r",
+        "increments-m",
+        "increments-seed",
+        "sample_exact_path-seed",
+    ],
 )
 def test_integer_argument_refuses_float(call):
     call(np.int64(2))
@@ -480,7 +492,9 @@ def test_integer_argument_refuses_float(call):
         lambda n: grid_from_density(uniform_density(1.0), n),
         lambda n: closed_form_sigma(OU, GRID4, n),
         lambda n: sample_bridge_refinement(0.0, 1.0, [0.3], n, np.random.default_rng(0)),
-        lambda n: WienerIncrements.sample(GRID4, n, np.random.default_rng(0)),
+        lambda n: WienerIncrements.sample(GRID4, n, 0),
+        lambda n: WienerIncrements.sample(GRID4, 1, n),
+        lambda n: sample_exact_path(OU, GRID4, [0.0], n),
         lambda n: mc_verify_mse(OU, GRID4, n, 5),
         lambda n: mc_verify_mse(OU, GRID4, 100, n),
     ],
@@ -489,6 +503,8 @@ def test_integer_argument_refuses_float(call):
         "closed_form_sigma-k",
         "bridge_refinement-r",
         "increments-m",
+        "increments-seed",
+        "sample_exact_path-seed",
         "mc_verify-paths",
         "mc_verify-seed",
     ],
@@ -503,8 +519,8 @@ def test_integer_argument_refuses_bool(call, flag):
     "call",
     [
         lambda g: sigma_path(OU, g),
-        lambda g: run_filter(OU, [0.0], WienerIncrements.sample(g, 1, np.random.default_rng(0))),
-        lambda g: sample_exact_path(OU, g, [0.0], np.random.default_rng(0)),
+        lambda g: run_filter(OU, [0.0], WienerIncrements.sample(g, 1, 0)),
+        lambda g: sample_exact_path(OU, g, [0.0], 0),
         lambda g: mc_verify_mse(OU, g, 100, 5),
         lambda g: mc_verify_integral(OU, g, 100, 5),
         lambda g: closed_form_sigma(OU, g, 3),
@@ -523,6 +539,25 @@ def test_grid_must_span_model_horizon(call):
     for T in (5.0, 0.5):
         with pytest.raises(ValueError, match="grid horizon does not match the model"):
             call(TimeGrid(np.linspace(0.0, T, 11)))
+
+
+def test_only_the_samplers_take_roots(monkeypatch):
+    # the recursions read K_dt dt^3 itself; only the samplers call eigh for its root
+    def no_eigh(*args, **kwargs):
+        raise RuntimeError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    model = random_model(np.random.default_rng(3), n=3, m=2)
+    grid = random_grid(np.random.default_rng(4), 20)
+    sigma_path(model, grid)
+    run_filter(model, np.zeros(3), WienerIncrements.sample(grid, 2, 1))
+    kalman_step(model, KalmanState(-1, np.zeros(3), np.zeros((3, 3))), 0.1, np.zeros(2))
+    for sampler in (
+        lambda: sample_exact_path(model, grid, np.zeros(3), 1),
+        lambda: mc_verify_mse(model, grid, 100, 1),
+    ):
+        with pytest.raises(RuntimeError, match="eigh called"):
+            sampler()
 
 
 class TestReferenceSchemes:
@@ -659,7 +694,7 @@ class TestBridgeRefinement:
         # splitting every step must shrink the optimal reconstruction error
         coarse = grid_from_density(uniform_density(1.0), 8)
         rng = np.random.default_rng(77)
-        inc = WienerIncrements.sample(coarse, 1, rng)
+        inc = WienerIncrements.sample(coarse, 1, 77)
         r = 4
         fine_pts = [0.0]
         fine_inc = []
@@ -714,10 +749,15 @@ class TestMcVerify:
                 verify(ou, grid, [0.0], 200, 1)
 
     def test_generator_seed_refused(self, ou):
-        # the seed is an integer only; a Generator is not drawn from
+        # every seed in the package is an integer only; a Generator is not drawn from
         grid = grid_from_density(uniform_density(1.0), 4)
-        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
-            mc_verify_mse(ou, grid, paths=200, seed=np.random.default_rng(5))
+        for call in (
+            lambda g: mc_verify_mse(ou, grid, paths=200, seed=g),
+            lambda g: WienerIncrements.sample(grid, 1, g),
+            lambda g: sample_exact_path(ou, grid, [0.0], g),
+        ):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                call(np.random.default_rng(5))
 
     def test_paths_not_truncated(self, ou):
         grid = grid_from_density(uniform_density(1.0), 4)
@@ -792,7 +832,8 @@ class TestSimulateErrors:
         model = parse_config(str(workloads / "sys4-uniform.cfg")).model
         table = _step_table(model, grid_from_density(uniform_density(model.T), 64).steps)
         if wrong == "kt3_sqrt":
-            bad = dataclasses.replace(table, kt3_sqrt=1.05 * table.kt3_sqrt, kt3=1.05**2 * table.kt3)
+            # the sampled root follows kt3, so both sides see the same 5% wider noise
+            bad = dataclasses.replace(table, kt3=1.05**2 * table.kt3)
         else:
             bad = dataclasses.replace(table, exp_a=1.01 * table.exp_a)
         paths = 20_000

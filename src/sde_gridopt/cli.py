@@ -45,7 +45,7 @@ from .asymptotics import (
 from .grid import GridDensity, TimeGrid, grid_from_density, uniform_density
 from .matfun import _transition
 from .model import LinearSdeModel, ModelValidationError
-from .solver import mc_verify_mse, sigma_path
+from .solver import error_report, mc_verify_mse
 
 __all__ = [
     "ExperimentConfig",
@@ -250,7 +250,7 @@ def cmd_gramian(cfg: ExperimentConfig, quiet: bool = False) -> str:
 
 def _convergence_row(cfg: ExperimentConfig, N: int) -> list:
     grid = _grid_for(cfg, N)
-    _, rep = sigma_path(cfg.model, grid)
+    rep = error_report(cfg.model, grid)
     return [grid.n_steps, rep.terminal, rep.integral, rep.n2_terminal, rep.n2_integral]
 
 

@@ -45,7 +45,7 @@ class TimeGrid:
     """Strictly increasing time points 0 = t_0 < ... < t_N = T."""
 
     def __init__(self, points):
-        points = np.asarray(points, dtype=float)
+        points = np.array(points, dtype=float, copy=True)  # the caller's array stays theirs
         if points.ndim != 1 or points.size < 2:
             raise ValueError("a grid needs at least two points")
         if not np.all(np.isfinite(points)):
@@ -137,15 +137,25 @@ class GridDensity:
         scalar = u.ndim == 0
         uu = np.atleast_1d(u)
         h = self.T / MESH_PANELS
-        i = np.clip(np.searchsorted(self.cumulative, uu, side="right") - 1, 0, MESH_PANELS - 1)
+        i = np.searchsorted(self.cumulative, uu, side="right")
+        i -= 1
+        np.clip(i, 0, MESH_PANELS - 1, out=i)
         d = uu - self.cumulative[i]
         np.clip(d, 0.0, 1.0, out=d)  # +-inf to the ends; the identity for u in [0, 1]
-        a = self.values[i]
-        b = (self.values[i + 1] - self.values[i]) / h
-        # stable positive root of a s + b s^2 / 2 = d
-        disc = np.sqrt(np.maximum(a * a + 2.0 * b * d, 0.0))
-        s = 2.0 * d / (a + disc)
-        out = self.mesh[i] + s
+        # stable positive root s = 2 d / (a + sqrt(a^2 + 2 b d)) of a s + b s^2 / 2 = d,
+        # with psi = a + b s on panel i; computed in place from per-panel
+        # terms gathered by i, so at most four (N,) arrays live beside u
+        v = self.values
+        disc = (2.0 * (np.diff(v) / h))[i]  # 2 b
+        disc *= d
+        disc += (v * v)[i]  # a^2
+        np.maximum(disc, 0.0, out=disc)
+        np.sqrt(disc, out=disc)
+        disc += v[i]  # a
+        d *= 2.0
+        d /= disc
+        out = self.mesh[i]
+        out += d
         out[uu <= 0.0] = 0.0
         out[uu >= 1.0] = self.T
         return float(out[0]) if scalar else out

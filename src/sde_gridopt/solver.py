@@ -11,15 +11,18 @@ conditional law whose mean follows the Kalman recursion
 
 with Sigma independent of the draws.  The terminal and integral
 mean-square errors of the best increment-measurable reconstruction are
-read off Sigma alone (``sigma_path``), which is what the grid optimiser
-minimises.  Each call builds a step table: stacked arrays with one row per
-distinct dt, filled by one call of the batched matfun kernel, and a row
-index per step.  The mean recursion walks that index step by step; the
-covariance recursion is a chunked prefix scan over the same rows: log2 of
-the chunk length batched sweeps compose a chunk's maps, and one carry, two
-products over the whole chunk, applies them to the last Sigma before it.
-A chunk whose rows repeat the chunk before (every chunk of a uniform grid
-with a dyadic step) reuses its composed maps and costs the carry alone.
+read off Sigma alone (``error_report``; ``sigma_path`` also returns every
+Sigma_k), which is what the grid optimiser minimises.  Each call builds a
+step table: stacked arrays with one row per distinct dt, filled by one
+call of the batched matfun kernel, and a row index per step.  The mean
+recursion walks that index step by step; the covariance recursion is a
+chunked prefix scan over the same rows: log2 of the chunk length batched
+sweeps compose a chunk's maps, and one carry, two products over the whole
+chunk, applies them to the last Sigma before it.  The scan holds one
+chunk of Sigma unless it is given the whole stack to fill, so a route that
+reads only the report needs O(chunk) memory.  A chunk whose rows repeat
+the chunk before (every chunk of a uniform grid with a dyadic step)
+reuses its composed maps and costs the carry alone.
 Each route takes its grid once (``run_filter`` from the increments) and
 refuses a grid that does not span the model's [0, T].
 
@@ -55,6 +58,7 @@ __all__ = [
     "sample_exact_path",
     "kalman_step",
     "sigma_path",
+    "error_report",
     "run_filter",
     "mc_verify_mse",
     "mc_verify_integral",
@@ -97,8 +101,14 @@ def _step_table(model: LinearSdeModel, steps) -> StepTable:
     """Step matrices of every distinct step length, from one kernel call.
 
     The steps must be positive and finite, as the steps of a TimeGrid are.
+    Each step is one of the distinct dts, so searchsorted finds its row
+    exactly.  This takes a quarter of the transient memory of np.unique's
+    inverse, and unlike np.unique without one it does not import numpy.ma
+    (about 15 ms at a cold start on numpy 2.4).
     """
-    dts, index = np.unique(steps, return_inverse=True)
+    dts = np.sort(steps)
+    dts = dts[np.append(True, dts[1:] != dts[:-1])]  # frees the sorted copy before the kernel
+    index = np.searchsorted(dts, steps)
     exp_a, phi, kt, _ = _transition(model.A, model.D, dts)
     return StepTable(dts, index, exp_a, _right(phi, model.B), kt * (dts**3)[:, None, None])
 
@@ -132,11 +142,12 @@ class WienerIncrements:
     increments: np.ndarray  # shape (N, m)
 
     def __post_init__(self):
-        inc = np.asarray(self.increments, dtype=float)
+        inc = np.array(self.increments, dtype=float, copy=True)
         if inc.ndim != 2 or inc.shape[0] != self.grid.n_steps:
             raise ValueError("increments must have shape (N, m)")
         if not np.all(np.isfinite(inc)):
             raise ValueError("increments must be finite")
+        inc.flags.writeable = False  # a validated copy, as TimeGrid keeps its points
         object.__setattr__(self, "increments", inc)
 
     @classmethod
@@ -216,7 +227,9 @@ def kalman_step(
     return KalmanState(state.k + 1, mu, 0.5 * (sigma + sigma.T))
 
 
-_SCAN_CHUNK = 1024  # steps per prefix scan; bounds its working memory
+# steps per prefix scan; bounds its working memory, and on the report
+# route the Sigma it holds
+_SCAN_CHUNK = 1024
 
 
 def _compose(E: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,8 +248,8 @@ def _compose(E: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return E, Q
 
 
-def _sigma_path(model: LinearSdeModel, table: StepTable):
-    """Sigma_k of every step by a chunked parallel-prefix scan.
+def _sigma_path(model: LinearSdeModel, table: StepTable, sigmas=None) -> ErrorReport:
+    """The error report of a step table by a chunked parallel-prefix scan.
 
     Step k maps Sigma to E_k Sigma E_k^T + Q_k, and these affine maps
     compose associatively: (E2, Q2) after (E1, Q1) is
@@ -246,46 +259,66 @@ def _sigma_path(model: LinearSdeModel, table: StepTable):
     before, as E Sigma E^T + Q: one 2-D product of the stacked E against
     Sigma, one stacked product against E^T (made contiguous once per
     composed chunk), then Q added and the result symmetrised in place into
-    the output.  A chunk whose step rows equal the previous chunk's reuses
-    its composed maps and E^T, which would come out bitwise the same, and
-    costs the carry alone.  That happens on uniform grids with a dyadic
-    step T / N, where every step has one length; elsewhere the float steps
-    take several values scattered along the grid (9 at T = 1, N = 1000),
-    chunks rarely repeat, and the test costs one comparison of the chunk's
-    row indices.  On stiff models a composite E can decay below the float
-    range; that underflow is not signalled, as what flushes to zero lies
-    far below Q's rounding.
+    the chunk's rows.  Those rows are ``sigmas[lo:hi]`` when the caller
+    passes an (N, n, n) stack to fill, and otherwise one reused chunk
+    buffer, so the report alone costs O(chunk) memory; the carry may stay a
+    view of that buffer, as the next chunk's product is taken before the
+    buffer is written.  Each chunk leaves <M, Sigma_k> in an (N,) vector,
+    and the integral is its one dot with the steps.  A chunk whose step
+    rows equal the previous chunk's reuses its composed maps and E^T,
+    which would come out bitwise the same, and costs the carry alone.
+    That happens on uniform grids with a dyadic step T / N, where every
+    step has one length; elsewhere the float steps take several values
+    scattered along the grid (9 at T = 1, N = 1000), chunks rarely repeat,
+    and the test costs one comparison of the chunk's row indices.  On
+    stiff models a composite E can decay below the float range; that
+    underflow is not signalled, as what flushes to zero lies far below Q's
+    rounding.
     """
     N = table.index.size
-    sigmas = np.empty((N, model.n, model.n))
+    M = model.M
+    buffer = np.empty((min(N, _SCAN_CHUNK), model.n, model.n)) if sigmas is None else None
+    weighted = np.empty(N)
     sigma = np.zeros((model.n, model.n))
     rows = None
     for lo in range(0, N, _SCAN_CHUNK):
         prev, rows = rows, table.index[lo : lo + _SCAN_CHUNK]
+        hi = lo + rows.size
         with np.errstate(under="ignore"):
             if prev is None or not np.array_equal(rows, prev):
                 E, Q = _compose(table.exp_a[rows], table.kt3[rows])
                 Et = _Tc(E)
             S = _right(E, sigma) @ Et
             S += Q
-        out = sigmas[lo : lo + rows.size]
+        out = buffer[: rows.size] if sigmas is None else sigmas[lo:hi]
         np.add(S, S.mT, out=out)
         out *= 0.5
+        np.einsum("kij,ij->k", out, M, out=weighted[lo:hi])
         sigma = out[-1]
-    M = model.M
     terminal = float(np.sum(M * sigma))
-    integral = float(np.einsum("kij,ij->k", sigmas, M) @ table.dts[table.index])
+    integral = float(weighted @ table.dts[table.index])
     n2 = float(N) ** 2
-    return sigmas, ErrorReport(terminal, integral, n2 * terminal, n2 * integral)
+    return ErrorReport(terminal, integral, n2 * terminal, n2 * integral)
+
+
+def error_report(model: LinearSdeModel, grid: TimeGrid) -> ErrorReport:
+    """The ErrorReport of ``sigma_path`` without its stack.
+
+    The same bits, from a scan that keeps one chunk of Sigma_k, not all N.
+    """
+    return _sigma_path(model, _grid_table(model, grid))
 
 
 def sigma_path(model: LinearSdeModel, grid: TimeGrid) -> tuple[np.ndarray, ErrorReport]:
     """Sigma_k after each step of a grid, and the errors read off them.
 
     Returns the (N, n, n) stack and the ErrorReport of <M, Sigma_{N-1}> and
-    sum_k <M, Sigma_k> dt_k.  Sigma depends on the grid only.
+    sum_k <M, Sigma_k> dt_k.  Sigma depends on the grid only.  A caller
+    that reads the report alone takes ``error_report``.
     """
-    return _sigma_path(model, _grid_table(model, grid))
+    table = _grid_table(model, grid)
+    sigmas = np.empty((table.index.size, model.n, model.n))
+    return sigmas, _sigma_path(model, table, sigmas)
 
 
 def run_filter(
@@ -300,7 +333,8 @@ def run_filter(
         raise ValueError("increment dimension does not match the model")
     mu = _vector(x0, model.n, "x0")
     table = _grid_table(model, increments.grid)
-    sigmas, report = _sigma_path(model, table)
+    sigmas = np.empty((table.index.size, model.n, model.n))
+    report = _sigma_path(model, table, sigmas)
     exp_a, phi_b = list(table.exp_a), list(table.phi_b)
     trajectory = []
     for k, i in enumerate(table.index):
@@ -367,7 +401,7 @@ def _mc_verify(model: LinearSdeModel, grid: TimeGrid, paths: int, seed: int, int
         raise ValueError("need at least 100 paths for a meaningful check")
     table = _grid_table(model, grid)
     w = _simulate_errors(model, table, paths, _index(seed), integral)
-    _, report = _sigma_path(model, table)
+    report = _sigma_path(model, table)
     predicted = report.integral if integral else report.terminal
     return float(w.mean()), predicted, float(w.std(ddof=1) / math.sqrt(paths))
 

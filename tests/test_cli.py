@@ -371,6 +371,21 @@ class TestConvergence:
         assert gaps_t == sorted(gaps_t, reverse=True)
         assert gaps_i == sorted(gaps_i, reverse=True)
 
+    def test_row_keeps_one_scan_chunk(self):
+        # the benchmark's sys4-uniform row at N = 65,536: a (65536, 4, 4)
+        # Sigma stack alone would be 8.4 MB; the grid, its step table and the
+        # scan's chunk stay under 3 MB
+        workloads = Path(__file__).parents[1] / "perfbench" / "workloads"
+        cfg = parse_config(str(workloads / "sys4-uniform.cfg"))
+        tracemalloc.start()
+        try:
+            row = cli._convergence_row(cfg, 65536)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row[0] == 65536
+        assert peak < 3_000_000
+
     def test_reruns_byte_identical(self, tmp_path):
         cfg_path = write_config(tmp_path, OU_CONFIG)
         outs = []

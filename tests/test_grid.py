@@ -29,6 +29,13 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             grid.points[0] = 0.5
 
+    def test_copies_the_callers_points(self):
+        t = np.linspace(0.0, 1.0, 5)
+        grid = TimeGrid(t)
+        t[1] = 0.3
+        assert t.flags.writeable
+        assert grid.points[1] == 0.25
+
     def test_rejects_bad_grids(self):
         for pts in ([0.0], [0.1, 1.0], [0.0, 0.5, 0.5], [0.0, 0.7, 0.4], [0.0, np.inf]):
             with pytest.raises(ValueError):
@@ -87,6 +94,21 @@ class TestGridDensity:
         us = np.linspace(0.0, 1.0, 33)
         fwd = psi.cum_at(psi.profile(us))
         assert np.max(np.abs(fwd - us)) < 1e-12
+
+    def test_profile_is_the_panel_root_bitwise(self):
+        # profile solves in place; its bits are those of the plain formula
+        rng = np.random.default_rng(3)
+        psi = GridDensity(2.5, np.append(rng.uniform(0.1, 2.0, J), 0.0))
+        u = np.concatenate((rng.uniform(0.0, 1.0, 5000), np.arange(J + 1) / J))
+        h = psi.T / J
+        i = np.clip(np.searchsorted(psi.cumulative, u, side="right") - 1, 0, J - 1)
+        d = np.clip(u - psi.cumulative[i], 0.0, 1.0)
+        a = psi.values[i]
+        b = (psi.values[i + 1] - psi.values[i]) / h
+        disc = np.sqrt(np.maximum(a * a + 2.0 * b * d, 0.0))
+        expected = psi.mesh[i] + 2.0 * d / (a + disc)
+        expected[u >= 1.0] = psi.T
+        assert np.array_equal(psi.profile(u), expected)
 
     def test_profile_pins_endpoints(self):
         psi = uniform_density(3.0)

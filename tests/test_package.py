@@ -44,6 +44,7 @@ PUBLIC = {
     "sample_exact_path",
     "kalman_step",
     "sigma_path",
+    "error_report",
     "run_filter",
     "mc_verify_mse",
     "mc_verify_integral",

@@ -12,6 +12,7 @@ from sde_gridopt import (
     TimeGrid,
     WienerIncrements,
     ctrl_gramian,
+    error_report,
     grid_from_density,
     kalman_step,
     kt_matrix,
@@ -182,6 +183,18 @@ class TestSamplePath:
             Z = table.phi_b[0] @ dW[k] + psd_root(table.kt3[0]) @ xi[k]
             x = table.exp_a[0] @ x + Z
             assert np.array_equal(path.states[k + 1], x)
+
+
+class TestWienerIncrements:
+    def test_keeps_a_read_only_copy(self):
+        grid = TimeGrid(np.linspace(0.0, 1.0, 5))
+        dW = np.full((4, 2), 0.1)
+        inc = WienerIncrements(grid, dW)
+        dW[1, 0] = np.nan
+        assert dW.flags.writeable
+        assert np.all(inc.increments == 0.1)
+        with pytest.raises(ValueError, match="read-only"):
+            inc.increments[0, 0] = 0.2
 
 
 class TestKalmanStep:
@@ -408,6 +421,22 @@ class TestSigmaPath:
             tracemalloc.stop()
         assert sigmas.shape == (65536, 4, 4)
         assert peak - sigmas.nbytes <= 3_000_000
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("N", [1, 1023, 1024, 1025, 2051, "dyadic"])
+    def test_error_report_matches_sigma_path(self, n, N):
+        # the report route scans into one reused chunk buffer; a dyadic
+        # uniform grid of 4,096 steps reuses it over four equal chunks
+        rng = np.random.default_rng([n, 4096 if N == "dyadic" else N])
+        model = random_model(rng, n=n)
+        if N == "dyadic":
+            grid = grid_from_density(uniform_density(model.T), 4096)
+        else:
+            grid = random_grid(rng, N)
+        rep = error_report(model, grid)
+        expected = sigma_path(model, grid)[1]
+        for field in dataclasses.fields(rep):
+            assert getattr(rep, field.name) == getattr(expected, field.name), field.name
 
     def test_report_matches_run_filter(self, ou):
         grid = random_grid(np.random.default_rng(4), 40)
@@ -841,7 +870,7 @@ class TestSimulateErrors:
         stderr = w.std(ddof=1) / math.sqrt(paths)
 
         def zscore(t):
-            rep = solver._sigma_path(model, t)[1]
+            rep = solver._sigma_path(model, t)
             return (w.mean() - (rep.integral if integral else rep.terminal)) / stderr
 
         assert abs(zscore(bad)) <= 5

@@ -26,9 +26,11 @@ reuses its composed maps and costs the carry alone.
 Each route takes its grid once (``run_filter`` from the increments) and
 refuses a grid that does not span the model's [0, T].
 
-The samplers key every draw by an integer seed (``_stream``): increments
-come from (seed, 0), a path's n residual normals per step from (seed, 1),
-and only the samplers take the square root of K_dt dt^3 (``_psd_root``).
+Every draw comes from an SFC64 stream keyed (seed, *key) through a
+SeedSequence (``_stream``), from an integer seed: increments come from
+(seed, 0), a path's n residual normals per step from (seed, 1), and
+block b of the Monte Carlo verifiers from (seed, 2, b).  Only the
+samplers take the square root of K_dt dt^3 (``_psd_root``).
 
 The Monte Carlo verifiers sample the error X - mu alone, from an integer
 seed.  The drive E(dt A) B dW enters X and mu alike and cancels, and so
@@ -65,21 +67,23 @@ __all__ = [
 ]
 
 
-def _stream(seed: int, index: int) -> np.random.Generator:
-    """Counter-based stream addressed by (seed, index).
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    """SFC64 stream keyed by (seed, *key) through a SeedSequence.
 
-    Within a stream the Philox counter addresses each variate, so the
-    triple (seed, index, position) locates every number drawn anywhere in
-    the package independently of scheduling.  The path samplers read
-    (seed, 0) for the increments and (seed, 1) for the residual normals;
-    the Monte Carlo verifiers key one stream per path block, (seed, block),
-    so their bytes are the same on any number of cores.
+    The seed is the sequence's entropy and the key its spawn key, so each
+    key names a stream of its own and the pair (key, position) locates
+    every number drawn anywhere in the package independently of
+    scheduling.  The keys fall in three spaces: the increments read
+    (seed, 0), a path's residual normals (seed, 1), and block b of the
+    Monte Carlo verifiers (seed, 2, b), so no verifier block shares draws
+    with a sampler on the same seed and the verifiers' bytes are the same
+    on any number of cores.
     """
     seed = int(seed)
-    index = int(index)
-    if not (0 <= seed < 2**64 and 0 <= index < 2**64):
-        raise ValueError("seed and index must fit in uint64")
-    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+    key = tuple(int(k) for k in key)
+    if not all(0 <= v < 2**64 for v in (seed, *key)):
+        raise ValueError("seed and key must fit in uint64")
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 @dataclass(frozen=True)
@@ -354,7 +358,7 @@ def _simulate_errors(
     err = X - mu starts at 0 and follows err' = exp_a err + root(kt3) xi (see
     the module docstring), n normals xi per path-step.  Paths run in blocks
     of _MC_BLOCK (the last may be shorter) as (n, block) columns; block b
-    draws one (n, block) array per step from the stream (seed, b) and fills
+    draws one (n, block) array per step from the stream (seed, 2, b) and fills
     its own slice of the output, so the bytes do not depend on how many
     threads run the blocks (``workers``, default one per available core).
     The caller's numpy error state holds inside each block.  Returns
@@ -370,7 +374,7 @@ def _simulate_errors(
     def block(b):
         lo = b * _MC_BLOCK
         hi = min(lo + _MC_BLOCK, paths)
-        g = _stream(seed, b)
+        g = _stream(seed, 2, b)
         err = np.zeros((model.n, hi - lo))
         acc = np.zeros(hi - lo)
         with np.errstate(**errstate):

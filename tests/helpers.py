@@ -172,7 +172,7 @@ def simulate_errors_loop(model, table, paths, seed, integral):
     """Per-path squared errors by a plain loop over paths, a test oracle.
 
     Reads the draws the Monte Carlo kernel reads: block b of _MC_BLOCK
-    paths takes one (n, block) array per step from the stream (seed, b),
+    paths takes one (n, block) array per step from the stream (seed, 2, b),
     column j for path j.  Each path then runs err' = exp_a err + R xi from
     err = 0 on its own, one matrix-vector product at a time, with R the
     ``psd_root`` of kt3.
@@ -180,7 +180,7 @@ def simulate_errors_loop(model, table, paths, seed, integral):
     roots = [psd_root(kt3) for kt3 in table.kt3]
     out = np.empty(paths)
     for lo in range(0, paths, _MC_BLOCK):
-        g = _stream(seed, lo // _MC_BLOCK)
+        g = _stream(seed, 2, lo // _MC_BLOCK)
         size = min(_MC_BLOCK, paths - lo)
         xi = [g.standard_normal((model.n, size)) for _ in table.index]
         for j in range(size):

@@ -203,6 +203,12 @@ class TestGridFromDensity:
         with pytest.raises(ValueError):
             grid_from_density(uniform_density(1.0), 0)
 
+    def test_repeated_quantiles_refused(self, monkeypatch):
+        # TimeGrid holds the one monotonicity check of a quantile grid
+        monkeypatch.setattr(GridDensity, "profile", lambda self, u: np.minimum(u, 0.5))
+        with pytest.raises(ValueError, match="grid points must be strictly increasing"):
+            grid_from_density(uniform_density(1.0), 4)
+
     def test_terminal_zero_density_still_invertible(self):
         psi = density_from_weight(1.0, 1.0 - MESH)
         grid = grid_from_density(psi, 64)

@@ -800,6 +800,19 @@ class TestMcVerify:
             mc_verify_mse(ou, grid, 200, 7.9)
         assert mc_verify_mse(ou, grid, 200, np.uint64(7)) == mc_verify_mse(ou, grid, 200, 7)
 
+    @pytest.mark.parametrize("verify", [mc_verify_mse, mc_verify_integral])
+    def test_zscores_calibrated_over_seeds(self, ou, verify):
+        # one seed at a time the checks hold at |z| <= 4 or 5; over 200
+        # seeds the z-scores are about standard normal, mean and SD each
+        # within about 5 standard errors
+        grid = grid_from_density(uniform_density(1.0), 4)
+        z = []
+        for seed in range(200):
+            sample, predicted, stderr = verify(ou, grid, 2000, seed)
+            z.append((sample - predicted) / stderr)
+        assert abs(np.mean(z)) <= 0.35
+        assert 0.75 <= np.std(z, ddof=1) <= 1.25
+
 
 class TestSimulateErrors:
     def test_bytes_independent_of_worker_count(self):
@@ -842,7 +855,7 @@ class TestSimulateErrors:
 
     def test_matches_per_path_loop(self):
         # pins the stream layout: block b reads one (n, block) array per step
-        # from (seed, b), column j for path j; the error starts at 0
+        # from (seed, 2, b), column j for path j; the error starts at 0
         model = random_regular_model(np.random.default_rng(8), n=3)
         grid = random_grid(np.random.default_rng(9), 12)
         table = _step_table(model, grid.steps)
@@ -851,6 +864,29 @@ class TestSimulateErrors:
             got = _simulate_errors(model, table, paths, 606, integral)
             ref = simulate_errors_loop(model, table, paths, 606, integral)
             assert np.max(np.abs(got - ref) / ref) <= 1e-12
+
+    def test_blocks_share_no_draws_with_the_samplers(self, ou):
+        # on one step of the OU model a path's error is root * xi, so each
+        # path's squared error gives back |xi| of the block's first draw;
+        # no block may read the normals of the increments or the residuals
+        seed = 5
+        grid = grid_from_density(uniform_density(1.0), 8)
+        path = sample_exact_path(ou, grid, [0.0], seed)
+        dW = path.increments.increments[:, 0]
+        rows = _step_table(ou, grid.steps)
+        i = rows.index
+        x = path.states[:, 0]
+        drift = rows.exp_a[i, 0, 0] * x[:-1] + rows.phi_b[i, 0, 0] * dW
+        residual = (x[1:] - drift) / np.sqrt(rows.kt3[i, 0, 0])
+        sampled = (dW / np.sqrt(grid.steps), residual)
+
+        table = _step_table(ou, [1.0])
+        w2 = _simulate_errors(ou, table, 3 * _MC_BLOCK, seed, False, workers=1)
+        xi = np.sqrt(w2 / table.kt3[0, 0, 0])
+        for b in range(3):
+            first = xi[b * _MC_BLOCK : b * _MC_BLOCK + grid.n_steps]
+            for normals in sampled:
+                assert not np.allclose(first, np.abs(normals), rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("integral", [False, True], ids=["terminal", "integral"])
     @pytest.mark.parametrize("wrong", ["kt3_sqrt", "exp_a"])
@@ -883,10 +919,14 @@ class TestStream:
             _stream(-1, 0)
         with pytest.raises(ValueError):
             _stream(0, 2**64)
+        with pytest.raises(ValueError):
+            _stream(0, 2, 2**64)
 
     def test_distinct_keys_distinct_draws(self):
         a = _stream(1, 0).standard_normal(4)
         b = _stream(1, 1).standard_normal(4)
         c = _stream(1, 0).standard_normal(4)
+        d = _stream(1, 2, 0).standard_normal(4)  # a verifier block's key
         assert not np.array_equal(a, b)
+        assert not np.array_equal(a, d)
         assert np.array_equal(a, c)

@@ -2,7 +2,7 @@
 
 The oracles and reference schemes below (long-double K_t and Sigma, the
 closed-form Sigma_k sum, the PSD root, the one-step joint increment, the
-single-point weights F_t and S_t, the Lyapunov ODE route to the limit
+per-row weights F_t and S_t, the Lyapunov ODE route to the limit
 covariance, Euler-Maruyama and Milstein steps, Brownian bridge moments and
 refinement, the empirical grid density, the cell-by-cell CSV text) are what
 the tests compare the package against; no route of the package calls them.
@@ -15,6 +15,7 @@ import numpy as np
 from sde_gridopt import LinearSdeModel, TimeGrid, kt_matrix, mat_exp, mho, regularity_check
 from sde_gridopt.asymptotics import _weights
 from sde_gridopt.grid import _index
+from sde_gridopt.matfun import _transition
 from sde_gridopt.solver import _MC_BLOCK, _step_table, _stream
 
 
@@ -230,24 +231,29 @@ def sample_joint_increment(
     return dW, Z
 
 
-def _weights_at(model: LinearSdeModel, t: float):
-    t = float(t)
-    if not 0.0 <= t <= model.T:
+def weight_rows(model: LinearSdeModel, t) -> tuple[np.ndarray, np.ndarray]:
+    """F_t and S_t at each t of a 1-D array in [0, T], one kernel row each.
+
+    The kernel's row i depends on T - t[i] alone, so this is the per-point
+    route at every t in one call.  Its rows go through the library's step
+    from (exp, Q) to (F, S), and it is a second route to the weight curves,
+    whose rows come from the semigroup.
+    """
+    t = np.asarray(t, dtype=float)
+    if not np.all((0.0 <= t) & (t <= model.T)):
         raise ValueError("t must lie in [0, T]")
-    return _weights(model, [model.T - t])
+    e, _, _, Q = _transition(model.A.T, model.M, model.T - t)
+    return _weights(model, e, Q)
 
 
 def weight_F(model: LinearSdeModel, t: float) -> float:
-    """Terminal weight F_t = <mho, R_{T-t}> = (1/12)||sqrt(M) e^{(T-t)A} A B||^2.
-
-    Reads the library's kernel route at the one time-to-go T - t.
-    """
-    return float(_weights_at(model, t)[0][0])
+    """Terminal weight F_t = <mho, R_{T-t}> = (1/12)||sqrt(M) e^{(T-t)A} A B||^2, by ``weight_rows``."""
+    return float(weight_rows(model, [t])[0][0])
 
 
 def weight_S(model: LinearSdeModel, t: float) -> float:
-    """Integral weight S_t = <mho, Q_{T-t}>; equals the tail integral of F."""
-    return float(_weights_at(model, t)[1][0])
+    """Integral weight S_t = <mho, Q_{T-t}>, by ``weight_rows``; equals the tail integral of F."""
+    return float(weight_rows(model, [t])[1][0])
 
 
 def limit_sigma_ode(model: LinearSdeModel, psi, tau: float) -> np.ndarray:

@@ -29,7 +29,7 @@ from sde_gridopt import (
 )
 from sde_gridopt.cli import parse_config
 
-from helpers import limit_sigma_ode, random_regular_model, weight_F, weight_S
+from helpers import limit_sigma_ode, random_regular_model, weight_F, weight_rows, weight_S
 
 J = MESH_PANELS
 MESH = np.linspace(0.0, 1.0, J + 1)  # the standard mesh on [0, 1]
@@ -132,17 +132,43 @@ class TestWeightCurve:
             assert S.values[-1] == 0.0
 
     def test_single_point_weights_equal_curve(self):
-        # weight_F / weight_S and the curve read one kernel route; they part
-        # only where T - t rounds differently from the mesh value of s
+        # two routes to the curve: the semigroup build, and weight_F / weight_S,
+        # one kernel row at T - t each; measured, they part by at most 8.05
+        # eps of the curve's maximum (F on reg3), and scipy's expm puts F at
+        # most 5.9 eps from either, so both are held to 16 eps, a margin of 2
         workloads = Path(__file__).parents[1] / "perfbench" / "workloads"
         sys4 = parse_config(str(workloads / "sys4-uniform.cfg")).model
         reg3 = random_regular_model(np.random.default_rng(3), n=3)
+        eps = np.finfo(float).eps
         for model in (sys4, reg3):
+            Um = mho(model.A, model.D)
             for kind, single in (("terminal", weight_F), ("integral", weight_S)):
                 curve = weight_curve(model, kind)
-                tol = 1e-15 * curve.values.max()
+                tol = 16 * eps * curve.values.max()
                 for t, value in zip(curve.mesh[::7], curve.values[::7]):
-                    assert abs(single(model, t) - value) <= tol
+                    one = single(model, t)
+                    assert abs(one - value) <= tol
+                    if kind == "terminal":
+                        E = expm((model.T - t) * model.A)
+                        ref = frobenius_pairing(Um, E.T @ model.M @ E)
+                        assert abs(value - ref) <= tol
+                        assert abs(one - ref) <= tol
+
+    def test_uncached_build_makes_one_128_row_kernel_call(self, ou, monkeypatch):
+        # 64 offsets and 64 anchors, 64 = isqrt(MESH_PANELS); the semigroup gives the rest
+        calls = []
+        real = asymptotics._transition
+
+        def counting(A, D, t):
+            calls.append(len(t))
+            return real(A, D, t)
+
+        monkeypatch.setattr(asymptotics, "_CURVE_CACHE", {})
+        monkeypatch.setattr(asymptotics, "_transition", counting)
+        mesh, F, S, Q = asymptotics._curves(ou)
+        assert calls == [128]
+        assert F.shape == S.shape == (J + 1,) and Q.shape == (J + 1, 1, 1)
+        assert Q[0, 0, 0] == 0.0 and F[-1] == pytest.approx(1.0 / 12.0, rel=1e-15)
 
     def test_tail_integral_identity_on_curve(self, ou, reg2):
         # int_t^T F du == S_t along the whole mesh
@@ -161,6 +187,39 @@ class TestWeightCurve:
             S = weight_curve(model, "integral").values
             assert np.all(F > 0)
             assert np.all(S[:-1] > 0)
+
+
+# Models where anchoring the curves every 64 rows could lose digits, with the
+# gaps measured on them, in eps of the reference's maximum: F and S against
+# the per-row kernel route, F against scipy's expm, Q against the per-row
+# kernel.  Each is held to SEMIGROUP_MARGIN times its gap (at least 1 eps).
+# The stiff Q gap is the kernel's own: its exp(oA) at the 64 offsets carries
+# a relative error in exp(-o) that grows with the doubling count the stiff
+# mode sets (42 eps at o = 1/64), and the semigroup passes it on to Q_s.
+SEMIGROUP_MARGIN = 2.0
+SEMIGROUP_MODELS = {
+    "stiff": (np.diag([-1.0, -1000.0]), np.eye(2), 1.0, (0.004, 11.6, 1.8, 192.0)),
+    "non-normal": (np.array([[-1.0, 50.0], [0.0, -2.0]]), np.eye(2), 1.0, (76.4, 14.6, 33.8, 9.9)),
+    "growing-ou": (np.array([[3.0]]), np.eye(1), 5.0, (314.0, 33.0, 108.7, 32.8)),
+}
+
+
+class TestSemigroupBuild:
+    @pytest.mark.parametrize("name", SEMIGROUP_MODELS)
+    def test_curves_hold_to_per_row_kernel_and_expm(self, name):
+        A, I, T, gaps = SEMIGROUP_MODELS[name]
+        model = LinearSdeModel(A=A, B=I, M=I, T=T)
+        eps = np.finfo(float).eps
+        tol = [SEMIGROUP_MARGIN * max(g, 1.0) * eps for g in gaps]
+        mesh, F, S, Q = asymptotics._curves(model)
+        F_row, S_row = weight_rows(model, mesh)  # every mesh point, one kernel row each
+        assert np.max(np.abs(F - F_row)) <= tol[0] * F_row.max()
+        assert np.max(np.abs(S - S_row)) <= tol[1] * S_row.max()
+        Um = mho(model.A, model.D)
+        F_ref = np.array([frobenius_pairing(Um, E.T @ E) for E in (expm(s * model.A) for s in T - mesh)])
+        assert np.max(np.abs(F - F_ref)) <= tol[2] * F_ref.max()
+        Q_row = asymptotics._transition(model.A.T, model.M, mesh)[3]
+        assert np.max(np.abs(Q - Q_row)) <= tol[3] * np.abs(Q_row).max()
 
 
 class TestPhiFunctional:

@@ -304,7 +304,8 @@ class TestGramian:
         assert float(last[5]) == 0.0
 
     def test_two_kernel_calls(self, tmp_path, monkeypatch):
-        # one (A, D) call for G and K, one (A^T, M) call for the curves and Q
+        # one (A^T, M) call of 128 rows for the curves and Q (64 offsets and
+        # 64 anchors of the semigroup build), one (A, D) call for G and K
         calls = []
         real = cli._transition
 
@@ -318,7 +319,7 @@ class TestGramian:
         cfg = parse_config(write_config(tmp_path, OU_CONFIG))
         cfg.outdir = str(tmp_path / "out")
         cmd_gramian(cfg, quiet=True)
-        assert calls == [4097, 4097]
+        assert calls == [128, 4097]
 
     def test_stiff_model_table_is_finite(self, tmp_path):
         cfg_path = write_config(tmp_path, STIFF_CONFIG)

@@ -71,6 +71,7 @@ TEST_ONLY = (
     "psd_root",
     "weight_F",
     "weight_S",
+    "weight_rows",
     "limit_sigma_ode",
     "euler_maruyama_step",
     "milstein_step_scalar",

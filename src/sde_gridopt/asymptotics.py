@@ -114,28 +114,56 @@ def _weights(model: LinearSdeModel, e: np.ndarray, Q: np.ndarray) -> tuple[np.nd
 _ROOT = math.isqrt(MESH_PANELS)  # 64: the mesh's 4,096 panels are its square
 
 
-def _mesh_transition(model: LinearSdeModel, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp(sA^T) and Q_s on the standard mesh s = i h, i = 0..b^2, from 2b kernel rows.
+def _mesh_transition(A: np.ndarray, D: np.ndarray, s: np.ndarray, kt: bool = False):
+    """exp(sA), G_s and, if kt, K_s on the standard mesh s = i h, i = 0..b^2, from 2b kernel rows.
 
     b = _ROOT.  One kernel call gives the offsets o = r h (r = 1..b) and the
     anchors a = b j h (j = 0..b-1); row i = b j + r then follows from the
-    semigroup, exp((a+o)A^T) = exp(oA^T) exp(aA^T) and
-    Q_{a+o} = Q_o + exp(oA^T) Q_a exp(oA), and row 0 is (I, 0).  Each row
-    is one product of two kernel rows, so it keeps the kernel's accuracy,
-    where composing i equal steps would grow its rounding with i (Higham,
-    Functions of Matrices, SIAM 2008, ch. 10).
+    semigroup, exp((a+o)A) = exp(oA) exp(aA) and
+    G_{a+o} = G_o + exp(oA) G_a exp(oA^T), and from the law of total
+    covariance over the sub-steps a then o,
+
+        K_{a+o} (a+o)^3 = exp(oA) K_a a^3 exp(oA^T) + K_o o^3
+                          + (a o / (a+o)) V D V^T,  V = exp(oA) E(aA) - E(oA),
+
+    whose terms are all PSD.  V is summed as E(aA) - E(oA) + o A E(oA) E(aA),
+    since exp(oA) = I + o A E(oA); that cancels fewer digits, and at a = o it
+    is o A E E, so the kernel's doubling step (_double) is the case a = o.
+    What V still cancels costs about eps / ((a+o) ||A||) relative, and
+    a + o > b h wherever V's weight a o / (a+o) is not 0.  Row 0 is
+    (I, 0, K_0), K_0 = mho from the anchor a = 0.  Each row is one product
+    of two kernel rows, so it keeps about the kernel's accuracy, where
+    composing i equal steps would grow its rounding with i (Higham,
+    Functions of Matrices, SIAM 2008, ch. 10).  Returns (e, G, K), with K
+    None unless asked for: the curves read no K, and composing it would take
+    the sys4 build from 1.5 to 3.7 ms (2-core Xeon, numpy 2.4), against a
+    sys4 convergence_s of about 48 ms whose quartiles lie 2 ms apart.
     """
-    b, n = _ROOT, model.n
-    e, _, _, Q = _transition(model.A.T, model.M, np.concatenate((s[1 : b + 1], s[:-1:b])))
-    eo, Qo, ea, Qa = e[:b], Q[:b], e[b:, None], Q[b:, None]
+    b, n = _ROOT, A.shape[0]
+    t = np.concatenate((s[1 : b + 1], s[:-1:b]))
+    e, E, K, G = _transition(A, D, t)
+    eo, Go, ea, Ga = e[:b], G[:b], e[b:, None], G[b:, None]
     e_s = np.empty((b * b + 1, n, n))
-    Q_s = np.empty_like(e_s)
-    e_s[0], Q_s[0] = np.eye(n), 0.0
+    G_s = np.empty_like(e_s)
+    e_s[0], G_s[0] = np.eye(n), 0.0
     np.matmul(eo, ea, out=e_s[1:].reshape(b, b, n, n))  # [j, r-1] is row b j + r
-    blocks = Q_s[1:].reshape(b, b, n, n)
-    np.matmul(eo @ Qa, _Tc(eo), out=blocks)
-    blocks += Qo
-    return e_s, _sym(Q_s)
+    blocks = G_s[1:].reshape(b, b, n, n)
+    np.matmul(eo @ Ga, _Tc(eo), out=blocks)
+    blocks += Go
+    if not kt:
+        return e_s, _sym(G_s), None
+    o, a = t[:b, None, None], t[b:, None, None]
+    Ea = E[b:, None]
+    V = Ea - E[:b] + (o * (A @ E[:b])) @ Ea
+    K_s = np.empty_like(e_s)
+    K_s[0] = K[b]
+    blocks = K_s[1:].reshape(b, b, n, n)
+    np.matmul(eo @ (K[b:] * a**3)[:, None], _Tc(eo), out=blocks)
+    blocks += K[:b] * o**3
+    a = a[:, None]  # the anchors index the blocks' first axis
+    blocks += a * o / (a + o) * (_right(V, D) @ _Tc(V))
+    blocks /= (a + o) ** 3
+    return e_s, _sym(G_s), _sym(K_s)
 
 
 _CURVE_CACHE: dict = {}
@@ -144,7 +172,7 @@ _CURVE_CACHE: dict = {}
 def _curves(model: LinearSdeModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Mesh, F, S and the Gramians Q_t on the standard mesh, cached for the last model.
 
-    ``_weights`` over ``_mesh_transition`` at s = the mesh, with F and S
+    ``_weights`` over ``_mesh_transition(A^T, M)`` at s = the mesh, with F and S
     reversed onto the t axis.  The cache holds one model: a three-grid
     optimal-grid convergence sweep asks for the curves five times (each
     grid, then the density and the functional of its limit row), and
@@ -161,7 +189,7 @@ def _curves(model: LinearSdeModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     if hit is not None:
         return hit
     mesh = np.linspace(0.0, model.T, MESH_PANELS + 1)
-    e, Q = _mesh_transition(model, mesh)
+    e, Q, _ = _mesh_transition(model.A.T, model.M, mesh)
     F, S = _weights(model, e, Q)
     out = (mesh, F[::-1].copy(), S[::-1].copy(), Q)
     for arr in out:

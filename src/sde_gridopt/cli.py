@@ -28,6 +28,7 @@ import argparse
 import ast
 import configparser
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, field
@@ -36,6 +37,7 @@ import numpy as np
 
 from .asymptotics import (
     _curves,
+    _mesh_transition,
     min_phi_value,
     optimal_profile,
     ou_closed_forms,
@@ -43,7 +45,6 @@ from .asymptotics import (
     ups_functional,
 )
 from .grid import GridDensity, TimeGrid, grid_from_density, uniform_density
-from .matfun import _transition
 from .model import LinearSdeModel, ModelValidationError
 from .solver import error_report, mc_verify_mse
 
@@ -180,14 +181,39 @@ def parse_config(path: str) -> ExperimentConfig:
     return cfg
 
 
+def _column_map(table: np.ndarray) -> tuple[list[int], list[int]]:
+    """The distinct columns of a float table and each column's place among them.
+
+    A column repeats an earlier one if their float64 bits are equal, so a
+    0.0 column and a -0.0 column stay apart.  Candidates are found by a
+    wrapping sum of each column's bits and confirmed by comparing the bits.
+    """
+    bits = table.view(np.uint64)
+    seen: dict[int, list[int]] = {}  # column bit sum -> distinct columns with it
+    keep: list[int] = []
+    place: list[int] = []
+    for j, key in enumerate(bits.sum(axis=0).tolist()):
+        for k in seen.setdefault(key, []):
+            if np.array_equal(bits[:, j], bits[:, k]):
+                place.append(place[k])
+                break
+        else:
+            seen[key].append(j)
+            place.append(len(keep))
+            keep.append(j)
+    return keep, place
+
+
 def _write_csv(outdir: str, name: str, header: list[str], rows, quiet: bool) -> str:
     """Write the table, refusing (before touching the file) any NaN or inf cell.
 
     rows is a 2-D float array or a list of lists; lines end in CRLF.  An
-    array is checked by one ``np.isfinite`` and written row by row through
-    one ``%.17g`` row format, never as one string.  A list is checked and
-    written cell by cell: a string cell as it is, a number as ``%.17g``.
-    Both give the same bytes for the same numbers.
+    array is checked by one ``np.isfinite`` and written row by row, never as
+    one string: each distinct column (``_column_map``) is formatted once per
+    row by one ``%.17g`` format, and a repeated column reuses its twin's
+    text, as the mirrored entries of a symmetric matrix do.  A list is
+    checked and written cell by cell: a string cell as it is, a number as
+    ``%.17g``.  Both give the same bytes for the same numbers.
     """
     path = os.path.join(outdir, name)
     table = isinstance(rows, np.ndarray)
@@ -201,9 +227,15 @@ def _write_csv(outdir: str, name: str, header: list[str], rows, quiet: bool) -> 
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         if table:
-            fmt = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
+            keep, place = _column_map(rows)
+            fmt = ",".join(["%.17g"] * len(keep))
+            # itemgetter of one index returns the item, not a 1-tuple: % takes a
+            # bare float, but join would split a bare text into its characters
+            pick = operator.itemgetter(*keep)
+            put = operator.itemgetter(*place) if len(place) > 1 else tuple
             for row in rows:
-                fh.write(fmt % tuple(row.tolist()))  # Python floats format faster
+                texts = (fmt % pick(row.tolist())).split(",")  # Python floats format faster
+                fh.write(",".join(put(texts)) + "\r\n")
         else:
             for row in rows:
                 fh.write(",".join(v if isinstance(v, str) else "%.17g" % v for v in row) + "\r\n")
@@ -236,13 +268,17 @@ def _sweep(cfg: ExperimentConfig) -> list:
 
 
 def cmd_gramian(cfg: ExperimentConfig, quiet: bool = False) -> str:
-    """Tabulate G_t, Q_t, K_t, F_t, S_t over the standard mesh."""
+    """Tabulate G_t, Q_t, K_t, F_t, S_t over the standard mesh.
+
+    Two semigroup builds of 128 kernel rows each give the table: the curves'
+    over (A^T, M), which brings Q_t, and one over (A, D) for G_t and K_t.
+    """
     model = cfg.model
     n = model.n
-    mesh, F, S, Q = _curves(model)  # Q_t on the mesh comes with the curves
+    mesh, F, S, Q = _curves(model)
     labels = [f"{i + 1}{j + 1}" for i in range(n) for j in range(n)]
     header = ["t"] + [f"{X}_{s}" for X in "GQK" for s in labels] + ["F", "S"]
-    _, _, K, G = _transition(model.A, model.D, mesh)
+    _, G, K = _mesh_transition(model.A, model.D, mesh, kt=True)
     L = mesh.size
     table = np.column_stack((mesh, G.reshape(L, -1), Q.reshape(L, -1), K.reshape(L, -1), F, S))
     return _write_csv(cfg.outdir, "gramian.csv", header, table, quiet)

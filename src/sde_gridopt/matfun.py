@@ -15,7 +15,10 @@ single float64 kernel over an array of step lengths: Taylor series at
 h = t / 2^s, one Horner pass for every t, then s doubling steps for each
 (scaling and squaring, Higham, Functions of Matrices, SIAM 2008, ch. 10).
 Every term of the K_t doubling is positive semidefinite, so nothing
-cancels and no extended precision is needed.  expm is the kernel's
+cancels and no extended precision is needed.  The doubling step is the
+equal-halves case a = o of the law of total covariance over sub-steps a
+then o, whose general form builds K_t on the standard mesh from 128 kernel
+rows (asymptotics._mesh_transition).  expm is the kernel's
 propagator alone; mat_exp, weight_propagate and every other caller that
 needs only exp(tA) go through it, so the package needs numpy only.
 

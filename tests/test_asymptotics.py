@@ -28,8 +28,9 @@ from sde_gridopt import (
     weight_curve,
 )
 from sde_gridopt.cli import parse_config
+from sde_gridopt.matfun import KT_BRANCH_THRESHOLD
 
-from helpers import limit_sigma_ode, random_regular_model, weight_F, weight_rows, weight_S
+from helpers import kt_oracle, limit_sigma_ode, random_regular_model, weight_F, weight_rows, weight_S
 
 J = MESH_PANELS
 MESH = np.linspace(0.0, 1.0, J + 1)  # the standard mesh on [0, 1]
@@ -204,6 +205,51 @@ SEMIGROUP_MODELS = {
 }
 
 
+# The gramian table's G_t and K_t come from the same build over (A, D).  Gaps
+# measured against the per-row kernel route, in eps of each mesh row's
+# largest reference entry, as (G, K); each is held to SEMIGROUP_MARGIN times
+# its gap, and never below GAP_FLOOR eps.  K's gap comes from
+# V = exp(oA) E(aA) - E(oA), which cancels to about (a+o) ||A|| in the first
+# anchor block (rows b+1..2b); the stiff G gap is the kernel's slow-mode
+# exp(oA) error, as for Q above.  The gaps were read on one numpy (2.4); the
+# floor leaves room for another BLAS summation order, which moves each of a
+# row's few n-term products (n <= 4 here) by up to n eps of |X| |Y| (Higham,
+# Accuracy and Stability of Numerical Algorithms, SIAM 2002, sec. 3.5), on
+# both routes.  A wrong composition misses by O(h), some 1e12 eps.
+GAP_FLOOR = 32.0
+GRAMIAN_GAPS = {
+    "sys4": (6.7, 14.1),
+    "ou": (3.7, 49.3),
+    "reg3": (7.0, 80.0),
+    "stiff": (191.7, 189.4),
+    "non-normal": (9.8, 12.8),
+    "growing-ou": (56.3, 56.9),
+}
+ROOT = asymptotics._ROOT  # 64 offsets and 64 anchors
+
+
+def gramian_model(name):
+    if name == "sys4":
+        workloads = Path(__file__).parents[1] / "perfbench" / "workloads"
+        return parse_config(str(workloads / "sys4-optimal.cfg")).model
+    if name == "ou":
+        return LinearSdeModel(A=[[-1.0]], B=[[1.0]], M=[[1.0]], T=1.0)
+    if name == "reg3":
+        return random_regular_model(np.random.default_rng(3), n=3)
+    A, I, T, _ = SEMIGROUP_MODELS[name]
+    return LinearSdeModel(A=A, B=I, M=I, T=T)
+
+
+def gramian_build(model):
+    mesh = np.linspace(0.0, model.T, J + 1)
+    return mesh, *asymptotics._mesh_transition(model.A, model.D, mesh, kt=True)
+
+
+def row_gap(X, R):
+    """Largest entry of |X - R| per row over the row's largest |R| entry."""
+    return np.abs(X - R).max(axis=(1, 2)) / np.abs(R).max(axis=(1, 2))
+
+
 class TestSemigroupBuild:
     @pytest.mark.parametrize("name", SEMIGROUP_MODELS)
     def test_curves_hold_to_per_row_kernel_and_expm(self, name):
@@ -220,6 +266,42 @@ class TestSemigroupBuild:
         assert np.max(np.abs(F - F_ref)) <= tol[2] * F_ref.max()
         Q_row = asymptotics._transition(model.A.T, model.M, mesh)[3]
         assert np.max(np.abs(Q - Q_row)) <= tol[3] * np.abs(Q_row).max()
+
+    @pytest.mark.parametrize("name", GRAMIAN_GAPS)
+    def test_gramian_G_and_K_hold_to_per_row_kernel(self, name):
+        model = gramian_model(name)
+        mesh, _, G, K = gramian_build(model)
+        _, _, K_row, G_row = asymptotics._transition(model.A, model.D, mesh)
+        assert np.all(G[0] == 0.0) and np.array_equal(K[0], K_row[0])  # K_0 = mho, the a = 0 anchor
+        eps = np.finfo(float).eps
+        tol_G, tol_K = (SEMIGROUP_MARGIN * max(g, GAP_FLOOR) * eps for g in GRAMIAN_GAPS[name])
+        assert row_gap(G[1:], G_row[1:]).max() <= tol_G
+        assert row_gap(K, K_row).max() <= tol_K
+
+    @pytest.mark.parametrize("name", GRAMIAN_GAPS)
+    def test_gramian_K_holds_to_oracle(self, name):
+        # every 4th row and the whole first anchor block, where V cancels
+        # most; measured at most 3.6e-14 of the row's largest entry here and
+        # 5.6e-14 over every row (stiff, row 1019)
+        model = gramian_model(name)
+        mesh, _, _, K = gramian_build(model)
+        rows = np.union1d(np.arange(0, J + 1, 4), np.arange(ROOT + 1, 2 * ROOT + 1))
+        K_ref = np.array([kt_oracle(model.A, model.D, t) for t in mesh[rows]])
+        assert row_gap(K[rows], K_ref).max() <= 1e-13
+
+    @pytest.mark.parametrize("name", ["sys4", "stiff", "non-normal", "growing-ou"])
+    def test_equal_split_is_the_kernel_doubling_step(self, name):
+        # row 2b composes a = o = b h; the kernel's 2bh row is one doubling
+        # step past its bh row, so the two K formulas meet (measured 0.8 eps;
+        # the bound leaves room for another summation order, as GAP_FLOOR)
+        model = gramian_model(name)
+        mesh, e, _, K = gramian_build(model)
+        x = mesh[ROOT] * np.linalg.norm(model.A) / KT_BRANCH_THRESHOLD
+        assert np.frexp(x)[1] >= 0 and mesh[2 * ROOT] == 2 * mesh[ROOT]
+        e_row, _, K_row, _ = asymptotics._transition(model.A, model.D, mesh[[2 * ROOT]])
+        eps = np.finfo(float).eps
+        assert row_gap(e[[2 * ROOT]], e_row)[0] <= 8 * eps
+        assert row_gap(K[[2 * ROOT]], K_row)[0] <= 8 * eps
 
 
 class TestPhiFunctional:

@@ -243,6 +243,28 @@ class TestWriteCsv:
         assert Path(a).read_bytes() == Path(b).read_bytes() == self.ARRAY_BYTES
         assert csv_text_oracle(header, table.tolist()).encode() == self.ARRAY_BYTES
 
+    def test_signed_zero_columns_kept_apart(self, tmp_path):
+        table = np.array([[0.0, -0.0, 0.0], [0.0, -0.0, 0.0]])
+        assert cli._column_map(table) == ([0, 1], [0, 1, 0])
+        path = cli._write_csv(str(tmp_path), "z.csv", ["a", "b", "c"], table, True)
+        assert Path(path).read_bytes() == b"a,b,c\r\n0,-0,0\r\n0,-0,0\r\n"
+
+    def test_repeated_columns_match_cell_by_cell_text(self, tmp_path):
+        # repeats of columns 1 and 0, a reversed column 2 (the same bits in
+        # another order) and a column 3 that differs in one row
+        x = np.random.default_rng(1).standard_normal((50, 4))
+        table = np.column_stack((x, x[:, 1], x[::-1, 2], x[:, 0], x[:, 3]))
+        table[7, -1] = np.nextafter(table[7, -1], np.inf)
+        assert cli._column_map(table) == ([0, 1, 2, 3, 5, 7], [0, 1, 2, 3, 1, 4, 0, 5])
+        header = [f"c{j}" for j in range(table.shape[1])]
+        path = cli._write_csv(str(tmp_path), "r.csv", header, table, True)
+        assert Path(path).read_bytes() == csv_text_oracle(header, table).encode()
+        triple = np.array([[1.5, 1.5, 1.5], [2.0, 2.0, 2.0]])  # one distinct column
+        path = cli._write_csv(str(tmp_path), "t.csv", ["a", "b", "c"], triple, True)
+        assert Path(path).read_bytes() == b"a,b,c\r\n1.5,1.5,1.5\r\n2,2,2\r\n"
+        path = cli._write_csv(str(tmp_path), "o.csv", ["a"], triple[:, :1], True)  # one column
+        assert Path(path).read_bytes() == b"a\r\n1.5\r\n2\r\n"
+
     @pytest.mark.parametrize("workload", ["ou-optimal", "sys4-optimal"])
     def test_gramian_matches_cell_by_cell_text(self, tmp_path, monkeypatch, workload):
         # the real gramian tables: 4097 rows of 5 and of 51 columns
@@ -304,10 +326,10 @@ class TestGramian:
         assert float(last[5]) == 0.0
 
     def test_two_kernel_calls(self, tmp_path, monkeypatch):
-        # one (A^T, M) call of 128 rows for the curves and Q (64 offsets and
-        # 64 anchors of the semigroup build), one (A, D) call for G and K
+        # two semigroup builds of 128 rows each (64 offsets and 64 anchors):
+        # an (A^T, M) call for the curves and Q, an (A, D) call for G and K
         calls = []
-        real = cli._transition
+        real = asymptotics._transition
 
         def counting(A, D, t):
             calls.append(len(t))
@@ -315,11 +337,11 @@ class TestGramian:
 
         monkeypatch.setattr(asymptotics, "_CURVE_CACHE", {})
         monkeypatch.setattr(asymptotics, "_transition", counting)
-        monkeypatch.setattr(cli, "_transition", counting)
         cfg = parse_config(write_config(tmp_path, OU_CONFIG))
         cfg.outdir = str(tmp_path / "out")
         cmd_gramian(cfg, quiet=True)
-        assert calls == [128, 4097]
+        assert calls == [128, 128]
+        assert not hasattr(cli, "_transition")
 
     def test_stiff_model_table_is_finite(self, tmp_path):
         cfg_path = write_config(tmp_path, STIFF_CONFIG)

@@ -51,7 +51,6 @@ from .model import LinearSdeModel, regularity_check
 
 __all__ = [
     "WeightCurve",
-    "AsymptoticReport",
     "weight_curve",
     "phi_functional",
     "ups_functional",
@@ -59,7 +58,6 @@ __all__ = [
     "min_phi_value",
     "min_ups_value",
     "optimal_profile",
-    "asymptotic_report",
     "limit_sigma",
     "ou_closed_forms",
     "OuClosedForms",
@@ -73,21 +71,6 @@ class WeightCurve:
     kind: str
     mesh: np.ndarray
     values: np.ndarray
-
-
-@dataclass(frozen=True)
-class AsymptoticReport:
-    """A functional value against its theoretical floor.
-
-    ``lower_bound`` is the T^3 min-weight bound; ``ratio`` is
-    value / minimum, the price of the chosen density.
-    """
-
-    kind: str
-    value: float
-    minimum: float
-    lower_bound: float
-    ratio: float
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -296,17 +279,6 @@ def optimal_profile(model: LinearSdeModel, kind: str) -> GridDensity:
     _, w = _weight(model, kind)
     _require_regular(model)
     return density_from_weight(model.T, w)
-
-
-def asymptotic_report(model: LinearSdeModel, psi: GridDensity, kind: str) -> AsymptoticReport:
-    """Evaluate a density against the theoretical floor of its functional."""
-    mesh, integrand = _integrand(model, psi, kind)
-    value = float(_simpson(integrand, mesh))
-    minimum = _min_value(model, kind)
-    _, w = _weight(model, kind)
-    bound = model.T**3 * float(w.min())
-    ratio = value / minimum if minimum > 0 else math.inf if value > 0 else 1.0
-    return AsymptoticReport(kind=kind, value=value, minimum=minimum, lower_bound=bound, ratio=ratio)
 
 
 def limit_sigma(model: LinearSdeModel, psi: GridDensity, tau: float) -> np.ndarray:

@@ -36,9 +36,12 @@ The Monte Carlo verifiers sample the error X - mu alone, from an integer
 seed.  The drive E(dt A) B dW enters X and mu alike and cancels, and so
 does x0, which they do not take: given the increments err' = exp(dt A) err
 + (K_dt dt^3)^{1/2} xi from err = 0, with n standard normals xi per
-path-step.  The check thus tests the sampling, the square roots and the
-scan against a direct simulation on the same step table, not exp(dt A),
-E(dt A) B or K_dt against an independent route.
+path-step.  A block of paths advances four steps per draw and per
+product: the errors over a chunk of steps are one linear map of the
+error before it and the chunk's normals, built once per distinct chunk.
+The check thus tests the sampling, the square roots and the scan against
+a direct simulation on the same step table, not exp(dt A), E(dt A) B or
+K_dt against an independent route.
 """
 
 from __future__ import annotations
@@ -348,6 +351,28 @@ def run_filter(
 
 
 _MC_BLOCK = 2048  # paths per block: one stream and one worker task each
+# steps a block advances per draw and product; a longer chunk grows each
+# worker's draw buffer, and at 32 steps OpenBLAS threads the product
+_MC_STEPS = 4
+
+
+def _chunk_maps(exp_a: np.ndarray, roots: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Maps of (D, S) chunks of step rows from [err; xi_0 .. xi_{S-1}] to their errors.
+
+    Block row i of map d is the error after step i of chunk d,
+    [E_i..E_0 | E_i..E_1 R_0 | .. | R_i | 0 ..] with E = exp_a[rows[d]]
+    and R = roots[rows[d]], built for all D chunks by one batched product
+    per position i.  Returns the (D, S n, (S + 1) n) stack.
+    """
+    D, S = rows.shape
+    n = exp_a.shape[-1]
+    maps = np.zeros((D, S, n, (S + 1) * n))
+    prev = np.zeros((D, n, (S + 1) * n))
+    prev[:, :, :n] = np.eye(n)
+    for i in range(S):
+        prev = np.matmul(exp_a[rows[:, i]], prev, out=maps[:, i])
+        prev[:, :, (i + 1) * n : (i + 2) * n] = roots[rows[:, i]]
+    return maps.reshape(D, S * n, (S + 1) * n)
 
 
 def _simulate_errors(
@@ -356,33 +381,56 @@ def _simulate_errors(
     """Per-path squared errors, the error sampled from its exact law.
 
     err = X - mu starts at 0 and follows err' = exp_a err + root(kt3) xi (see
-    the module docstring), n normals xi per path-step.  Paths run in blocks
-    of _MC_BLOCK (the last may be shorter) as (n, block) columns; block b
-    draws one (n, block) array per step from the stream (seed, 2, b) and fills
-    its own slice of the output, so the bytes do not depend on how many
-    threads run the blocks (``workers``, default one per available core).
-    The caller's numpy error state holds inside each block.  Returns
-    ||err_N||_M^2 per path, or with ``integral`` sum_k ||err_{k+1}||_M^2 dt_k.
+    the module docstring), n normals xi per path-step.  The steps run in
+    chunks of _MC_STEPS (the last may be shorter), and a chunk's errors
+    are one map of [err; xi_chunk] (``_chunk_maps``), built before the
+    paths start; a chunk whose rows repeat the previous chunk's reuses its
+    map, so a uniform grid with a dyadic step builds one.  Paths run in
+    blocks of _MC_BLOCK (the last may be shorter) as columns of one reused
+    ((S + 1) n, block) buffer [err; xi]: per chunk, block b draws xi as one
+    C-order (S n, block) array from the stream (seed, 2, b), the same
+    numbers as S draws of (n, block), and takes one product with the map
+    (the integral adds one product and one einsum for the chunk's
+    dt-weighted ||err||_M^2).  Each block fills its own slice of the
+    output, so the bytes do not depend on how many threads run the blocks
+    (``workers``, default one per available core).  The caller's numpy
+    error state holds inside each block.  Returns ||err_N||_M^2 per path,
+    or with ``integral`` sum_k ||err_{k+1}||_M^2 dt_k.
     """
+    n, S, M = model.n, _MC_STEPS, model.M
+    # a padding row, E = I and R = 0 over dt = 0, fills the last chunk to S steps
+    exp_a = np.concatenate((table.exp_a, np.eye(n)[None]))
+    roots = np.concatenate((_psd_root(table.kt3), np.zeros((1, n, n))))
+    N = table.index.size
+    rows = np.append(table.index, np.full(-N % S, table.dts.size)).reshape(-1, S)
+    steps = np.append(table.dts, 0.0)[rows]
+    new = np.append(True, np.any(rows[1:] != rows[:-1], axis=1))
+    which = (np.cumsum(new) - 1).tolist()
+    full = _chunk_maps(exp_a, roots, rows[new])
+    maps = full if integral else full[:, -n:].copy()
+    plan = [(S, maps[d], dt) for d, dt in zip(which, steps)]
+    if r := N % S:  # the last chunk reads the first r steps of its padded map
+        last = full[which[-1], : r * n, : (r + 1) * n]
+        plan[-1] = (r, last if integral else last[-n:].copy(), steps[-1, :r])
+    del full  # the terminal functional holds copies of its rows alone
     out = np.empty(paths)
-    exp_a, roots = list(table.exp_a), list(_psd_root(table.kt3))
-    dts = table.dts.tolist()
-    index = table.index.tolist()
-    M = model.M
     errstate = np.geterr()
 
     def block(b):
         lo = b * _MC_BLOCK
         hi = min(lo + _MC_BLOCK, paths)
         g = _stream(seed, 2, b)
-        err = np.zeros((model.n, hi - lo))
+        z = np.zeros(((S + 1) * n, hi - lo))  # [err; xi], err starts at 0
         acc = np.zeros(hi - lo)
         with np.errstate(**errstate):
-            for i in index:
-                err = exp_a[i] @ err
-                err += roots[i] @ g.standard_normal(err.shape)
+            for k, Lc, dt in plan:
+                g.standard_normal(out=z[n : (k + 1) * n])
+                y = Lc @ z[: (k + 1) * n]
                 if integral:
-                    acc += np.einsum("ij,ij->j", M @ err, err) * dts[i]
+                    y3 = y.reshape(k, n, -1)
+                    acc += np.einsum("kij,kij,k->j", M @ y3, y3, dt)
+                z[:n] = y[-n:]
+            err = z[:n]
             out[lo:hi] = acc if integral else np.einsum("ij,ij->j", M @ err, err)
 
     # imported here: the pool module costs milliseconds at every CLI start

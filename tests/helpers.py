@@ -4,16 +4,18 @@ The oracles and reference schemes below (long-double K_t and Sigma, the
 closed-form Sigma_k sum, the PSD root, the one-step joint increment, the
 per-row weights F_t and S_t, the Lyapunov ODE route to the limit
 covariance, Euler-Maruyama and Milstein steps, Brownian bridge moments and
-refinement, the empirical grid density, the cell-by-cell CSV text) are what
+refinement, the empirical grid density, the report of a density against
+its functional's floor, the cell-by-cell CSV text) are what
 the tests compare the package against; no route of the package calls them.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from sde_gridopt import LinearSdeModel, TimeGrid, kt_matrix, mat_exp, mho, regularity_check
-from sde_gridopt.asymptotics import _weights
+from sde_gridopt import GridDensity, LinearSdeModel, TimeGrid, kt_matrix, mat_exp, mho, regularity_check
+from sde_gridopt.asymptotics import _integrand, _min_value, _simpson, _weight, _weights
 from sde_gridopt.grid import _index
 from sde_gridopt.matfun import _transition
 from sde_gridopt.solver import _MC_BLOCK, _step_table, _stream
@@ -254,6 +256,32 @@ def weight_F(model: LinearSdeModel, t: float) -> float:
 def weight_S(model: LinearSdeModel, t: float) -> float:
     """Integral weight S_t = <mho, Q_{T-t}>, by ``weight_rows``; equals the tail integral of F."""
     return float(weight_rows(model, [t])[1][0])
+
+
+@dataclass(frozen=True)
+class AsymptoticReport:
+    """A functional value against its theoretical floor.
+
+    ``lower_bound`` is the T^3 min-weight bound; ``ratio`` is
+    value / minimum, the price of the chosen density.
+    """
+
+    kind: str
+    value: float
+    minimum: float
+    lower_bound: float
+    ratio: float
+
+
+def asymptotic_report(model: LinearSdeModel, psi: GridDensity, kind: str) -> AsymptoticReport:
+    """Evaluate a density against the theoretical floor of its functional."""
+    mesh, integrand = _integrand(model, psi, kind)
+    value = float(_simpson(integrand, mesh))
+    minimum = _min_value(model, kind)
+    _, w = _weight(model, kind)
+    bound = model.T**3 * float(w.min())
+    ratio = value / minimum if minimum > 0 else math.inf if value > 0 else 1.0
+    return AsymptoticReport(kind=kind, value=value, minimum=minimum, lower_bound=bound, ratio=ratio)
 
 
 def limit_sigma_ode(model: LinearSdeModel, psi, tau: float) -> np.ndarray:

@@ -11,7 +11,6 @@ from sde_gridopt import (
     GridDensity,
     LinearSdeModel,
     MESH_PANELS,
-    asymptotic_report,
     asymptotics,
     density_from_weight,
     frobenius_pairing,
@@ -30,7 +29,15 @@ from sde_gridopt import (
 from sde_gridopt.cli import parse_config
 from sde_gridopt.matfun import KT_BRANCH_THRESHOLD
 
-from helpers import kt_oracle, limit_sigma_ode, random_regular_model, weight_F, weight_rows, weight_S
+from helpers import (
+    asymptotic_report,
+    kt_oracle,
+    limit_sigma_ode,
+    random_regular_model,
+    weight_F,
+    weight_rows,
+    weight_S,
+)
 
 J = MESH_PANELS
 MESH = np.linspace(0.0, 1.0, J + 1)  # the standard mesh on [0, 1]

@@ -50,7 +50,6 @@ PUBLIC = {
     "mc_verify_integral",
     # asymptotics
     "WeightCurve",
-    "AsymptoticReport",
     "OuClosedForms",
     "weight_curve",
     "phi_functional",
@@ -59,7 +58,6 @@ PUBLIC = {
     "min_phi_value",
     "min_ups_value",
     "optimal_profile",
-    "asymptotic_report",
     "limit_sigma",
     "ou_closed_forms",
 }
@@ -78,6 +76,8 @@ TEST_ONLY = (
     "bridge_moments",
     "sample_bridge_refinement",
     "empirical_density",
+    "AsymptoticReport",
+    "asymptotic_report",
 )
 
 

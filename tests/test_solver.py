@@ -29,6 +29,7 @@ from sde_gridopt import (
 from sde_gridopt.cli import parse_config
 from sde_gridopt.solver import (
     _MC_BLOCK,
+    _MC_STEPS,
     _SCAN_CHUNK,
     KalmanState,
     _simulate_errors,
@@ -817,8 +818,8 @@ class TestMcVerify:
 class TestSimulateErrors:
     def test_bytes_independent_of_worker_count(self):
         model = random_regular_model(np.random.default_rng(8), n=3, m=2)
-        table = _step_table(model, random_grid(np.random.default_rng(9), 12).steps)
-        paths = 2 * _MC_BLOCK + 37  # a ragged last block
+        table = _step_table(model, random_grid(np.random.default_rng(9), 13).steps)
+        paths = 2 * _MC_BLOCK + 37  # a ragged last block, and a ragged last chunk
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # interleave the workers' Python steps finely
         try:
@@ -864,6 +865,45 @@ class TestSimulateErrors:
             got = _simulate_errors(model, table, paths, 606, integral)
             ref = simulate_errors_loop(model, table, paths, 606, integral)
             assert np.max(np.abs(got - ref) / ref) <= 1e-12
+
+    @pytest.mark.parametrize("N", [1, 3, 4, 5, 13])
+    @pytest.mark.parametrize("kind", ["uniform", "random"])
+    def test_chunks_match_per_path_loop(self, kind, N, monkeypatch):
+        # 1 and 3 steps make no full chunk of _MC_STEPS, 4 exactly one, 5 and
+        # 13 a ragged last chunk; on a dyadic uniform grid every full chunk
+        # repeats the first and reuses its map, on a random grid none does.
+        # Each block draws once per chunk, not once per step.
+        rng = np.random.default_rng(100 + N)
+        model = random_regular_model(rng, n=3, m=2)
+        steps = np.full(N, 0.125) if kind == "uniform" else random_grid(rng, N).steps
+        table = _step_table(model, steps)
+        built, draws = [], []
+        chunk_maps, stream = solver._chunk_maps, solver._stream
+
+        def counting_maps(exp_a, roots, rows):
+            built.append(len(rows))
+            return chunk_maps(exp_a, roots, rows)
+
+        class CountingStream:
+            def __init__(self, *key):
+                self.g = stream(*key)
+                draws.append(0)
+
+            def standard_normal(self, out):
+                draws[-1] += 1
+                return self.g.standard_normal(out=out)
+
+        monkeypatch.setattr(solver, "_chunk_maps", counting_maps)
+        monkeypatch.setattr(solver, "_stream", CountingStream)
+        paths = 2 * _MC_BLOCK + 37
+        for integral in (False, True):
+            got = _simulate_errors(model, table, paths, 606, integral, workers=1)
+            ref = simulate_errors_loop(model, table, paths, 606, integral)
+            assert np.max(np.abs(got - ref) / ref) <= 1e-12
+        full, ragged = divmod(N, _MC_STEPS)
+        distinct = min(full, 1) if kind == "uniform" else full
+        assert built == [distinct + (ragged > 0)] * 2
+        assert draws == [full + (ragged > 0)] * 6  # three blocks per functional
 
     def test_blocks_share_no_draws_with_the_samplers(self, ou):
         # on one step of the OU model a path's error is root * xi, so each

@@ -270,9 +270,10 @@ def _sigma_path(model: LinearSdeModel, table: StepTable, sigmas=None) -> ErrorRe
     passes an (N, n, n) stack to fill, and otherwise one reused chunk
     buffer, so the report alone costs O(chunk) memory; the carry may stay a
     view of that buffer, as the next chunk's product is taken before the
-    buffer is written.  Each chunk leaves <M, Sigma_k> in an (N,) vector,
-    and the integral is its one dot with the steps.  A chunk whose step
-    rows equal the previous chunk's reuses its composed maps and E^T,
+    buffer is written.  Each chunk leaves <M, Sigma_k> dt_k in an (N,)
+    vector, and the integral is numpy's pairwise sum of it, not a BLAS
+    dot, whose bits would depend on the BLAS thread count.  A chunk whose
+    step rows equal the previous chunk's reuses its composed maps and E^T,
     which would come out bitwise the same, and costs the carry alone.
     That happens on uniform grids with a dyadic step T / N, where every
     step has one length; elsewhere the float steps take several values
@@ -301,9 +302,10 @@ def _sigma_path(model: LinearSdeModel, table: StepTable, sigmas=None) -> ErrorRe
         np.add(S, S.mT, out=out)
         out *= 0.5
         np.einsum("kij,ij->k", out, M, out=weighted[lo:hi])
+        weighted[lo:hi] *= table.dts[rows]
         sigma = out[-1]
     terminal = float(np.sum(M * sigma))
-    integral = float(weighted @ table.dts[table.index])
+    integral = float(np.sum(weighted))
     n2 = float(N) ** 2
     return ErrorReport(terminal, integral, n2 * terminal, n2 * integral)
 
@@ -352,7 +354,8 @@ def run_filter(
 
 _MC_BLOCK = 2048  # paths per block: one stream and one worker task each
 # steps a block advances per draw and product; a longer chunk grows each
-# worker's draw buffer, and at 32 steps OpenBLAS threads the product
+# worker's draw buffer, and at 32 steps, under a caller-set BLAS thread
+# count above one, OpenBLAS threads the product inside each worker
 _MC_STEPS = 4
 
 

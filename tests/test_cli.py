@@ -35,6 +35,9 @@ from sde_gridopt.cli import (
 
 from helpers import csv_text_oracle
 
+# the variables OpenBLAS reads for its thread count when it loads
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
 OU_CONFIG = """\
 [model]
 A = [[-1.0]]
@@ -600,6 +603,40 @@ class TestMain:
         env = {**os.environ, "PYTHONPATH": str(Path(sde_gridopt.__file__).resolve().parent.parent)}
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
         assert proc.stdout.strip() == "False"
+
+    @staticmethod
+    def run_fresh(code, **blas_env):
+        """stdout of code in a fresh interpreter that sees no BLAS thread variable but blas_env."""
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        env.update(blas_env, PYTHONPATH=str(Path(sde_gridopt.__file__).resolve().parent.parent))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        return proc.stdout.strip()
+
+    def test_import_leaves_environment_as_found(self):
+        # started without OPENBLAS_NUM_THREADS, the import must not leave it set
+        code = "import os; before = dict(os.environ); import sde_gridopt; print(dict(os.environ) == before)"
+        assert self.run_fresh(code) == "True"
+        code = "import os, sde_gridopt; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert self.run_fresh(code, OPENBLAS_NUM_THREADS="2") == "2"
+
+    def test_blas_loads_with_one_thread_unless_caller_chose(self):
+        if not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("counts the threads in /proc/self/task, so needs Linux and two or more cores")
+        if np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"] != "scipy-openblas":
+            pytest.skip("the thread count is that of OpenBLAS as numpy's wheels ship it")
+        code = "import os, sde_gridopt; print(len(os.listdir('/proc/self/task')))"
+        assert self.run_fresh(code) == "1"
+        assert int(self.run_fresh(code, OPENBLAS_NUM_THREADS="2")) > 1
+
+    def test_integral_independent_of_blas_threads(self):
+        code = (
+            "import sde_gridopt as s\n"
+            "A = [[-1.0, 0.5, 0.0, 0.0], [0.0, -0.5, 1.0, 0.0], [0.0, 0.0, -2.0, 0.3], [0.2, 0.0, 0.0, -1.5]]\n"
+            "B = [[1.0, 0.0], [0.0, 0.5], [0.3, 0.0], [0.0, 1.0]]\n"
+            "model = s.LinearSdeModel(A, B, [[float(i == j) for j in range(4)] for i in range(4)], 2.0)\n"
+            "print(s.error_report(model, s.grid_from_density(s.uniform_density(2.0), 16384)).integral.hex())"
+        )
+        assert self.run_fresh(code, OPENBLAS_NUM_THREADS="1") == self.run_fresh(code, OPENBLAS_NUM_THREADS="2")
 
     def test_invalid_model_exits_2(self, tmp_path, capsys):
         text = OU_CONFIG.replace("T = 1.0", "T = 0.0")

@@ -23,10 +23,10 @@ Quadrature is composite Simpson on the shared density mesh.  Densities are
 piecewise linear, so integrands have kinks at mesh nodes, where Simpson is
 only second order.  Two known gaps follow (ROADMAP.md, open items 1 and 2):
 
-* The error estimate of functional_quadrature_bound, the Simpson-trapezoid
-  gap on the same mesh, does not bound the actual error.  On the scalar OU
-  model (A = -1, B = M = 1, T = 1) and its terminal-optimal density it
-  reports 7.15e-11 against an actual error of 1.43e-10.
+* No functional carries an error estimate, and the cheap one does not
+  bound the error: on the scalar OU model (A = -1, B = M = 1, T = 1) and
+  its terminal-optimal density, phi_functional is 1.43e-10 above the
+  exact value, and the Simpson-trapezoid gap on the same mesh is 7.15e-11.
 * For the exact cube-root density the integral-kind integrand behaves like
   (T-t)^{1/3} near T.  The stored integral-optimal density is the
   piecewise-linear interpolant of S^{1/3} and falls linearly to 0 on its
@@ -34,8 +34,8 @@ only second order.  Two known gaps follow (ROADMAP.md, open items 1 and 2):
   1 / (T-t) there and Ups_T of that density diverges logarithmically.  The
   integrand rule sets the node at T to 0 and Simpson returns a finite
   value: on the OU model ups_functional comes out 1.44e-7 below
-  min_ups_value, which Hoelder's inequality rules out, while
-  functional_quadrature_bound reports 7.2e-8.
+  min_ups_value, which Hoelder's inequality rules out, while the
+  Simpson-trapezoid gap is 7.2e-8.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ __all__ = [
     "weight_curve",
     "phi_functional",
     "ups_functional",
-    "functional_quadrature_bound",
     "min_phi_value",
     "min_ups_value",
     "optimal_profile",
@@ -237,18 +236,6 @@ def ups_functional(model: LinearSdeModel, psi: GridDensity) -> float:
     """
     mesh, integrand = _integrand(model, psi, "integral")
     return float(_simpson(integrand, mesh))
-
-
-def functional_quadrature_bound(model: LinearSdeModel, psi: GridDensity, kind: str) -> float:
-    """Quadrature error estimate for the functional value.
-
-    The Simpson-trapezoid gap on the evaluation mesh.  It is an estimate,
-    not a bound: on the terminal-optimal density of the OU model it is half
-    the actual error (the first known gap of the module docstring).  The
-    density is judged by the same integrand rule as the functional.
-    """
-    mesh, integrand = _integrand(model, psi, kind)
-    return float(abs(_simpson(integrand, mesh) - np.trapezoid(integrand, x=mesh)))
 
 
 def _min_value(model: LinearSdeModel, kind: str) -> float:

@@ -11,9 +11,9 @@ Configs are sectioned key-value files; values other than ``kind``,
 ``file`` and ``dir`` use Python literal syntax (parsed with
 ast.literal_eval, never eval).  Every key goes through one reader that
 refuses a value of the wrong type or range, naming the key: a float where
-an integer belongs is refused, never truncated, and an unknown key,
-``[grid] file`` beside any kind but ``file``, or ``N`` or ``N_sweep``
-beside ``kind = file``, is refused, never ignored.
+an integer belongs is refused, never truncated, and an empty path (``file``,
+``dir``, ``--out``), an unknown key, ``[grid] file`` beside any kind but
+``file``, or ``N`` or ``N_sweep`` beside ``kind = file``, is refused.
 ``[grid] N`` is a one-element sweep; ``N_sweep`` wins when both are
 given.  All CSV output is UTF-8 with a header row and CRLF line ends; a
 number is written as ``%.17g`` and a label as it is, so repeated runs are
@@ -111,6 +111,12 @@ def _grid_kind(raw: str) -> str:
     return raw
 
 
+def _path(v: str) -> str:
+    if not v:  # it would fail only when opened, after the work
+        raise ValueError("an empty value is not a path")
+    return v
+
+
 def _array(v) -> np.ndarray:
     return np.array(v, dtype=float)
 
@@ -123,10 +129,10 @@ _OPTIONAL = (
     ("grid", "kind", "grid_kind", _grid_kind),
     ("grid", "N", "n_sweep", lambda v: [_int(v, 1)]),
     ("grid", "N_sweep", "n_sweep", _list(lambda N: _int(N, 1), increasing=True)),
-    ("grid", "file", "grid_file", str),
+    ("grid", "file", "grid_file", _path),
     ("mc", "paths", "paths", lambda v: _int(v, 100)),
     ("mc", "seed", "seed", _seed),
-    ("output", "dir", "outdir", str),
+    ("output", "dir", "outdir", _path),
     ("ou", "T_sweep", "ou_sweep", _list(lambda T: _real(T, positive=True))),
 )
 _TEXT_KEYS = ("kind", "file", "dir")  # plain text, not Python literals
@@ -317,8 +323,6 @@ def cmd_mc_verify(cfg: ExperimentConfig, quiet: bool = False) -> str:
 def cmd_ou_table(cfg: ExperimentConfig, quiet: bool = False) -> str:
     """Analytic vs quadrature optimum table for a scalar OU model."""
     base = cfg.model
-    if base.n != 1 or base.m != 1:
-        raise ValueError("ou-table needs a scalar model")
     rows = []
     for T in cfg.ou_sweep:
         model = LinearSdeModel(A=base.A, B=base.B, M=base.M, T=float(T))
@@ -374,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = parse_config(args.config)
         if args.out is not None:
-            cfg.outdir = args.out
+            cfg.outdir = _convert("--out", args.out, _path)
         if args.seed is not None:
             cfg.seed = _convert("--seed", args.seed, _seed)
         # an overflowing model ends in a refused table, reported below

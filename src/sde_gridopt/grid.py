@@ -112,20 +112,6 @@ class GridDensity:
         """Density value by linear interpolation; t may be an array; NaN is refused."""
         return np.interp(_no_nan(t, "t"), self.mesh, self.values)
 
-    def cum_at(self, t):
-        """Cumulative Psi(t), exact for the piecewise-linear density; NaN is refused."""
-        t = _no_nan(t, "t")
-        scalar = t.ndim == 0
-        tt = np.clip(np.atleast_1d(t), 0.0, self.T)
-        h = self.T / MESH_PANELS
-        i = np.clip((tt / h).astype(int), 0, MESH_PANELS - 1)
-        s = tt - self.mesh[i]
-        a = self.values[i]
-        b = (self.values[i + 1] - self.values[i]) / h
-        out = self.cumulative[i] + a * s + 0.5 * b * s * s
-        out = np.minimum(out, 1.0)
-        return float(out[0]) if scalar else out
-
     def profile(self, u):
         """Quantile function Psi^{-1}(u), the grid generator.
 

@@ -32,9 +32,6 @@ import math
 
 import numpy as np
 
-SquareMatrix = np.ndarray
-RectMatrix = np.ndarray
-
 # The kernel's Taylor series start at h = t / 2^s with |h| ||A||_F below this
 # value, where _TERMS terms reach float64 roundoff; each halving of h below
 # it costs one doubling step.
@@ -191,7 +188,7 @@ def expm(A: np.ndarray, t) -> np.ndarray:
     return _transition(A, np.zeros_like(A), t)[0]
 
 
-def mat_exp(A: SquareMatrix, t: float) -> SquareMatrix:
+def mat_exp(A: np.ndarray, t: float) -> np.ndarray:
     """Propagator exp(tA)."""
     A = _as_square(A, "A")
     if not np.isfinite(t):
@@ -199,7 +196,7 @@ def mat_exp(A: SquareMatrix, t: float) -> SquareMatrix:
     return expm(A, [t])[0]
 
 
-def phi1(A: SquareMatrix, t: float) -> SquareMatrix:
+def phi1(A: np.ndarray, t: float) -> np.ndarray:
     """First phi function E(tA) = sum_{k>=0} (tA)^k / (k+1)!.
 
     Satisfies tA E(tA) + I = exp(tA) and E(0) = I.  Any finite t, negative
@@ -211,7 +208,7 @@ def phi1(A: SquareMatrix, t: float) -> SquareMatrix:
     return _transition(A, np.zeros_like(A), [t])[1][0]
 
 
-def ctrl_gramian(A: SquareMatrix, D: SquareMatrix, t: float) -> SquareMatrix:
+def ctrl_gramian(A: np.ndarray, D: np.ndarray, t: float) -> np.ndarray:
     """Controllability Gramian G_t = int_0^t exp(sA) D exp(sA^T) ds.
 
     Assembled as G_t = t E(tA) D E(tA)^T + K_t t^3, a sum of PSD terms, so
@@ -221,13 +218,13 @@ def ctrl_gramian(A: SquareMatrix, D: SquareMatrix, t: float) -> SquareMatrix:
     return _transition(A, D, [t])[3][0]
 
 
-def obs_gramian(A: SquareMatrix, M: SquareMatrix, t: float) -> SquareMatrix:
+def obs_gramian(A: np.ndarray, M: np.ndarray, t: float) -> np.ndarray:
     """Observability Gramian Q_t = int_0^t exp(sA^T) M exp(sA) ds."""
     A, M = _check_pair(A, M, t, name="M")
     return _transition(A.T, M, [t])[3][0]
 
 
-def weight_propagate(A: SquareMatrix, M: SquareMatrix, t: float) -> SquareMatrix:
+def weight_propagate(A: np.ndarray, M: np.ndarray, t: float) -> np.ndarray:
     """Propagated weight R_t = exp(tA^T) M exp(tA), for any finite t."""
     A, M = _check_pair(A, M, name="M")
     if not np.isfinite(t):
@@ -236,13 +233,13 @@ def weight_propagate(A: SquareMatrix, M: SquareMatrix, t: float) -> SquareMatrix
     return _sym(E.T @ M @ E)
 
 
-def mho(A: SquareMatrix, D: SquareMatrix) -> SquareMatrix:
+def mho(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Small-time limit of K_t: mho = A D A^T / 12."""
     A, D = _check_pair(A, D)
     return _sym(A @ D @ A.T) / 12.0
 
 
-def kt_matrix(A: SquareMatrix, D: SquareMatrix, t: float) -> SquareMatrix:
+def kt_matrix(A: np.ndarray, D: np.ndarray, t: float) -> np.ndarray:
     """Residual covariance scale K_t with cov(Z | dW) = K_t t^3.
 
     Continuous in t with kt_matrix(A, D, 0) = mho(A, D).

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matfun import RectMatrix, SquareMatrix
-
 __all__ = [
     "LinearSdeModel",
     "ModelValidationError",
@@ -53,11 +51,11 @@ def frobenius_pairing(K: np.ndarray, L: np.ndarray) -> float:
 class LinearSdeModel:
     """Linear SDE dX = AX dt + B dW with weight M and horizon T, validated when built."""
 
-    A: SquareMatrix
-    B: RectMatrix
-    M: SquareMatrix
+    A: np.ndarray
+    B: np.ndarray
+    M: np.ndarray
     T: float
-    D: SquareMatrix = field(init=False, repr=False)
+    D: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         # private copies so the read-only flag never touches caller arrays

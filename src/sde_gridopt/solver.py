@@ -385,7 +385,8 @@ def _simulate_errors(
 
     err = X - mu starts at 0 and follows err' = exp_a err + root(kt3) xi (see
     the module docstring), n normals xi per path-step.  The steps run in
-    chunks of _MC_STEPS (the last may be shorter), and a chunk's errors
+    chunks of S = _MC_STEPS, the last padded by steps E = I, R = 0, dt = 0
+    that leave err and the integral as they are, and a chunk's errors
     are one map of [err; xi_chunk] (``_chunk_maps``), built before the
     paths start; a chunk whose rows repeat the previous chunk's reuses its
     map, so a uniform grid with a dyadic step builds one.  Paths run in
@@ -404,18 +405,12 @@ def _simulate_errors(
     # a padding row, E = I and R = 0 over dt = 0, fills the last chunk to S steps
     exp_a = np.concatenate((table.exp_a, np.eye(n)[None]))
     roots = np.concatenate((_psd_root(table.kt3), np.zeros((1, n, n))))
-    N = table.index.size
-    rows = np.append(table.index, np.full(-N % S, table.dts.size)).reshape(-1, S)
+    rows = np.append(table.index, np.full(-table.index.size % S, table.dts.size)).reshape(-1, S)
     steps = np.append(table.dts, 0.0)[rows]
     new = np.append(True, np.any(rows[1:] != rows[:-1], axis=1))
     which = (np.cumsum(new) - 1).tolist()
-    full = _chunk_maps(exp_a, roots, rows[new])
-    maps = full if integral else full[:, -n:].copy()
-    plan = [(S, maps[d], dt) for d, dt in zip(which, steps)]
-    if r := N % S:  # the last chunk reads the first r steps of its padded map
-        last = full[which[-1], : r * n, : (r + 1) * n]
-        plan[-1] = (r, last if integral else last[-n:].copy(), steps[-1, :r])
-    del full  # the terminal functional holds copies of its rows alone
+    maps = _chunk_maps(exp_a, roots, rows[new])
+    maps = maps if integral else maps[:, -n:].copy()  # the terminal error reads the last rows
     out = np.empty(paths)
     errstate = np.geterr()
 
@@ -426,11 +421,11 @@ def _simulate_errors(
         z = np.zeros(((S + 1) * n, hi - lo))  # [err; xi], err starts at 0
         acc = np.zeros(hi - lo)
         with np.errstate(**errstate):
-            for k, Lc, dt in plan:
-                g.standard_normal(out=z[n : (k + 1) * n])
-                y = Lc @ z[: (k + 1) * n]
+            for d, dt in zip(which, steps):
+                g.standard_normal(out=z[n:])
+                y = maps[d] @ z
                 if integral:
-                    y3 = y.reshape(k, n, -1)
+                    y3 = y.reshape(S, n, -1)
                     acc += np.einsum("kij,kij,k->j", M @ y3, y3, dt)
                 z[:n] = y[-n:]
             err = z[:n]

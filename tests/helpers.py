@@ -4,8 +4,9 @@ The oracles and reference schemes below (long-double K_t and Sigma, the
 closed-form Sigma_k sum, the PSD root, the one-step joint increment, the
 per-row weights F_t and S_t, the Lyapunov ODE route to the limit
 covariance, Euler-Maruyama and Milstein steps, Brownian bridge moments and
-refinement, the empirical grid density, the report of a density against
-its functional's floor, the cell-by-cell CSV text) are what
+refinement, the empirical grid density, the cumulative of a grid density,
+the report of a density against its functional's floor and the
+Simpson-trapezoid gap of a functional, the cell-by-cell CSV text) are what
 the tests compare the package against; no route of the package calls them.
 """
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from sde_gridopt import GridDensity, LinearSdeModel, TimeGrid, kt_matrix, mat_exp, mho, regularity_check
 from sde_gridopt.asymptotics import _integrand, _min_value, _simpson, _weight, _weights
-from sde_gridopt.grid import _index
+from sde_gridopt.grid import MESH_PANELS, _index, _no_nan
 from sde_gridopt.matfun import _transition
 from sde_gridopt.solver import _MC_BLOCK, _step_table, _stream
 
@@ -284,6 +285,18 @@ def asymptotic_report(model: LinearSdeModel, psi: GridDensity, kind: str) -> Asy
     return AsymptoticReport(kind=kind, value=value, minimum=minimum, lower_bound=bound, ratio=ratio)
 
 
+def functional_quadrature_bound(model: LinearSdeModel, psi: GridDensity, kind: str) -> float:
+    """Quadrature error estimate for the functional value.
+
+    The Simpson-trapezoid gap on the evaluation mesh.  It is an estimate,
+    not a bound: on the terminal-optimal density of the OU model it is half
+    the actual error (the first known gap of the asymptotics docstring).
+    The density is judged by the same integrand rule as the functional.
+    """
+    mesh, integrand = _integrand(model, psi, kind)
+    return float(abs(_simpson(integrand, mesh) - np.trapezoid(integrand, x=mesh)))
+
+
 def limit_sigma_ode(model: LinearSdeModel, psi, tau: float) -> np.ndarray:
     """Limit covariance Sigma(tau) by its Lyapunov ODE, an oracle for limit_sigma.
 
@@ -486,6 +499,25 @@ def empirical_density(grid: TimeGrid, window) -> float:
         raise ValueError("window must lie inside [0, T]")
     inside = np.count_nonzero((grid.points >= a) & (grid.points <= b))
     return inside / grid.n_steps
+
+
+def cum_at(psi: GridDensity, t):
+    """Cumulative Psi(t), exact for the piecewise-linear density; NaN is refused.
+
+    The forward map that ``GridDensity.profile`` inverts, panel by panel
+    from the nodal ``cumulative``.
+    """
+    t = _no_nan(t, "t")
+    scalar = t.ndim == 0
+    tt = np.clip(np.atleast_1d(t), 0.0, psi.T)
+    h = psi.T / MESH_PANELS
+    i = np.clip((tt / h).astype(int), 0, MESH_PANELS - 1)
+    s = tt - psi.mesh[i]
+    a = psi.values[i]
+    b = (psi.values[i + 1] - psi.values[i]) / h
+    out = psi.cumulative[i] + a * s + 0.5 * b * s * s
+    out = np.minimum(out, 1.0)
+    return float(out[0]) if scalar else out
 
 
 def csv_text_oracle(header, rows) -> str:

@@ -19,7 +19,6 @@ from sde_gridopt import (
     GridDensity,
     WienerIncrements,
     ctrl_gramian,
-    functional_quadrature_bound,
     grid_from_density,
     kt_matrix,
     limit_sigma,
@@ -41,6 +40,7 @@ from sde_gridopt.solver import _step_table, _stream
 from helpers import (
     closed_form_sigma,
     euler_maruyama_step,
+    functional_quadrature_bound,
     kt_oracle,
     limit_sigma_ode,
     milstein_step_scalar,

@@ -14,7 +14,6 @@ from sde_gridopt import (
     asymptotics,
     density_from_weight,
     frobenius_pairing,
-    functional_quadrature_bound,
     limit_sigma,
     mho,
     min_phi_value,
@@ -31,6 +30,8 @@ from sde_gridopt.matfun import KT_BRANCH_THRESHOLD
 
 from helpers import (
     asymptotic_report,
+    cum_at,
+    functional_quadrature_bound,
     kt_oracle,
     limit_sigma_ode,
     random_regular_model,
@@ -437,8 +438,8 @@ class TestOptimalProfile:
     def test_terminal_cumulative_frozen_midpoint(self, ou):
         psi = optimal_profile(ou, "terminal")
         ref = (math.exp(1.0 / 3.0) - 1.0) / (math.exp(2.0 / 3.0) - 1.0)
-        assert psi.cum_at(0.5) == pytest.approx(ref, rel=1e-8)
-        assert psi.cum_at(0.5) == pytest.approx(0.41742979353768556, rel=1e-12)
+        assert cum_at(psi, 0.5) == pytest.approx(ref, rel=1e-8)
+        assert cum_at(psi, 0.5) == pytest.approx(0.41742979353768556, rel=1e-12)
 
     def test_integral_profile_pinches_to_zero(self, ou):
         psi = optimal_profile(ou, "integral")

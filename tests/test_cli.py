@@ -169,6 +169,9 @@ class TestParseConfig:
             ("N_sweep = [16, 32, 64]", "N = [1, 2]", "[grid] N"),
             ("T = 1.0", "T = [1.0]", "[model] T"),
             ("seed = 2024", "seed = 2024\n\n[ou]\nT_sweep = 3.0", "[ou] T_sweep"),
+            # an empty path once passed the reader, and an empty file opened the config's folder
+            ("seed = 2024", "seed = 2024\n\n[output]\ndir =", "[output] dir"),
+            ("kind = uniform\nN_sweep = [16, 32, 64]", "kind = file\nfile =  ", "[grid] file"),
         ],
     )
     def test_malformed_value_one_error_line(self, tmp_path, capsys, old, new, key):
@@ -660,6 +663,15 @@ class TestMain:
         rc = main(["mc-verify", "--config", cfg_path, "--seed", str(2**64), "--quiet"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: --seed: ")
+
+    def test_empty_out_refused_before_any_work(self, tmp_path, monkeypatch, capsys):
+        # --out "" once ran the whole sweep before failing to write
+        monkeypatch.chdir(tmp_path)
+        cfg_path = write_config(tmp_path, OU_CONFIG)
+        assert main(["convergence", "--config", cfg_path, "--out", ""]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: --out: ")
+        assert os.listdir(tmp_path) == ["exp.cfg"]
 
     def test_quiet_suppresses_progress(self, tmp_path, capsys):
         text = OU_CONFIG.replace("[16, 32, 64]", "[8]")

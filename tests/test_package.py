@@ -54,7 +54,6 @@ PUBLIC = {
     "weight_curve",
     "phi_functional",
     "ups_functional",
-    "functional_quadrature_bound",
     "min_phi_value",
     "min_ups_value",
     "optimal_profile",
@@ -78,6 +77,7 @@ TEST_ONLY = (
     "empirical_density",
     "AsymptoticReport",
     "asymptotic_report",
+    "functional_quadrature_bound",
 )
 
 

@@ -138,8 +138,12 @@ _OPTIONAL = (
 _TEXT_KEYS = ("kind", "file", "dir")  # plain text, not Python literals
 
 
-def _convert(name: str, value, convert):
-    """convert(value); any failure is a ValueError naming the key or flag."""
+def _convert(name: str, raw: str, convert, literal: bool = True):
+    """convert(raw), read as a Python literal if ``literal``; any failure names the key or flag."""
+    try:
+        value = ast.literal_eval(raw) if literal else raw
+    except (ValueError, TypeError, SyntaxError):
+        raise ValueError(f"{name}: not a valid literal") from None
     try:
         return convert(value)
     except (ValueError, TypeError) as exc:
@@ -149,11 +153,7 @@ def _convert(name: str, value, convert):
 def _read(cp: configparser.ConfigParser, section: str, key: str, convert):
     """``[section] key`` parsed and converted; any failure is a ValueError naming the key."""
     raw = cp.get(section, key).strip()
-    try:
-        value = raw if key in _TEXT_KEYS else ast.literal_eval(raw)
-    except (ValueError, TypeError, SyntaxError):
-        raise ValueError(f"config [{section}] {key}: not a valid literal") from None
-    return _convert(f"config [{section}] {key}", value, convert)
+    return _convert(f"config [{section}] {key}", raw, convert, literal=key not in _TEXT_KEYS)
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -362,8 +362,13 @@ _COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # one error: line and status 2, as for a bad config value
+        self.exit(2, f"error: {message}\n")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="sde-gridopt",
         description="Linear SDE error recursion and optimal time grids",
     )
@@ -372,13 +377,13 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name, help=fn.__doc__.splitlines()[0].lower())
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, help="uint64 seed (overrides config)")
+        p.add_argument("--seed", help="uint64 seed, read like [mc] seed (overrides config)")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config)
         if args.out is not None:
-            cfg.outdir = _convert("--out", args.out, _path)
+            cfg.outdir = _convert("--out", args.out, _path, literal=False)
         if args.seed is not None:
             cfg.seed = _convert("--seed", args.seed, _seed)
         # an overflowing model ends in a refused table, reported below

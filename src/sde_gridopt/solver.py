@@ -15,7 +15,9 @@ read off Sigma alone (``error_report``; ``sigma_path`` also returns every
 Sigma_k), which is what the grid optimiser minimises.  Each call builds a
 step table: stacked arrays with one row per distinct dt, filled by one
 call of the batched matfun kernel, and a row index per step.  The mean
-recursion walks that index step by step; the covariance recursion is a
+and a sampled path share one recursion x' = exp(dt A) x + u, whose drive u
+(E(dt A) B dW, plus (K_dt dt^3)^{1/2} xi on a path) is written a chunk of
+steps at a time by batched products.  The covariance recursion is a
 chunked prefix scan over the same rows: log2 of the chunk length batched
 sweeps compose a chunk's maps, and one carry, two products over the whole
 chunk, applies them to the last Sigma before it.  The scan holds one
@@ -57,8 +59,6 @@ from .model import LinearSdeModel
 
 __all__ = [
     "WienerIncrements",
-    "KalmanState",
-    "PathSample",
     "ErrorReport",
     "sample_exact_path",
     "kalman_step",
@@ -165,23 +165,6 @@ class WienerIncrements:
 
 
 @dataclass(frozen=True)
-class KalmanState:
-    """Conditional mean and covariance after step k (k = -1 is initial)."""
-
-    k: int
-    mu: np.ndarray
-    sigma: np.ndarray
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """Exactly simulated path with the increments that drove it."""
-
-    states: np.ndarray  # shape (N + 1, n)
-    increments: WienerIncrements
-
-
-@dataclass(frozen=True)
 class ErrorReport:
     """Terminal and integral mean-square errors with their N^2 rescalings."""
 
@@ -191,52 +174,69 @@ class ErrorReport:
     n2_integral: float
 
 
-def sample_exact_path(model: LinearSdeModel, grid: TimeGrid, x0, seed: int) -> PathSample:
+_SCAN_CHUNK = 1024  # steps per chunk of the scan and of a path's drive; bounds their memory
+
+
+def _affine_path(table: StepTable, x0: np.ndarray, *drives) -> np.ndarray:
+    """The (N + 1, n) states x_{k+1} = exp_a[i_k] x_k + u_k from x0.
+
+    u_k sums C[i_k] v_k over the drives, pairs (C, v) of an (L, n, p) stack
+    and an (N, p) array.  It is written into the path a chunk of steps at a
+    time, and x_{k+1} is then added in place: the bits of a step-by-step loop.
+    """
+    N = table.index.size
+    path = np.empty((N + 1, x0.size))
+    path[0] = x = x0
+    exp_a = list(table.exp_a)
+    (C0, v0), *rest = drives
+    for lo in range(0, N, _SCAN_CHUNK):
+        chunk = slice(lo, lo + _SCAN_CHUNK)
+        rows, u = table.index[chunk], path[1:][chunk]
+        np.matmul(C0[rows], v0[chunk, :, None], out=u[..., None])
+        for C, v in rest:
+            u += (C[rows] @ v[chunk, :, None])[..., 0]
+        for i, y in zip(rows.tolist(), u):
+            y += exp_a[i] @ x
+            x = y
+    return path
+
+
+def sample_exact_path(
+    model: LinearSdeModel, grid: TimeGrid, x0, seed: int
+) -> tuple[np.ndarray, WienerIncrements]:
     """Simulate X on the grid from its exact Gaussian transition.
 
-    The increments are ``WienerIncrements.sample(grid, m, seed)``; the part
+    Returns the (N + 1, n) states, row 0 equal to x0, and the increments
+    that drove them, ``WienerIncrements.sample(grid, m, seed)``.  The part
     of each state update orthogonal to dW takes n normals per step from the
     stream (seed, 1), drawn as one (N, n) array, row k for step k.
     """
     x0 = _vector(x0, model.n, "x0")
-    incs = WienerIncrements.sample(grid, model.m, seed)
+    inc = WienerIncrements.sample(grid, model.m, seed)
     table = _grid_table(model, grid)
     xi = _stream(seed, 1).standard_normal((grid.n_steps, model.n))
-    root = _psd_root(table.kt3)
-    states = np.empty((grid.n_steps + 1, model.n))
-    states[0] = x = x0
-    for k, i in enumerate(table.index):
-        x = table.exp_a[i] @ x + (table.phi_b[i] @ incs.increments[k] + root[i] @ xi[k])
-        states[k + 1] = x
-    return PathSample(states=states, increments=incs)
+    return _affine_path(table, x0, (table.phi_b, inc.increments), (_psd_root(table.kt3), xi)), inc
 
 
-def kalman_step(
-    model: LinearSdeModel, state: KalmanState, dt: float, dW
-) -> KalmanState:
+def kalman_step(model: LinearSdeModel, mu, sigma, dt: float, dW) -> tuple[np.ndarray, np.ndarray]:
     """One conditional-moment update given the increment over the step.
 
-    The state's mean and the increment are refused as ``x0`` is, and its
-    covariance unless it is a finite (n, n) matrix.
+    Returns the mean and covariance after it.  The mean and the increment are
+    refused as ``x0`` is, and the covariance unless it is a finite (n, n) matrix.
     """
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive")
     table = _step_table(model, [dt])
     n = model.n
-    mu = _vector(state.mu, n, "state.mu")
-    sigma = np.asarray(state.sigma, dtype=float)
+    mu = _vector(mu, n, "mu")
+    sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (n, n) or not np.all(np.isfinite(sigma)):
-        raise ValueError(f"state.sigma must be a finite ({n}, {n}) matrix")
+        raise ValueError(f"sigma must be a finite ({n}, {n}) matrix")
     dW = _vector(dW, model.m, "dW")
     E = table.exp_a[0]
     mu = E @ mu + table.phi_b[0] @ dW
     sigma = E @ sigma @ E.T + table.kt3[0]
-    return KalmanState(state.k + 1, mu, 0.5 * (sigma + sigma.T))
-
-
-# steps per prefix scan; bounds its working memory, and on the report
-# route the Sigma it holds
-_SCAN_CHUNK = 1024
+    return mu, 0.5 * (sigma + sigma.T)
 
 
 def _compose(E: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -332,24 +332,18 @@ def sigma_path(model: LinearSdeModel, grid: TimeGrid) -> tuple[np.ndarray, Error
 
 def run_filter(
     model: LinearSdeModel, x0, increments: WienerIncrements
-) -> tuple[list[KalmanState], ErrorReport]:
+) -> tuple[np.ndarray, ErrorReport]:
     """Run the conditional-moment recursion along the increments' grid.
 
-    Returns the trajectory of states after each step together with the
-    error report of ``sigma_path``, which the increments do not affect.
+    Returns the (N + 1, n) conditional means, row 0 equal to x0, and the
+    report of ``error_report``, which the increments do not affect.  A
+    caller that wants Sigma_k takes ``sigma_path``.
     """
     if increments.increments.shape[1] != model.m:
         raise ValueError("increment dimension does not match the model")
-    mu = _vector(x0, model.n, "x0")
+    x0 = _vector(x0, model.n, "x0")
     table = _grid_table(model, increments.grid)
-    sigmas = np.empty((table.index.size, model.n, model.n))
-    report = _sigma_path(model, table, sigmas)
-    exp_a, phi_b = list(table.exp_a), list(table.phi_b)
-    trajectory = []
-    for k, i in enumerate(table.index):
-        mu = exp_a[i] @ mu + phi_b[i] @ increments.increments[k]
-        trajectory.append(KalmanState(k, mu, sigmas[k]))
-    return trajectory, report
+    return _affine_path(table, x0, (table.phi_b, increments.increments)), _sigma_path(model, table)
 
 
 _MC_BLOCK = 2048  # paths per block: one stream and one worker task each

@@ -17,8 +17,8 @@ from scipy.integrate import cumulative_simpson
 
 from sde_gridopt import (
     GridDensity,
-    WienerIncrements,
     ctrl_gramian,
+    error_report,
     grid_from_density,
     kt_matrix,
     limit_sigma,
@@ -30,7 +30,7 @@ from sde_gridopt import (
     obs_gramian,
     optimal_profile,
     phi_functional,
-    run_filter,
+    sigma_path,
     uniform_density,
     ups_functional,
     weight_curve,
@@ -52,17 +52,11 @@ from helpers import (
 SWEEP = [2**k for k in range(4, 13)]
 
 
-def n2_terminal(model, grid):
-    zero = WienerIncrements(grid, np.zeros((grid.n_steps, model.m)))
-    _, rep = run_filter(model, np.zeros(model.n), zero)
-    return rep
-
-
 def test_criterion_1_uniform_terminal_convergence(ou):
     start = time.perf_counter()
     uni = uniform_density(1.0)
     limit = phi_functional(ou, uni)
-    values = {N: n2_terminal(ou, grid_from_density(uni, N)).n2_terminal for N in SWEEP}
+    values = {N: error_report(ou, grid_from_density(uni, N)).n2_terminal for N in SWEEP}
     gaps = [abs(values[N] - limit) for N in SWEEP]
     elapsed = time.perf_counter() - start
 
@@ -77,8 +71,8 @@ def test_criterion_1_uniform_terminal_convergence(ou):
 
 def test_criterion_2_optimal_grid_convergence(ou):
     psi = optimal_profile(ou, "terminal")
-    opt = n2_terminal(ou, grid_from_density(psi, 4096)).n2_terminal
-    uni = n2_terminal(ou, grid_from_density(uniform_density(1.0), 4096)).n2_terminal
+    opt = error_report(ou, grid_from_density(psi, 4096)).n2_terminal
+    uni = error_report(ou, grid_from_density(uniform_density(1.0), 4096)).n2_terminal
 
     assert opt == pytest.approx(0.0324016, rel=0.01)
     ratio = uni / opt
@@ -95,9 +89,7 @@ def test_criterion_3_limit_covariance_profile(ou):
 
     N = 4096
     grid = grid_from_density(uni, N)
-    zero = WienerIncrements(grid, np.zeros((N, 1)))
-    traj, _ = run_filter(ou, [0.0], zero)
-    finite = N**2 * traj[N // 2].sigma[0, 0]
+    finite = N**2 * sigma_path(ou, grid)[0][N // 2][0, 0]
     assert finite == pytest.approx(a[0, 0], rel=0.02)
     print(
         f"criterion 3: routes agree to {route_gap:.2e}; "
@@ -199,11 +191,10 @@ def test_criterion_6_identity_battery(ou):
         model = random_model(rng, n=n)
         for N in (16, 64):
             grid = grid_from_density(uniform_density(1.0), N)
-            zero = WienerIncrements(grid, np.zeros((N, model.m)))
-            traj, _ = run_filter(model, np.zeros(n), zero)
+            sigmas, _ = sigma_path(model, grid)
             for k in (0, N // 2, N - 1):
                 ref = closed_form_sigma(model, grid, k)
-                assert np.linalg.norm(traj[k].sigma - ref) <= 1e-12 * max(
+                assert np.linalg.norm(sigmas[k] - ref) <= 1e-12 * max(
                     np.linalg.norm(ref), 1e-300
                 )
     print("criterion 6: tail integral, Lyapunov, K branches, closed-form Sigma all pass")
@@ -257,7 +248,7 @@ def test_criterion_7_scheme_baselines(ou):
         xe = euler_maruyama_step(lambda x: -x, lambda x: 1.0, xe, dt, dW)
     err2 = (X - xe) ** 2
     se = err2.std(ddof=1) / math.sqrt(paths)
-    floor = n2_terminal(ou, grid).terminal
+    floor = error_report(ou, grid).terminal
     assert err2.mean() >= floor - 3.0 * se
     print(
         f"criterion 7: slopes em={slope_em:.3f} mil={slope_mil:.3f}; "

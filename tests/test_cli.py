@@ -16,12 +16,11 @@ import pytest
 import sde_gridopt
 from sde_gridopt import (
     LinearSdeModel,
-    WienerIncrements,
     asymptotics,
     cli,
+    error_report,
     grid_from_density,
     matfun,
-    run_filter,
     uniform_density,
 )
 from sde_gridopt.cli import (
@@ -468,10 +467,7 @@ class TestConvergence:
         _, rows = read_csv(cmd_convergence(cfg, quiet=True))
         assert len(rows) == 1  # no synthetic limit row for external grids
         assert rows[0][0] == "10"
-        model = cfg.model
-        zero = WienerIncrements(grid, np.zeros((10, 1)))
-        _, rep = run_filter(model, np.zeros(1), zero)
-        assert float(rows[0][1]) == rep.terminal
+        assert float(rows[0][1]) == error_report(cfg.model, grid).terminal
 
     def test_grid_file_horizon_mismatch(self, tmp_path):
         np.savetxt(tmp_path / "pts.txt", np.linspace(0.0, 2.0, 11))
@@ -519,9 +515,8 @@ class TestMcVerify:
         cfg.outdir = str(tmp_path / "out")
         _, rows = read_csv(cmd_mc_verify(cfg, quiet=True))
         grid = grid_from_density(uniform_density(1.0), 8)
-        zero = WienerIncrements(grid, np.zeros((8, 1)))
-        _, rep = run_filter(cfg.model, np.zeros(1), zero)
-        assert float(rows[0][2]) == rep.terminal  # %.17g roundtrips exactly
+        # %.17g roundtrips exactly
+        assert float(rows[0][2]) == error_report(cfg.model, grid).terminal
 
     def test_seed_override_changes_samples(self, tmp_path):
         text = OU_CONFIG.replace("[16, 32, 64]", "[8]")
@@ -663,6 +658,33 @@ class TestMain:
         rc = main(["mc-verify", "--config", cfg_path, "--seed", str(2**64), "--quiet"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: --seed: ")
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--seed", "7.5"], "error: --seed: 7.5 is not an integer in [0, "),
+            (["--seed", "seven"], "error: --seed: not a valid literal"),
+            (["--config"], "error: argument --config: expected one argument"),
+        ],
+        ids=["float-seed", "text-seed", "config-without-value"],
+    )
+    def test_argument_error_is_one_line(self, tmp_path, capsys, args, message):
+        # a bad argument prints one error: line like a bad config value, with no usage
+        argv = ["mc-verify", "--config", write_config(tmp_path, OU_CONFIG), "--quiet", *args]
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse's own errors exit from inside main
+            rc = exc.code
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(message)
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mc-verify", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: sde-gridopt mc-verify")
 
     def test_empty_out_refused_before_any_work(self, tmp_path, monkeypatch, capsys):
         # --out "" once ran the whole sweep before failing to write

@@ -38,8 +38,6 @@ PUBLIC = {
     "grid_from_density",
     # solver
     "WienerIncrements",
-    "KalmanState",
-    "PathSample",
     "ErrorReport",
     "sample_exact_path",
     "kalman_step",

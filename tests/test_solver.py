@@ -31,7 +31,6 @@ from sde_gridopt.solver import (
     _MC_BLOCK,
     _MC_STEPS,
     _SCAN_CHUNK,
-    KalmanState,
     _simulate_errors,
     _step_table,
     _stream,
@@ -125,40 +124,40 @@ class TestJointIncrement:
     def test_invalid_dt(self, ou):
         with pytest.raises(ValueError):
             sample_joint_increment(ou, 0.0, np.random.default_rng(0))
-        state = KalmanState(-1, np.zeros(1), np.zeros((1, 1)))
         for dt in (0.0, -0.5, math.nan):
             with pytest.raises(ValueError):
-                kalman_step(ou, state, dt, [0.0])
+                kalman_step(ou, np.zeros(1), np.zeros((1, 1)), dt, [0.0])
 
 
 class TestSamplePath:
     def test_deterministic_flow_without_noise(self):
         model = LinearSdeModel(A=[[-0.7]], B=[[0.0]], M=[[1.0]], T=1.0)
         grid = grid_from_density(uniform_density(1.0), 8)
-        path = sample_exact_path(model, grid, [2.0], 1)
+        states, inc = sample_exact_path(model, grid, [2.0], 1)
         for k, t in enumerate(grid.points):
-            assert path.states[k, 0] == pytest.approx(2.0 * math.exp(-0.7 * t), rel=1e-12)
-        assert np.all(path.increments.increments != 0)
+            assert states[k, 0] == pytest.approx(2.0 * math.exp(-0.7 * t), rel=1e-12)
+        assert np.all(inc.increments != 0)
 
     def test_pure_brownian_reconstruction_is_exact(self):
         # with x0 = 0 the state recursion is exactly cumsum's running sum
         model = LinearSdeModel(A=[[0.0]], B=[[1.0]], M=[[1.0]], T=1.0)
         grid = grid_from_density(uniform_density(1.0), 16)
-        path = sample_exact_path(model, grid, [0.0], 7)
-        walk = np.cumsum(path.increments.increments[:, 0])
-        assert np.array_equal(path.states[1:, 0], walk)
+        states, inc = sample_exact_path(model, grid, [0.0], 7)
+        walk = np.cumsum(inc.increments[:, 0])
+        assert np.array_equal(states[1:, 0], walk)
 
     def test_terminal_variance_ou(self, ou):
         grid = TimeGrid([0.0, 0.5, 1.0])
-        draws = np.array([sample_exact_path(ou, grid, [0.0], j).states[-1, 0] for j in range(4000)])
+        draws = np.array([sample_exact_path(ou, grid, [0.0], j)[0][-1, 0] for j in range(4000)])
         G = ctrl_gramian(ou.A, ou.D, 1.0)[0, 0]
         assert abs(draws.var() - G) <= 3 * G * math.sqrt(2.0 / draws.size)
 
     def test_shapes(self, ou):
         grid = grid_from_density(uniform_density(1.0), 5)
-        path = sample_exact_path(ou, grid, [0.0], 2)
-        assert path.states.shape == (6, 1)
-        assert path.increments.increments.shape == (5, 1)
+        states, inc = sample_exact_path(ou, grid, [0.0], 2)
+        assert states.shape == (6, 1)
+        assert inc.increments.shape == (5, 1)
+        assert inc.grid is grid
 
     @pytest.mark.parametrize("x0", [[math.nan], [math.inf], [0.0, 0.0]])
     def test_bad_initial_state_refused(self, ou, x0):
@@ -172,18 +171,19 @@ class TestSamplePath:
         # residual, which takes a root computed here, one step table per step
         model = random_model(np.random.default_rng(8), n=3, m=2)
         grid = random_grid(np.random.default_rng(9), 12)
-        path = sample_exact_path(model, grid, np.ones(3), 5)
+        states, inc = sample_exact_path(model, grid, np.ones(3), 5)
         dW = np.sqrt(grid.steps)[:, None] * _stream(5, 0).standard_normal((12, 2))
         xi = _stream(5, 1).standard_normal((12, 3))
-        assert np.array_equal(path.increments.increments, dW)
+        assert np.array_equal(inc.increments, dW)
         # the increments the filter gets from WienerIncrements.sample on that seed
         assert np.array_equal(dW, WienerIncrements.sample(grid, model.m, 5).increments)
         x = np.ones(3)
+        assert np.array_equal(states[0], x)
         for k, dt in enumerate(grid.steps):
             table = _step_table(model, [dt])
             Z = table.phi_b[0] @ dW[k] + psd_root(table.kt3[0]) @ xi[k]
             x = table.exp_a[0] @ x + Z
-            assert np.array_equal(path.states[k + 1], x)
+            assert np.array_equal(states[k + 1], x)
 
 
 class TestWienerIncrements:
@@ -201,24 +201,21 @@ class TestWienerIncrements:
 class TestKalmanStep:
     def test_zero_drift_shifts_mean_only(self):
         model = LinearSdeModel(A=np.zeros((2, 2)), B=np.eye(2), M=np.eye(2), T=1.0)
-        state = KalmanState(-1, np.array([1.0, -1.0]), np.zeros((2, 2)))
-        out = kalman_step(model, state, 0.5, np.array([0.2, 0.1]))
-        assert out.k == 0
-        assert np.allclose(out.mu, [1.2, -0.9], rtol=1e-14)
-        assert np.array_equal(out.sigma, np.zeros((2, 2)))
+        mu, sigma = kalman_step(model, [1.0, -1.0], np.zeros((2, 2)), 0.5, np.array([0.2, 0.1]))
+        assert np.allclose(mu, [1.2, -0.9], rtol=1e-14)
+        assert np.array_equal(sigma, np.zeros((2, 2)))
 
     def test_first_step_covariance_is_kt3(self, ou):
-        state = KalmanState(-1, np.zeros(1), np.zeros((1, 1)))
-        out = kalman_step(ou, state, 1.0, np.array([0.3]))
-        assert out.sigma[0, 0] == pytest.approx(0.03275595748796561, rel=1e-12)
+        _, sigma = kalman_step(ou, np.zeros(1), np.zeros((1, 1)), 1.0, np.array([0.3]))
+        assert sigma[0, 0] == pytest.approx(0.03275595748796561, rel=1e-12)
 
     @pytest.mark.parametrize(
         "mu, sigma, dW, match",
         [
-            ([math.nan], [[0.0]], [0.0], r"state.mu must be 1 finite values, shape \(1,\)"),
-            ([0.0, 0.0, 0.0], [[0.0]], [0.0], r"state.mu must be 1 finite values, shape \(1,\)"),
-            ([0.0], [[math.inf]], [0.0], r"state.sigma must be a finite \(1, 1\) matrix"),
-            ([0.0], np.zeros((2, 2)), [0.0], r"state.sigma must be a finite \(1, 1\) matrix"),
+            ([math.nan], [[0.0]], [0.0], r"^mu must be 1 finite values, shape \(1,\)"),
+            ([0.0, 0.0, 0.0], [[0.0]], [0.0], r"^mu must be 1 finite values, shape \(1,\)"),
+            ([0.0], [[math.inf]], [0.0], r"^sigma must be a finite \(1, 1\) matrix"),
+            ([0.0], np.zeros((2, 2)), [0.0], r"^sigma must be a finite \(1, 1\) matrix"),
             ([0.0], [[0.0]], [math.nan], r"dW must be 1 finite values, shape \(1,\)"),
             ([0.0], [[0.0]], [0.0, 0.0], r"dW must be 1 finite values, shape \(1,\)"),
         ],
@@ -226,9 +223,8 @@ class TestKalmanStep:
     )
     def test_bad_state_or_increment_refused(self, ou, mu, sigma, dW, match):
         # the rule run_filter applies to x0 and WienerIncrements to its increments
-        state = KalmanState(-1, np.array(mu), np.array(sigma))
         with pytest.raises(ValueError, match=match):
-            kalman_step(ou, state, 0.1, dW)
+            kalman_step(ou, mu, sigma, 0.1, dW)
 
 
 class TestRunFilter:
@@ -236,20 +232,19 @@ class TestRunFilter:
         grid = grid_from_density(uniform_density(1.0), 32)
         inc1 = WienerIncrements.sample(grid, 1, 1)
         inc2 = WienerIncrements.sample(grid, 1, 2)
-        traj1, rep1 = run_filter(ou, [0.0], inc1)
-        traj2, rep2 = run_filter(ou, [0.0], inc2)
-        for s1, s2 in zip(traj1, traj2):
-            assert np.array_equal(s1.sigma, s2.sigma)
-        assert rep1 == rep2
+        mu1, rep1 = run_filter(ou, [0.0], inc1)
+        mu2, rep2 = run_filter(ou, [0.0], inc2)
+        assert not np.array_equal(mu1, mu2)
+        assert rep1 == rep2 == error_report(ou, grid)
 
     def test_mean_linear_in_increments(self, ou):
         grid = grid_from_density(uniform_density(1.0), 16)
         a = WienerIncrements.sample(grid, 1, 3)
         b = WienerIncrements.sample(grid, 1, 4)
         both = WienerIncrements(grid, a.increments + b.increments)
-        mu_a = run_filter(ou, [0.0], a)[0][-1].mu
-        mu_b = run_filter(ou, [0.0], b)[0][-1].mu
-        mu_ab = run_filter(ou, [0.0], both)[0][-1].mu
+        mu_a = run_filter(ou, [0.0], a)[0]
+        mu_b = run_filter(ou, [0.0], b)[0]
+        mu_ab = run_filter(ou, [0.0], both)[0]
         assert np.allclose(mu_ab, mu_a + mu_b, rtol=1e-12, atol=1e-15)
 
     def test_zero_drift_zero_error(self):
@@ -261,15 +256,13 @@ class TestRunFilter:
 
     def test_report_rescaling(self, ou):
         grid = grid_from_density(uniform_density(1.0), 64)
-        inc = WienerIncrements(grid, np.zeros((64, 1)))
-        _, rep = run_filter(ou, [0.0], inc)
+        _, rep = run_filter(ou, [0.0], WienerIncrements.sample(grid, 1, 64))
         assert rep.n2_terminal == 64.0**2 * rep.terminal
         assert rep.n2_integral == 64.0**2 * rep.integral
 
     def test_uniform_ou_matches_limit_value(self, ou):
         grid = grid_from_density(uniform_density(1.0), 4096)
-        inc = WienerIncrements(grid, np.zeros((4096, 1)))
-        _, rep = run_filter(ou, [0.0], inc)
+        _, rep = run_filter(ou, [0.0], WienerIncrements.sample(grid, 1, 4096))
         assert rep.n2_terminal == pytest.approx(0.036028, rel=0.01)
 
     def test_matches_closed_form_sigma(self):
@@ -277,13 +270,10 @@ class TestRunFilter:
         for n in (1, 3):
             model = random_model(rng, n=n)
             grid = random_grid(rng, 24)
-            inc = WienerIncrements.sample(grid, model.m, n)
-            traj, _ = run_filter(model, np.zeros(n), inc)
             sigmas, _ = sigma_path(model, grid)
             assert sigmas.shape == (24, n, n)
             for k in (0, 5, 11, 23):
                 ref = closed_form_sigma(model, grid, k)
-                assert rel(traj[k].sigma - ref, ref) < 1e-12
                 assert rel(sigmas[k] - ref, ref) < 1e-12
 
     def test_grid_comes_with_the_increments(self, ou):
@@ -320,12 +310,39 @@ class TestRunFilter:
         grid = grid_from_density(psi, 48)
         inc = WienerIncrements.sample(grid, model.m, 31)
         x0 = np.array([0.3, -1.2])
-        traj, _ = run_filter(model, x0, inc)
-        state = KalmanState(-1, x0, np.zeros((2, 2)))
+        means, _ = run_filter(model, x0, inc)
+        assert means.shape == (49, 2)
+        mu, sigma = x0, np.zeros((2, 2))
+        assert np.array_equal(means[0], mu)
         for k, dt in enumerate(grid.steps):
-            state = kalman_step(model, state, float(dt), inc.increments[k])
-            assert traj[k].k == state.k == k
-            assert np.array_equal(traj[k].mu, state.mu)
+            mu, sigma = kalman_step(model, mu, sigma, float(dt), inc.increments[k])
+            assert np.array_equal(means[k + 1], mu)
+
+
+class TestIntegrator:
+    @pytest.mark.parametrize("kind", ["ou", "regular-2x2"])
+    def test_filtered_paths_have_the_predicted_errors(self, ou, kind):
+        # the paper's integrator end to end: each exact path is filtered on the
+        # increments that drove it, and the mean squared errors over 2,000
+        # seeds must match the report. The steps differ, so a filter that
+        # drove a step with another step's E(dt A) B would miss.
+        if kind == "ou":
+            model = ou
+        else:
+            model = random_regular_model(np.random.default_rng(12), n=2, m=2)
+        grid = TimeGrid([0.0, 0.1, 0.35, 0.45, 0.8, 1.0])
+        x0 = np.ones(model.n)
+        terminal, integral = [], []
+        for seed in range(2000):
+            states, inc = sample_exact_path(model, grid, x0, seed)
+            means, rep = run_filter(model, x0, inc)
+            err = states[1:] - means[1:]
+            sq = np.einsum("ki,ij,kj->k", err, model.M, err)
+            terminal.append(sq[-1])
+            integral.append(sq @ grid.steps)
+        for sample, predicted in ((terminal, rep.terminal), (integral, rep.integral)):
+            stderr = np.std(sample, ddof=1) / math.sqrt(len(sample))
+            assert abs(np.mean(sample) - predicted) <= 3 * stderr
 
 
 class TestSigmaPath:
@@ -348,10 +365,10 @@ class TestSigmaPath:
         model = random_model(rng, n=3)
         grid = random_grid(rng, N)
         sigmas, rep = sigma_path(model, grid)
-        state = KalmanState(-1, np.zeros(3), np.zeros((3, 3)))
+        mu, sigma = np.zeros(3), np.zeros((3, 3))
         for k, dt in enumerate(grid.steps):
-            state = kalman_step(model, state, float(dt), np.zeros(model.m))
-            assert rel(sigmas[k] - state.sigma, state.sigma) < 1e-12
+            mu, sigma = kalman_step(model, mu, sigma, float(dt), np.zeros(model.m))
+            assert rel(sigmas[k] - sigma, sigma) < 1e-12
         assert np.array_equal(sigmas, sigmas.mT)
         assert rep.terminal == float(np.sum(model.M * sigmas[-1]))
         integral = sum(float(np.sum(model.M * s)) * dt for s, dt in zip(sigmas, grid.steps))
@@ -385,10 +402,10 @@ class TestSigmaPath:
         calls = count_compose(monkeypatch)
         sigmas, rep = sigma_path(model, grid)
         assert [shape[0] for shape in calls] == [_SCAN_CHUNK] * 3 + [5]
-        state = KalmanState(-1, np.zeros(3), np.zeros((3, 3)))
+        mu, sigma = np.zeros(3), np.zeros((3, 3))
         for k, dt in enumerate(grid.steps):
-            state = kalman_step(model, state, float(dt), np.zeros(model.m))
-            assert rel(sigmas[k] - state.sigma, state.sigma) < 1e-12
+            mu, sigma = kalman_step(model, mu, sigma, float(dt), np.zeros(model.m))
+            assert rel(sigmas[k] - sigma, sigma) < 1e-12
         terminal, integral = sigma_errors_ld(model, _step_table(model, grid.steps))
         assert rep.terminal == pytest.approx(terminal, rel=3e-13, abs=0)
         assert rep.integral == pytest.approx(integral, rel=3e-13, abs=0)
@@ -442,10 +459,9 @@ class TestSigmaPath:
     def test_report_matches_run_filter(self, ou):
         grid = random_grid(np.random.default_rng(4), 40)
         inc = WienerIncrements.sample(grid, 1, 6)
-        traj, rep = run_filter(ou, [1.0], inc)
-        sigmas, rep2 = sigma_path(ou, grid)
+        _, rep = run_filter(ou, [1.0], inc)
+        _, rep2 = sigma_path(ou, grid)
         assert rep2 == rep
-        assert np.array_equal(sigmas, np.array([s.sigma for s in traj]))
 
     def test_step_table_builds_each_dt_once(self, ou, monkeypatch):
         calls = []
@@ -581,7 +597,7 @@ def test_only_the_samplers_take_roots(monkeypatch):
     grid = random_grid(np.random.default_rng(4), 20)
     sigma_path(model, grid)
     run_filter(model, np.zeros(3), WienerIncrements.sample(grid, 2, 1))
-    kalman_step(model, KalmanState(-1, np.zeros(3), np.zeros((3, 3))), 0.1, np.zeros(2))
+    kalman_step(model, np.zeros(3), np.zeros((3, 3)), 0.1, np.zeros(2))
     for sampler in (
         lambda: sample_exact_path(model, grid, np.zeros(3), 1),
         lambda: mc_verify_mse(model, grid, 100, 1),
@@ -911,11 +927,11 @@ class TestSimulateErrors:
         # no block may read the normals of the increments or the residuals
         seed = 5
         grid = grid_from_density(uniform_density(1.0), 8)
-        path = sample_exact_path(ou, grid, [0.0], seed)
-        dW = path.increments.increments[:, 0]
+        states, inc = sample_exact_path(ou, grid, [0.0], seed)
+        dW = inc.increments[:, 0]
         rows = _step_table(ou, grid.steps)
         i = rows.index
-        x = path.states[:, 0]
+        x = states[:, 0]
         drift = rows.exp_a[i, 0, 0] * x[:-1] + rows.phi_b[i, 0, 0] * dW
         residual = (x[1:] - drift) / np.sqrt(rows.kt3[i, 0, 0])
         sampled = (dW / np.sqrt(grid.steps), residual)

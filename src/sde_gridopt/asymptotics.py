@@ -19,9 +19,11 @@ its weight is below 1e-14 of the weight's maximum, and the integrand is
 and is refused.  So Ups_T accepts the integral-optimal profile, which
 pinches at T where S_T = 0, and Phi_T refuses it unless F_T is as small.
 
-Quadrature is composite Simpson on the shared density mesh.  Densities are
-piecewise linear, so integrands have kinks at mesh nodes, where Simpson is
-only second order.  Two known gaps follow (ROADMAP.md, open items 1 and 2):
+Quadrature is composite Simpson on the curves' mesh of 4,096 panels, where
+a density on any uniform mesh is read through ``psi_at`` (exactly, at its
+own nodes).  Densities are piecewise linear, so integrands have kinks at
+their nodes, where Simpson is only second order.  Two known gaps follow
+(ROADMAP.md, open items 1 and 2):
 
 * No functional carries an error estimate, and the cheap one does not
   bound the error: on the scalar OU model (A = -1, B = M = 1, T = 1) and
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import MESH_PANELS, GridDensity, density_from_weight
+from .grid import GridDensity, density_from_weight
 from .matfun import _Tc, _right, _sym, _transition, expm, mho
 from .model import LinearSdeModel, regularity_check
 
@@ -65,7 +67,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WeightCurve:
-    """Weight samples on the density mesh; kind is 'terminal' or 'integral'."""
+    """Weight samples on the curves' mesh; kind is 'terminal' or 'integral'."""
 
     kind: str
     mesh: np.ndarray
@@ -93,11 +95,12 @@ def _weights(model: LinearSdeModel, e: np.ndarray, Q: np.ndarray) -> tuple[np.nd
     return np.clip(F, 0.0, None), np.clip(S, 0.0, None)
 
 
-_ROOT = math.isqrt(MESH_PANELS)  # 64: the mesh's 4,096 panels are its square
+_ROOT = 64  # _mesh_transition's offsets and anchors
+_PANELS = _ROOT**2  # the curves' mesh: 4,096 uniform panels on [0, T]
 
 
 def _mesh_transition(A: np.ndarray, D: np.ndarray, s: np.ndarray, kt: bool = False):
-    """exp(sA), G_s and, if kt, K_s on the standard mesh s = i h, i = 0..b^2, from 2b kernel rows.
+    """exp(sA), G_s and, if kt, K_s on the curves' mesh s = i h, i = 0..b^2, from 2b kernel rows.
 
     b = _ROOT.  One kernel call gives the offsets o = r h (r = 1..b) and the
     anchors a = b j h (j = 0..b-1); row i = b j + r then follows from the
@@ -152,7 +155,7 @@ _CURVE_CACHE: dict = {}
 
 
 def _curves(model: LinearSdeModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Mesh, F, S and the Gramians Q_t on the standard mesh, cached for the last model.
+    """Mesh, F, S and the Gramians Q_t on the curves' mesh, cached for the last model.
 
     ``_weights`` over ``_mesh_transition(A^T, M)`` at s = the mesh, with F and S
     reversed onto the t axis.  The cache holds one model: a three-grid
@@ -170,7 +173,7 @@ def _curves(model: LinearSdeModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     hit = _CURVE_CACHE.get(key)
     if hit is not None:
         return hit
-    mesh = np.linspace(0.0, model.T, MESH_PANELS + 1)
+    mesh = np.linspace(0.0, model.T, _PANELS + 1)
     e, Q, _ = _mesh_transition(model.A.T, model.M, mesh)
     F, S = _weights(model, e, Q)
     out = (mesh, F[::-1].copy(), S[::-1].copy(), Q)
@@ -181,18 +184,12 @@ def _curves(model: LinearSdeModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return out
 
 
-def _weight(model: LinearSdeModel, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Mesh and the weight curve of the given kind, refusing any other kind."""
+def weight_curve(model: LinearSdeModel, kind: str) -> WeightCurve:
+    """Weight curve F (kind 'terminal') or S ('integral') on the curves' mesh; no other kind."""
     if kind not in ("terminal", "integral"):
         raise ValueError("kind must be 'terminal' or 'integral'")
     mesh, F, S, _ = _curves(model)
-    return mesh, F if kind == "terminal" else S
-
-
-def weight_curve(model: LinearSdeModel, kind: str) -> WeightCurve:
-    """Sampled weight curve of the requested kind on the standard mesh."""
-    mesh, w = _weight(model, kind)
-    return WeightCurve(kind=kind, mesh=mesh, values=w)
+    return WeightCurve(kind=kind, mesh=mesh, values=F if kind == "terminal" else S)
 
 
 def _check_density(model: LinearSdeModel, psi: GridDensity) -> None:
@@ -208,17 +205,18 @@ def _require_regular(model: LinearSdeModel) -> None:
 def _integrand(model: LinearSdeModel, psi: GridDensity, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """Mesh and the integrand w / psi^2 of the functional of the given kind.
 
-    The divergence rule of the module docstring: psi = 0 is refused where
-    w > 1e-14 max(w), and the integrand is 0 wherever psi = 0.
+    The divergence rule of the module docstring, on psi read at the curves'
+    nodes: psi = 0 is refused where w > 1e-14 max(w), and the integrand is 0 there.
     """
     _check_density(model, psi)
-    mesh, w = _weight(model, kind)
-    zero = psi.values == 0.0
+    curve = weight_curve(model, kind)
+    w, p = curve.values, psi.psi_at(curve.mesh)
+    zero = p == 0.0
     if np.any(zero & (w > 1e-14 * max(w.max(), 1e-300))):
         raise ValueError(f"density vanishes where the {kind} weight is positive")
     integrand = np.zeros_like(w)
-    np.divide(w, psi.values**2, out=integrand, where=~zero)
-    return mesh, integrand
+    np.divide(w, p**2, out=integrand, where=~zero)
+    return curve.mesh, integrand
 
 
 def phi_functional(model: LinearSdeModel, psi: GridDensity) -> float:
@@ -239,12 +237,12 @@ def ups_functional(model: LinearSdeModel, psi: GridDensity) -> float:
 
 
 def _min_value(model: LinearSdeModel, kind: str) -> float:
-    mesh, w = _weight(model, kind)
-    if not np.any(w > 0):
+    curve = weight_curve(model, kind)
+    if not np.any(curve.values > 0):
         # identically zero weight: the functional floor is exactly zero
         return 0.0
     _require_regular(model)
-    return float(_simpson(np.cbrt(w), mesh)) ** 3
+    return float(_simpson(np.cbrt(curve.values), curve.mesh)) ** 3
 
 
 def min_phi_value(model: LinearSdeModel) -> float:
@@ -260,10 +258,10 @@ def min_ups_value(model: LinearSdeModel) -> float:
 def optimal_profile(model: LinearSdeModel, kind: str) -> GridDensity:
     """Cube-root-law density density_from_weight(w) for w = F or S.
 
-    Its ``cumulative`` samples the inverse of the time profile that
-    quantile grids realise.
+    It lives on the curves' mesh.  Its ``cumulative`` samples the inverse
+    of the time profile that quantile grids realise.
     """
-    _, w = _weight(model, kind)
+    w = weight_curve(model, kind).values
     _require_regular(model)
     return density_from_weight(model.T, w)
 
@@ -274,8 +272,8 @@ def limit_sigma(model: LinearSdeModel, psi: GridDensity, tau: float) -> np.ndarr
     Evaluates the explicit integral
         int_0^tau exp((phi(tau)-phi(v)) A) mho exp(...)^T phi'(v)^3 dv,
     with phi = Psi^{-1} the time profile and phi' = 1 / psi(phi), by
-    Simpson quadrature on 4097 nodes, whose exponentials come from one
-    batched expm call.  It solves the Lyapunov ODE
+    Simpson quadrature on as many nodes of [0, tau] as the curves' mesh has,
+    whose exponentials come from one batched expm call.  It solves the Lyapunov ODE
         Sigma' = phi'(v) (A Sigma + Sigma A^T) + phi'(v)^3 mho,  Sigma(0) = 0,
     which the tests integrate by RK4 as an independent check.  Requires a
     density bounded away from zero (phi' finite on [0, 1]).
@@ -288,7 +286,7 @@ def limit_sigma(model: LinearSdeModel, psi: GridDensity, tau: float) -> np.ndarr
         raise ValueError("limit covariance requires psi > 0 on all of [0, T]")
     if tau == 0.0:
         return np.zeros((model.n, model.n))
-    v = np.linspace(0.0, tau, 4097)
+    v = np.linspace(0.0, tau, _PANELS + 1)
     phit = psi.profile(v)
     E = expm(model.A, phit[-1] - phit)
     dphi = 1.0 / psi.psi_at(phit)

@@ -1,11 +1,12 @@
 """Time grids on [0, T] and the densities that generate them.
 
 A grid density is a normalised, piecewise-linear probability density psi
-on a fixed uniform mesh of MESH_PANELS panels.  Its cumulative Psi is then
-piecewise quadratic and can be inverted panel-wise in closed form, which is
-how quantile grids t_k = Psi^{-1}(k / N) are produced.  Densities are
-strictly positive except possibly at T, where weight curves that vanish at
-the horizon (the integral-error case) are allowed to pinch to zero.
+on the uniform mesh its n nodal values span, n - 1 panels on [0, T], so a
+constant density is two nodes.  Its cumulative Psi is piecewise quadratic
+and is inverted panel-wise in closed form, which is how quantile grids
+t_k = Psi^{-1}(k / N) are produced.  Densities are strictly positive except
+possibly at T, where weights that vanish at the horizon (the integral-error
+case) are allowed to pinch to zero.
 """
 
 from __future__ import annotations
@@ -14,10 +15,7 @@ import operator
 
 import numpy as np
 
-MESH_PANELS = 4096
-
 __all__ = [
-    "MESH_PANELS",
     "GridDensity",
     "TimeGrid",
     "uniform_density",
@@ -76,9 +74,10 @@ class TimeGrid:
 class GridDensity:
     """Piecewise-linear probability density on [0, T].
 
-    ``values`` are the nodal values on the uniform mesh, rescaled so the
-    trapezoid integral (exact for piecewise-linear data) is 1.  Interior
-    nodes must be strictly positive; only the terminal node may vanish.
+    ``values``, at least two, are the nodal values on the uniform mesh of
+    len(values) - 1 panels, rescaled so the trapezoid integral (exact for
+    piecewise-linear data), which must be finite, is 1.  Interior nodes must
+    be strictly positive; only the terminal node may vanish.
     """
 
     def __init__(self, T: float, values):
@@ -86,8 +85,8 @@ class GridDensity:
         if not np.isfinite(T) or T <= 0:
             raise ValueError("T must be positive")
         values = np.asarray(values, dtype=float)
-        if values.shape != (MESH_PANELS + 1,):
-            raise ValueError(f"values must have shape ({MESH_PANELS + 1},)")
+        if values.ndim != 1 or values.size < 2:
+            raise ValueError("values must be a 1-D array of at least two nodes")
         if not np.all(np.isfinite(values)):
             raise ValueError("density values must be finite")
         if np.any(values < 0):
@@ -95,13 +94,14 @@ class GridDensity:
         if np.any(values[:-1] == 0.0):
             raise ValueError("density may vanish at T only, not at interior nodes")
         self.T = T
-        self.mesh = np.linspace(0.0, T, MESH_PANELS + 1)
-        h = T / MESH_PANELS
+        self.mesh = np.linspace(0.0, T, values.size)
+        h = T / (values.size - 1)
         mass = np.zeros(values.size)
-        mass[1:] = np.cumsum(0.5 * h * (values[1:] + values[:-1]))
+        with np.errstate(over="ignore"):  # an infinite mass is refused just below
+            mass[1:] = np.cumsum(0.5 * h * (values[1:] + values[:-1]))
         total = mass[-1]
-        if total <= 0:
-            raise ValueError("density must have positive mass")
+        if not (np.isfinite(total) and total > 0):
+            raise ValueError("density must have finite, positive mass")
         self.values = values / total
         self.cumulative = mass / total
         self.cumulative[-1] = 1.0
@@ -122,10 +122,11 @@ class GridDensity:
         u = _no_nan(u, "u")
         scalar = u.ndim == 0
         uu = np.atleast_1d(u)
-        h = self.T / MESH_PANELS
+        panels = self.values.size - 1
+        h = self.T / panels
         i = np.searchsorted(self.cumulative, uu, side="right")
         i -= 1
-        np.clip(i, 0, MESH_PANELS - 1, out=i)
+        np.clip(i, 0, panels - 1, out=i)
         d = uu - self.cumulative[i]
         np.clip(d, 0.0, 1.0, out=d)  # +-inf to the ends; the identity for u in [0, 1]
         # stable positive root s = 2 d / (a + sqrt(a^2 + 2 b d)) of a s + b s^2 / 2 = d,
@@ -147,18 +148,18 @@ class GridDensity:
         return float(out[0]) if scalar else out
 
     def __repr__(self):
-        return f"GridDensity(T={self.T}, panels={MESH_PANELS})"
+        return f"GridDensity(T={self.T}, panels={self.values.size - 1})"
 
 
 def uniform_density(T: float) -> GridDensity:
-    """Constant density 1/T on [0, T]."""
-    return GridDensity(T, np.full(MESH_PANELS + 1, 1.0 / float(T)))
+    """Constant density 1/T on [0, T]: two nodes, one panel."""
+    return GridDensity(T, [1.0, 1.0])
 
 
 def density_from_weight(T: float, w) -> GridDensity:
     """Density proportional to the cube root of a nonnegative weight.
 
-    ``w`` holds the weight's samples on the standard mesh.  The cube-root
+    ``w`` holds the weight's samples on a uniform mesh, the density's.  The cube-root
     profile makes quantile grids asymptotically optimal for the mean-square
     error functionals.  cbrt keeps signs, zeros and non-finite values, so
     GridDensity refuses the roots of a bad weight as it would the weight.

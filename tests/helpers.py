@@ -15,9 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sde_gridopt import GridDensity, LinearSdeModel, TimeGrid, kt_matrix, mat_exp, mho, regularity_check
-from sde_gridopt.asymptotics import _integrand, _min_value, _simpson, _weight, _weights
-from sde_gridopt.grid import MESH_PANELS, _index, _no_nan
+from sde_gridopt import (
+    GridDensity,
+    LinearSdeModel,
+    TimeGrid,
+    kt_matrix,
+    mat_exp,
+    mho,
+    regularity_check,
+    weight_curve,
+)
+from sde_gridopt.asymptotics import _integrand, _min_value, _simpson, _weights
+from sde_gridopt.grid import _index, _no_nan
 from sde_gridopt.matfun import _transition
 from sde_gridopt.solver import _MC_BLOCK, _step_table, _stream
 
@@ -279,7 +288,7 @@ def asymptotic_report(model: LinearSdeModel, psi: GridDensity, kind: str) -> Asy
     mesh, integrand = _integrand(model, psi, kind)
     value = float(_simpson(integrand, mesh))
     minimum = _min_value(model, kind)
-    _, w = _weight(model, kind)
+    w = weight_curve(model, kind).values
     bound = model.T**3 * float(w.min())
     ratio = value / minimum if minimum > 0 else math.inf if value > 0 else 1.0
     return AsymptoticReport(kind=kind, value=value, minimum=minimum, lower_bound=bound, ratio=ratio)
@@ -510,8 +519,9 @@ def cum_at(psi: GridDensity, t):
     t = _no_nan(t, "t")
     scalar = t.ndim == 0
     tt = np.clip(np.atleast_1d(t), 0.0, psi.T)
-    h = psi.T / MESH_PANELS
-    i = np.clip((tt / h).astype(int), 0, MESH_PANELS - 1)
+    panels = psi.values.size - 1
+    h = psi.T / panels
+    i = np.clip((tt / h).astype(int), 0, panels - 1)
     s = tt - psi.mesh[i]
     a = psi.values[i]
     b = (psi.values[i + 1] - psi.values[i]) / h

@@ -115,7 +115,7 @@ def test_criterion_4_monte_carlo_consistency(ou):
 def test_criterion_5_holder_optimality(ou):
     reg = random_regular_model(np.random.default_rng(11), n=2, m=2)
     rng = np.random.default_rng(3)
-    mesh_nodes = uniform_density(1.0).values.size
+    mesh_nodes = weight_curve(ou, "terminal").mesh.size  # random densities on the curves' mesh
     for model in (ou, reg):
         floor = min_phi_value(model)
         for _ in range(10):

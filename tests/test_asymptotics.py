@@ -10,10 +10,10 @@ from scipy.linalg import expm
 from sde_gridopt import (
     GridDensity,
     LinearSdeModel,
-    MESH_PANELS,
     asymptotics,
     density_from_weight,
     frobenius_pairing,
+    grid_from_density,
     limit_sigma,
     mho,
     min_phi_value,
@@ -40,8 +40,8 @@ from helpers import (
     weight_S,
 )
 
-J = MESH_PANELS
-MESH = np.linspace(0.0, 1.0, J + 1)  # the standard mesh on [0, 1]
+J = asymptotics._PANELS  # the curves' panel count
+MESH = np.linspace(0.0, 1.0, J + 1)  # the curves' mesh on [0, 1]
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +164,7 @@ class TestWeightCurve:
                         assert abs(one - ref) <= tol
 
     def test_uncached_build_makes_one_128_row_kernel_call(self, ou, monkeypatch):
-        # 64 offsets and 64 anchors, 64 = isqrt(MESH_PANELS); the semigroup gives the rest
+        # 64 offsets and 64 anchors, J = 64^2; the semigroup gives the rest
         calls = []
         real = asymptotics._transition
 
@@ -586,6 +586,47 @@ class TestLimitSigma:
         pinched = optimal_profile(ou, "integral")
         with pytest.raises(ValueError):
             limit_sigma(ou, pinched, 0.5)
+
+
+# A density on a coarse mesh against the same function on the curves' mesh:
+# the two differ only in the rounding of their normalisation over 64 or 4,096
+# panels.  Largest gaps measured on the terminal cube-root density of OU and
+# sys4, in eps: the functionals 15.4 relative (OU), 1,000-step grids 3.5 of T
+# (sys4), limit_sigma(psi, 1) 22.2 of its largest entry (OU); each bound is
+# MESH_MARGIN times that.
+MESH_MARGIN = 4.0
+MESH_GAPS = {"functional": 15.4, "grid": 3.5, "sigma": 22.2}
+
+
+class TestDensityOnAnyMesh:
+    """The functionals read a density at the curves' nodes, whatever mesh it spans."""
+
+    @pytest.mark.parametrize("name", ["ou", "sys4"])
+    def test_two_node_uniform_density_is_the_fine_one_bitwise(self, name):
+        model = gramian_model(name)
+        fine = GridDensity(model.T, np.full(J + 1, 1.0 / model.T))
+        uni = uniform_density(model.T)
+        assert uni.values.size == 2
+        assert phi_functional(model, uni) == phi_functional(model, fine)
+        assert ups_functional(model, uni) == ups_functional(model, fine)
+
+    @pytest.mark.parametrize("name", ["ou", "sys4"])
+    def test_coarse_density_matches_its_resampling(self, name):
+        eps = np.finfo(float).eps
+        model = gramian_model(name)
+        curve = weight_curve(model, "terminal")
+        coarse = density_from_weight(model.T, curve.values[::64])  # 64 panels
+        assert np.array_equal(coarse.mesh, curve.mesh[::64])
+        fine = GridDensity(model.T, coarse.psi_at(curve.mesh))
+        tol = {k: MESH_MARGIN * gap * eps for k, gap in MESH_GAPS.items()}
+        for functional in (phi_functional, ups_functional):
+            want = functional(model, fine)
+            assert abs(functional(model, coarse) - want) <= tol["functional"] * want
+        gap = grid_from_density(coarse, 1000).points - grid_from_density(fine, 1000).points
+        assert np.max(np.abs(gap)) <= tol["grid"] * model.T
+        want = limit_sigma(model, fine, 1.0)
+        got = limit_sigma(model, coarse, 1.0)
+        assert np.max(np.abs(got - want)) <= tol["sigma"] * np.abs(want).max()
 
 
 class TestOuClosedForms:

@@ -1,9 +1,10 @@
 
+import warnings
+
 import numpy as np
 import pytest
 
 from sde_gridopt import (
-    MESH_PANELS,
     GridDensity,
     TimeGrid,
     density_from_weight,
@@ -13,8 +14,9 @@ from sde_gridopt import (
 
 from helpers import cum_at, empirical_density
 
-J = MESH_PANELS
-MESH = np.linspace(0.0, 1.0, J + 1)  # the standard mesh on [0, 1]
+EPS = np.finfo(float).eps
+J = 4096  # panels of the test densities; a density takes any count
+MESH = np.linspace(0.0, 1.0, J + 1)  # their mesh on [0, 1]
 
 
 class TestTimeGrid:
@@ -87,13 +89,15 @@ class TestGridDensity:
 
     def test_profile_inverts_cumulative(self):
         rng = np.random.default_rng(9)
-        psi = GridDensity(1.5, 0.1 + rng.random(J + 1))
-        ts = np.linspace(0.05, 1.45, 17)
-        back = psi.profile(cum_at(psi, ts))
-        assert np.max(np.abs(back - ts)) < 1e-12 * psi.T
-        us = np.linspace(0.0, 1.0, 33)
-        fwd = cum_at(psi, psi.profile(us))
-        assert np.max(np.abs(fwd - us)) < 1e-12
+        # the fine mesh, and 7 panels with the terminal zero
+        for values in (0.1 + rng.random(J + 1), np.append(0.1 + rng.random(7), 0.0)):
+            psi = GridDensity(1.5, values)
+            ts = np.linspace(0.05, 1.45, 17)
+            back = psi.profile(cum_at(psi, ts))
+            assert np.max(np.abs(back - ts)) < 1e-12 * psi.T
+            us = np.linspace(0.0, 1.0, 33)
+            fwd = cum_at(psi, psi.profile(us))
+            assert np.max(np.abs(fwd - us)) < 1e-12
 
     def test_profile_is_the_panel_root_bitwise(self):
         # profile solves in place; its bits are those of the plain formula
@@ -133,6 +137,44 @@ class TestGridDensity:
             getattr(psi, method)(arg)
 
 
+class TestDensityMesh:
+    """A density spans the uniform mesh of its own nodal values."""
+
+    def test_uniform_density_is_two_nodes(self):
+        psi = uniform_density(2.0)
+        assert np.array_equal(psi.mesh, [0.0, 2.0])
+        assert np.array_equal(psi.values, [0.5, 0.5])
+        assert np.array_equal(psi.cumulative, [0.0, 1.0])
+        assert repr(psi) == "GridDensity(T=2.0, panels=1)"
+
+    @pytest.mark.parametrize("T", [1.0, 2.0])
+    def test_two_node_uniform_grids_are_the_fine_ones_bitwise(self, T):
+        fine = GridDensity(T, np.full(J + 1, 1.0 / T))
+        for N in (64, 1000, 1024, 65536):
+            got = grid_from_density(uniform_density(T), N).points
+            assert np.array_equal(got, grid_from_density(fine, N).points)
+
+    @pytest.mark.parametrize("T", [0.3, 3.0])
+    def test_two_node_uniform_grids_within_one_rounding(self, T):
+        # 1 / T rounds here, and 4,096 panels normalise it with other roundings than one
+        fine = GridDensity(T, np.full(J + 1, 1.0 / T))
+        for N in (64, 1000, 1024, 65536):
+            gap = grid_from_density(uniform_density(T), N).points - grid_from_density(fine, N).points
+            assert np.max(np.abs(gap)) <= EPS * T
+
+    @pytest.mark.parametrize(
+        "T, values",
+        [(1.0, np.full(J + 1, 1.7e308)), (1e10, np.full(3, 1e300))],
+        ids=["sum-overflows", "width-overflows"],
+    )
+    def test_overflowing_mass_refused_without_a_warning(self, T, values):
+        # each value is finite, but the trapezoid mass is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite, positive mass"):
+                GridDensity(T, values)
+
+
 class TestDensityFromWeight:
     def test_constant_weight_is_uniform(self):
         psi = density_from_weight(2.0, np.full(J + 1, 5.0))
@@ -151,7 +193,9 @@ class TestDensityFromWeight:
         with pytest.raises(ValueError):
             density_from_weight(1.0, bad)
         with pytest.raises(ValueError):
-            density_from_weight(1.0, np.ones(J))  # wrong length
+            density_from_weight(1.0, np.ones(1))  # one node spans no panel
+        with pytest.raises(ValueError):
+            density_from_weight(1.0, np.ones((2, J + 1)))  # not 1-D
 
     def test_callable_weight_refused(self):
         # nodal samples only: a callable is not sampled on the mesh
@@ -165,14 +209,15 @@ class TestDensityFromWeight:
             (1.0, np.where(np.arange(J + 1) == 5, -1.0, 1.0)),
             (1.0, np.where(np.arange(J + 1) == 5, np.nan, 1.0)),
             (1.0, np.where(np.arange(J + 1) == 5, np.inf, 1.0)),
-            (1.0, np.ones(J)),
+            (1.0, np.ones(1)),
+            (1.0, np.ones((2, J + 1))),
             (0.0, np.ones(J + 1)),
             (-1.0, np.ones(J + 1)),
             (np.inf, np.ones(J + 1)),
             (np.nan, np.ones(J + 1)),
         ],
         ids=[
-            "all-zero", "negative", "nan", "inf", "wrong-length",
+            "all-zero", "negative", "nan", "inf", "one-sample", "two-dim",
             "T-zero", "T-negative", "T-inf", "T-nan",
         ],
     )

@@ -30,7 +30,6 @@ PUBLIC = {
     "kt_matrix",
     "mho",
     # grid
-    "MESH_PANELS",
     "GridDensity",
     "TimeGrid",
     "uniform_density",

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridDensity, density_from_weight
-from .matfun import _Tc, _right, _sym, _transition, expm, mho
+from .matfun import _gramian, _Tc, _right, _sym, _transition, expm, mho
 from .model import LinearSdeModel, regularity_check
 
 __all__ = [
@@ -113,7 +113,7 @@ def _mesh_transition(A: np.ndarray, D: np.ndarray, s: np.ndarray, kt: bool = Fal
 
     whose terms are all PSD.  V is summed as E(aA) - E(oA) + o A E(oA) E(aA),
     since exp(oA) = I + o A E(oA); that cancels fewer digits, and at a = o it
-    is o A E E, so the kernel's doubling step (_double) is the case a = o.
+    is o A E E, so the kernel's doubling step (_transition) is the case a = o.
     What V still cancels costs about eps / ((a+o) ||A||) relative, and
     a + o > b h wherever V's weight a o / (a+o) is not 0.  Row 0 is
     (I, 0, K_0), K_0 = mho from the anchor a = 0.  Each row is one product
@@ -126,7 +126,8 @@ def _mesh_transition(A: np.ndarray, D: np.ndarray, s: np.ndarray, kt: bool = Fal
     """
     b, n = _ROOT, A.shape[0]
     t = np.concatenate((s[1 : b + 1], s[:-1:b]))
-    e, E, K, G = _transition(A, D, t)
+    e, E, K = _transition(A, D, t)
+    G = _gramian(E, K, D, t)
     eo, Go, ea, Ga = e[:b], G[:b], e[b:, None], G[b:, None]
     e_s = np.empty((b * b + 1, n, n))
     G_s = np.empty_like(e_s)

@@ -12,38 +12,28 @@ conditional law whose mean follows the Kalman recursion
 with Sigma independent of the draws.  The terminal and integral
 mean-square errors of the best increment-measurable reconstruction are
 read off Sigma alone (``error_report``; ``sigma_path`` also returns every
-Sigma_k), which is what the grid optimiser minimises.  Each call builds a
-step table: stacked arrays with one row per distinct dt, filled by one
-call of the batched matfun kernel, and a row index per step.  The mean
-and a sampled path share one recursion x' = exp(dt A) x + u, whose drive u
-(E(dt A) B dW, plus (K_dt dt^3)^{1/2} xi on a path) is written a chunk of
-steps at a time by batched products.  The covariance recursion is a
-chunked prefix scan over the same rows: log2 of the chunk length batched
-sweeps compose a chunk's maps, and one carry, two products over the whole
-chunk, applies them to the last Sigma before it.  The scan holds one
-chunk of Sigma unless it is given the whole stack to fill, so a route that
-reads only the report needs O(chunk) memory.  A chunk whose rows repeat
-the chunk before (every chunk of a uniform grid with a dyadic step)
-reuses its composed maps and costs the carry alone.
-Each route takes its grid once (``run_filter`` from the increments) and
-refuses a grid that does not span the model's [0, T].
+Sigma_k), which is what the grid optimiser minimises.  Each route walks
+its grid in chunks of 1,024 steps, and each chunk gets a step table:
+stacked arrays with one row per distinct dt of the chunk, from one call of
+the batched matfun kernel, and a row index per step.  The mean and a
+sampled path share one recursion x' = exp(dt A) x + u, whose drive u
+(E(dt A) B dW, plus (K_dt dt^3)^{1/2} xi on a path) is written a chunk at
+a time by batched products.  The covariance recursion is a chunked prefix
+scan: log2 of the chunk length batched sweeps compose a chunk's maps, and
+one carry, two products over the whole chunk, applies them to the last
+Sigma before it.  So a route holds one chunk of step matrices, and one of
+Sigma unless it fills the whole stack.  A chunk whose steps repeat the
+chunk before (every chunk of a uniform grid with a dyadic step) reuses its
+table and composed maps.  Each route takes its grid once (``run_filter``
+from the increments) and refuses a grid that does not span [0, T].
 
-Every draw comes from an SFC64 stream keyed (seed, *key) through a
-SeedSequence (``_stream``), from an integer seed: increments come from
-(seed, 0), a path's n residual normals per step from (seed, 1), and
-block b of the Monte Carlo verifiers from (seed, 2, b).  Only the
-samplers take the square root of K_dt dt^3 (``_psd_root``).
-
-The Monte Carlo verifiers sample the error X - mu alone, from an integer
-seed.  The drive E(dt A) B dW enters X and mu alike and cancels, and so
-does x0, which they do not take: given the increments err' = exp(dt A) err
-+ (K_dt dt^3)^{1/2} xi from err = 0, with n standard normals xi per
-path-step.  A block of paths advances four steps per draw and per
-product: the errors over a chunk of steps are one linear map of the
-error before it and the chunk's normals, built once per distinct chunk.
-The check thus tests the sampling, the square roots and the scan against
-a direct simulation on the same step table, not exp(dt A), E(dt A) B or
-K_dt against an independent route.
+Every draw comes from an SFC64 stream keyed (seed, *key), from an integer
+seed (``_stream``).  Only the samplers take the square root of K_dt dt^3
+(``_psd_root``).  The Monte Carlo verifiers sample the error X - mu alone:
+the drive and x0 enter X and mu alike and cancel, leaving err' = exp(dt A)
+err + (K_dt dt^3)^{1/2} xi from err = 0.  They thus test the sampling, the
+square roots and the scan against a direct simulation on the same kernel
+rows, not exp(dt A), E(dt A) B or K_dt against an independent route.
 """
 
 from __future__ import annotations
@@ -54,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import TimeGrid, _index
-from .matfun import _Tc, _right, _transition
+from .matfun import _Tc, _right, _series, _transition
 from .model import LinearSdeModel
 
 __all__ = [
@@ -73,14 +63,12 @@ __all__ = [
 def _stream(seed: int, *key: int) -> np.random.Generator:
     """SFC64 stream keyed by (seed, *key) through a SeedSequence.
 
-    The seed is the sequence's entropy and the key its spawn key, so each
-    key names a stream of its own and the pair (key, position) locates
-    every number drawn anywhere in the package independently of
-    scheduling.  The keys fall in three spaces: the increments read
-    (seed, 0), a path's residual normals (seed, 1), and block b of the
-    Monte Carlo verifiers (seed, 2, b), so no verifier block shares draws
-    with a sampler on the same seed and the verifiers' bytes are the same
-    on any number of cores.
+    The seed is the sequence's entropy and the key its spawn key, so the
+    pair (key, position) locates every number drawn, independently of
+    scheduling.  The increments read (seed, 0), a path's residual normals
+    (seed, 1), and block b of the Monte Carlo verifiers (seed, 2, b), so no
+    verifier block shares draws with a sampler on the same seed and the
+    verifiers' bytes are the same on any number of cores.
     """
     seed = int(seed)
     key = tuple(int(k) for k in key)
@@ -91,11 +79,8 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class StepTable:
-    """Transition data of a step sequence, one row per distinct step length.
-
-    Step k of the sequence has length dts[index[k]] and uses row index[k]
-    of each (L, ...) stack.
-    """
+    """Transition data of a step sequence: step k has length dts[index[k]] and
+    uses row index[k] of each (L, ...) stack, one row per distinct length."""
 
     dts: np.ndarray  # (L,) distinct step lengths, ascending
     index: np.ndarray  # (N,) row of each step
@@ -104,19 +89,19 @@ class StepTable:
     kt3: np.ndarray  # (L, n, n), K_dt dt^3
 
 
-def _step_table(model: LinearSdeModel, steps) -> StepTable:
+def _step_table(model: LinearSdeModel, steps, series=None) -> StepTable:
     """Step matrices of every distinct step length, from one kernel call.
 
-    The steps must be positive and finite, as the steps of a TimeGrid are.
-    Each step is one of the distinct dts, so searchsorted finds its row
-    exactly.  This takes a quarter of the transient memory of np.unique's
-    inverse, and unlike np.unique without one it does not import numpy.ma
-    (about 15 ms at a cold start on numpy 2.4).
+    The steps must be positive and finite, as the steps of a TimeGrid are;
+    ``series`` is the kernel's per-model work if the caller built it.  Each
+    step is one of the distinct dts, so searchsorted finds its row exactly,
+    in a quarter of the transient memory of np.unique's inverse and without
+    importing numpy.ma (about 15 ms at a cold start on numpy 2.4).
     """
     dts = np.sort(steps)
     dts = dts[np.append(True, dts[1:] != dts[:-1])]  # frees the sorted copy before the kernel
     index = np.searchsorted(dts, steps)
-    exp_a, phi, kt, _ = _transition(model.A, model.D, dts)
+    exp_a, phi, kt = _transition(model.A, model.D, dts, series)
     return StepTable(dts, index, exp_a, _right(phi, model.B), kt * (dts**3)[:, None, None])
 
 
@@ -124,13 +109,6 @@ def _psd_root(kt3: np.ndarray) -> np.ndarray:
     """PSD square roots R @ R.T = kt3; eigenvalues clipped at zero against roundoff."""
     w, V = np.linalg.eigh(kt3)
     return V * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
-
-
-def _grid_table(model: LinearSdeModel, grid: TimeGrid) -> StepTable:
-    """The step table of a grid, which must span the model's horizon [0, T]."""
-    if grid.horizon != model.T:
-        raise ValueError("grid horizon does not match the model")
-    return _step_table(model, grid.steps)
 
 
 def _vector(v, size: int, name: str) -> np.ndarray:
@@ -174,31 +152,48 @@ class ErrorReport:
     n2_integral: float
 
 
-_SCAN_CHUNK = 1024  # steps per chunk of the scan and of a path's drive; bounds their memory
+_SCAN_CHUNK = 1024  # steps per chunk of the scan and of its step tables; bounds their memory
 
 
-def _affine_path(table: StepTable, x0: np.ndarray, *drives) -> np.ndarray:
-    """The (N + 1, n) states x_{k+1} = exp_a[i_k] x_k + u_k from x0.
+def _chunks(model: LinearSdeModel, grid: TimeGrid):
+    """(slice, StepTable) per _SCAN_CHUNK steps of a grid that spans [0, T], checked at the call.
 
-    u_k sums C[i_k] v_k over the drives, pairs (C, v) of an (L, n, p) stack
-    and an (N, p) array.  It is written into the path a chunk of steps at a
-    time, and x_{k+1} is then added in place: the bits of a step-by-step loop.
+    Each table is one kernel call over the chunk's distinct steps, with the
+    kernel's per-model work built once.  A chunk whose steps equal the
+    chunk before bit for bit gets the same table object back.
     """
-    N = table.index.size
-    path = np.empty((N + 1, x0.size))
-    path[0] = x = x0
-    exp_a = list(table.exp_a)
-    (C0, v0), *rest = drives
-    for lo in range(0, N, _SCAN_CHUNK):
-        chunk = slice(lo, lo + _SCAN_CHUNK)
-        rows, u = table.index[chunk], path[1:][chunk]
-        np.matmul(C0[rows], v0[chunk, :, None], out=u[..., None])
-        for C, v in rest:
-            u += (C[rows] @ v[chunk, :, None])[..., 0]
+    if grid.horizon != model.T:
+        raise ValueError("grid horizon does not match the model")
+    steps, series = grid.steps, _series(model.A, model.D)
+
+    def tables():
+        prev = table = None
+        for lo in range(0, steps.size, _SCAN_CHUNK):
+            chunk = steps[lo : lo + _SCAN_CHUNK]
+            if prev is None or not np.array_equal(chunk, prev):
+                table, prev = _step_table(model, chunk, series), chunk
+            yield slice(lo, lo + chunk.size), table
+
+    return tables()
+
+
+def _affine_path(path: np.ndarray, chunks, dW: np.ndarray, xi=None):
+    """Pass on each ``_chunks`` pair once its states are in path, from path[0].
+
+    path[k + 1] = exp_a[i_k] path[k] + u_k, with u_k = phi_b[i_k] dW_k plus,
+    given normals xi, root(kt3)[i_k] xi_k.  u is written a chunk at a time by
+    batched products, then x_{k+1} added in place: a step-by-step loop's bits.
+    """
+    for chunk, table in chunks:
+        rows, u = table.index, path[1:][chunk]
+        np.matmul(table.phi_b[rows], dW[chunk, :, None], out=u[..., None])
+        if xi is not None:
+            u += (_psd_root(table.kt3)[rows] @ xi[chunk, :, None])[..., 0]
+        x, exp_a = path[chunk.start], list(table.exp_a)
         for i, y in zip(rows.tolist(), u):
             y += exp_a[i] @ x
             x = y
-    return path
+        yield chunk, table
 
 
 def sample_exact_path(
@@ -211,11 +206,14 @@ def sample_exact_path(
     of each state update orthogonal to dW takes n normals per step from the
     stream (seed, 1), drawn as one (N, n) array, row k for step k.
     """
-    x0 = _vector(x0, model.n, "x0")
+    path = np.empty((grid.n_steps + 1, model.n))
+    path[0] = _vector(x0, model.n, "x0")
     inc = WienerIncrements.sample(grid, model.m, seed)
-    table = _grid_table(model, grid)
+    chunks = _chunks(model, grid)
     xi = _stream(seed, 1).standard_normal((grid.n_steps, model.n))
-    return _affine_path(table, x0, (table.phi_b, inc.increments), (_psd_root(table.kt3), xi)), inc
+    for _ in _affine_path(path, chunks, inc.increments, xi):
+        pass
+    return path, inc
 
 
 def kalman_step(model: LinearSdeModel, mu, sigma, dt: float, dW) -> tuple[np.ndarray, np.ndarray]:
@@ -255,54 +253,44 @@ def _compose(E: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return E, Q
 
 
-def _sigma_path(model: LinearSdeModel, table: StepTable, sigmas=None) -> ErrorReport:
-    """The error report of a step table by a chunked parallel-prefix scan.
+def _sigma_path(model: LinearSdeModel, N: int, chunks, sigmas=None) -> ErrorReport:
+    """The error report of N steps, given as ``_chunks`` pairs, by a chunked prefix scan.
 
     Step k maps Sigma to E_k Sigma E_k^T + Q_k, and these affine maps
     compose associatively: (E2, Q2) after (E1, Q1) is
-    (E2 E1, E2 Q1 E2^T + Q2).  Inside a chunk of _SCAN_CHUNK steps,
-    ``_compose`` turns row k into the composition of steps lo..k; the
-    chunk's Sigma then follows from the carry, the last Sigma of the chunk
-    before, as E Sigma E^T + Q: one 2-D product of the stacked E against
-    Sigma, one stacked product against E^T (made contiguous once per
-    composed chunk), then Q added and the result symmetrised in place into
-    the chunk's rows.  Those rows are ``sigmas[lo:hi]`` when the caller
-    passes an (N, n, n) stack to fill, and otherwise one reused chunk
-    buffer, so the report alone costs O(chunk) memory; the carry may stay a
-    view of that buffer, as the next chunk's product is taken before the
-    buffer is written.  Each chunk leaves <M, Sigma_k> dt_k in an (N,)
-    vector, and the integral is numpy's pairwise sum of it, not a BLAS
-    dot, whose bits would depend on the BLAS thread count.  A chunk whose
-    step rows equal the previous chunk's reuses its composed maps and E^T,
-    which would come out bitwise the same, and costs the carry alone.
-    That happens on uniform grids with a dyadic step T / N, where every
-    step has one length; elsewhere the float steps take several values
-    scattered along the grid (9 at T = 1, N = 1000), chunks rarely repeat,
-    and the test costs one comparison of the chunk's row indices.  On
-    stiff models a composite E can decay below the float range; that
-    underflow is not signalled, as what flushes to zero lies far below Q's
-    rounding.
+    (E2 E1, E2 Q1 E2^T + Q2).  ``_compose`` turns a chunk's row k into the
+    composition of its steps 0..k, and the chunk's Sigma is the carry, the
+    last Sigma before it, mapped as E Sigma E^T + Q: a 2-D product against
+    Sigma, a stacked one against E^T (made contiguous once per composed
+    chunk), then Q added and the sum symmetrised in place into the chunk's
+    rows of ``sigmas``, an (N, n, n) stack to fill, or of one reused buffer,
+    which the carry may view, as the next product precedes the next write.
+    The integral is numpy's pairwise sum of <M, Sigma_k> dt_k, not a BLAS
+    dot, whose bits would depend on the BLAS thread count.  A chunk that
+    comes with the previous chunk's table object reuses its composed maps
+    and E^T, which would come out bitwise the same.  On stiff models a
+    composite E can decay below the float range; that underflow is not
+    signalled, as what flushes to zero lies far below Q's rounding.
     """
-    N = table.index.size
     M = model.M
     buffer = np.empty((min(N, _SCAN_CHUNK), model.n, model.n)) if sigmas is None else None
     weighted = np.empty(N)
     sigma = np.zeros((model.n, model.n))
-    rows = None
-    for lo in range(0, N, _SCAN_CHUNK):
-        prev, rows = rows, table.index[lo : lo + _SCAN_CHUNK]
-        hi = lo + rows.size
+    prev = None
+    for chunk, table in chunks:
+        rows = table.index
         with np.errstate(under="ignore"):
-            if prev is None or not np.array_equal(rows, prev):
+            if table is not prev:
                 E, Q = _compose(table.exp_a[rows], table.kt3[rows])
                 Et = _Tc(E)
+            prev = table
             S = _right(E, sigma) @ Et
             S += Q
-        out = buffer[: rows.size] if sigmas is None else sigmas[lo:hi]
+        out = buffer[: rows.size] if sigmas is None else sigmas[chunk]
         np.add(S, S.mT, out=out)
         out *= 0.5
-        np.einsum("kij,ij->k", out, M, out=weighted[lo:hi])
-        weighted[lo:hi] *= table.dts[rows]
+        np.einsum("kij,ij->k", out, M, out=weighted[chunk])
+        weighted[chunk] *= table.dts[rows]
         sigma = out[-1]
     terminal = float(np.sum(M * sigma))
     integral = float(np.sum(weighted))
@@ -311,11 +299,9 @@ def _sigma_path(model: LinearSdeModel, table: StepTable, sigmas=None) -> ErrorRe
 
 
 def error_report(model: LinearSdeModel, grid: TimeGrid) -> ErrorReport:
-    """The ErrorReport of ``sigma_path`` without its stack.
-
-    The same bits, from a scan that keeps one chunk of Sigma_k, not all N.
-    """
-    return _sigma_path(model, _grid_table(model, grid))
+    """The ErrorReport of ``sigma_path``, bitwise, without its stack: the scan
+    keeps one chunk of Sigma_k and of the step matrices, not all N."""
+    return _sigma_path(model, grid.n_steps, _chunks(model, grid))
 
 
 def sigma_path(model: LinearSdeModel, grid: TimeGrid) -> tuple[np.ndarray, ErrorReport]:
@@ -325,9 +311,9 @@ def sigma_path(model: LinearSdeModel, grid: TimeGrid) -> tuple[np.ndarray, Error
     sum_k <M, Sigma_k> dt_k.  Sigma depends on the grid only.  A caller
     that reads the report alone takes ``error_report``.
     """
-    table = _grid_table(model, grid)
-    sigmas = np.empty((table.index.size, model.n, model.n))
-    return sigmas, _sigma_path(model, table, sigmas)
+    chunks = _chunks(model, grid)
+    sigmas = np.empty((grid.n_steps, model.n, model.n))
+    return sigmas, _sigma_path(model, grid.n_steps, chunks, sigmas)
 
 
 def run_filter(
@@ -336,14 +322,17 @@ def run_filter(
     """Run the conditional-moment recursion along the increments' grid.
 
     Returns the (N + 1, n) conditional means, row 0 equal to x0, and the
-    report of ``error_report``, which the increments do not affect.  A
-    caller that wants Sigma_k takes ``sigma_path``.
+    report of ``error_report``, which the increments do not affect; the
+    mean and the scan advance together, a chunk at a time.  A caller that
+    wants Sigma_k takes ``sigma_path``.
     """
     if increments.increments.shape[1] != model.m:
         raise ValueError("increment dimension does not match the model")
-    x0 = _vector(x0, model.n, "x0")
-    table = _grid_table(model, increments.grid)
-    return _affine_path(table, x0, (table.phi_b, increments.increments)), _sigma_path(model, table)
+    grid = increments.grid
+    path = np.empty((grid.n_steps + 1, model.n))
+    path[0] = _vector(x0, model.n, "x0")
+    chunks = _affine_path(path, _chunks(model, grid), increments.increments)
+    return path, _sigma_path(model, grid.n_steps, chunks)
 
 
 _MC_BLOCK = 2048  # paths per block: one stream and one worker task each
@@ -377,23 +366,21 @@ def _simulate_errors(
 ) -> np.ndarray:
     """Per-path squared errors, the error sampled from its exact law.
 
-    err = X - mu starts at 0 and follows err' = exp_a err + root(kt3) xi (see
-    the module docstring), n normals xi per path-step.  The steps run in
-    chunks of S = _MC_STEPS, the last padded by steps E = I, R = 0, dt = 0
-    that leave err and the integral as they are, and a chunk's errors
-    are one map of [err; xi_chunk] (``_chunk_maps``), built before the
-    paths start; a chunk whose rows repeat the previous chunk's reuses its
-    map, so a uniform grid with a dyadic step builds one.  Paths run in
-    blocks of _MC_BLOCK (the last may be shorter) as columns of one reused
-    ((S + 1) n, block) buffer [err; xi]: per chunk, block b draws xi as one
-    C-order (S n, block) array from the stream (seed, 2, b), the same
-    numbers as S draws of (n, block), and takes one product with the map
-    (the integral adds one product and one einsum for the chunk's
-    dt-weighted ||err||_M^2).  Each block fills its own slice of the
-    output, so the bytes do not depend on how many threads run the blocks
-    (``workers``, default one per available core).  The caller's numpy
-    error state holds inside each block.  Returns ||err_N||_M^2 per path,
-    or with ``integral`` sum_k ||err_{k+1}||_M^2 dt_k.
+    err = X - mu starts at 0 and follows err' = exp_a err + root(kt3) xi,
+    n normals xi per path-step.  The steps run in chunks of S = _MC_STEPS,
+    the last padded by steps E = I, R = 0, dt = 0 that leave err and the
+    integral as they are; a chunk's errors are one map of [err; xi_chunk]
+    (``_chunk_maps``), built before the paths start, and a chunk whose rows
+    repeat the previous chunk's reuses its map.  Paths run in blocks of
+    _MC_BLOCK as columns of one reused ((S + 1) n, block) buffer [err; xi]:
+    per chunk, block b draws xi as one C-order (S n, block) array from the
+    stream (seed, 2, b), the numbers of S draws of (n, block), and takes one
+    product with the map (the integral adds one product and one einsum).
+    Each block fills its own slice of the output, so the bytes do not
+    depend on how many threads run the blocks (``workers``, default one per
+    available core).  The caller's numpy error state holds inside each
+    block.  Returns ||err_N||_M^2 per path, or with ``integral``
+    sum_k ||err_{k+1}||_M^2 dt_k.
     """
     n, S, M = model.n, _MC_STEPS, model.M
     # a padding row, E = I and R = 0 over dt = 0, fills the last chunk to S steps
@@ -443,9 +430,8 @@ def _mc_verify(model: LinearSdeModel, grid: TimeGrid, paths: int, seed: int, int
     paths = _index(paths)
     if paths < 100:
         raise ValueError("need at least 100 paths for a meaningful check")
-    table = _grid_table(model, grid)
-    w = _simulate_errors(model, table, paths, _index(seed), integral)
-    report = _sigma_path(model, table)
+    report = error_report(model, grid)
+    w = _simulate_errors(model, _step_table(model, grid.steps), paths, _index(seed), integral)
     predicted = report.integral if integral else report.terminal
     return float(w.mean()), predicted, float(w.std(ddof=1) / math.sqrt(paths))
 
@@ -456,8 +442,8 @@ def mc_verify_mse(
     """Monte Carlo check of the terminal error against <M, Sigma_{N-1}>.
 
     Samples ||err_N||_M^2 per path from the integer ``seed``, n normals per
-    path-step; neither x0 nor the drive enters the error.  Both sides come
-    from one step table, so the check tests the sampling and the Sigma
+    path-step; neither x0 nor the drive enters the error.  Both sides read
+    the same kernel rows, so the check tests the sampling and the Sigma
     recursion, not the step matrices.  Returns (sample mean square error,
     predicted value, standard error of the sample mean).
     """

@@ -27,7 +27,7 @@ from sde_gridopt import (
 )
 from sde_gridopt.asymptotics import _integrand, _min_value, _simpson, _weights
 from sde_gridopt.grid import _index, _no_nan
-from sde_gridopt.matfun import _transition
+from sde_gridopt.matfun import _gramian, _transition
 from sde_gridopt.solver import _MC_BLOCK, _step_table, _stream
 
 
@@ -254,8 +254,8 @@ def weight_rows(model: LinearSdeModel, t) -> tuple[np.ndarray, np.ndarray]:
     t = np.asarray(t, dtype=float)
     if not np.all((0.0 <= t) & (t <= model.T)):
         raise ValueError("t must lie in [0, T]")
-    e, _, _, Q = _transition(model.A.T, model.M, model.T - t)
-    return _weights(model, e, Q)
+    e, E, K = _transition(model.A.T, model.M, model.T - t)
+    return _weights(model, e, _gramian(E, K, model.M, model.T - t))
 
 
 def weight_F(model: LinearSdeModel, t: float) -> float:

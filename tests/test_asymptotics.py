@@ -272,14 +272,16 @@ class TestSemigroupBuild:
         Um = mho(model.A, model.D)
         F_ref = np.array([frobenius_pairing(Um, E.T @ E) for E in (expm(s * model.A) for s in T - mesh)])
         assert np.max(np.abs(F - F_ref)) <= tol[2] * F_ref.max()
-        Q_row = asymptotics._transition(model.A.T, model.M, mesh)[3]
+        _, E_row, K_row = asymptotics._transition(model.A.T, model.M, mesh)
+        Q_row = asymptotics._gramian(E_row, K_row, model.M, mesh)
         assert np.max(np.abs(Q - Q_row)) <= tol[3] * np.abs(Q_row).max()
 
     @pytest.mark.parametrize("name", GRAMIAN_GAPS)
     def test_gramian_G_and_K_hold_to_per_row_kernel(self, name):
         model = gramian_model(name)
         mesh, _, G, K = gramian_build(model)
-        _, _, K_row, G_row = asymptotics._transition(model.A, model.D, mesh)
+        _, E_row, K_row = asymptotics._transition(model.A, model.D, mesh)
+        G_row = asymptotics._gramian(E_row, K_row, model.D, mesh)
         assert np.all(G[0] == 0.0) and np.array_equal(K[0], K_row[0])  # K_0 = mho, the a = 0 anchor
         eps = np.finfo(float).eps
         tol_G, tol_K = (SEMIGROUP_MARGIN * max(g, GAP_FLOOR) * eps for g in GRAMIAN_GAPS[name])
@@ -306,7 +308,7 @@ class TestSemigroupBuild:
         mesh, e, _, K = gramian_build(model)
         x = mesh[ROOT] * np.linalg.norm(model.A) / KT_BRANCH_THRESHOLD
         assert np.frexp(x)[1] >= 0 and mesh[2 * ROOT] == 2 * mesh[ROOT]
-        e_row, _, K_row, _ = asymptotics._transition(model.A, model.D, mesh[[2 * ROOT]])
+        e_row, _, K_row = asymptotics._transition(model.A, model.D, mesh[[2 * ROOT]])
         eps = np.finfo(float).eps
         assert row_gap(e[[2 * ROOT]], e_row)[0] <= 8 * eps
         assert row_gap(K[[2 * ROOT]], K_row)[0] <= 8 * eps

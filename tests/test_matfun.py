@@ -8,6 +8,7 @@ from scipy.linalg import expm
 from sde_gridopt import matfun
 from sde_gridopt.matfun import (
     KT_BRANCH_THRESHOLD,
+    _series,
     _transition,
     ctrl_gramian,
     kt_matrix,
@@ -329,6 +330,22 @@ class TestTransition:
                 for got, ref in zip(batch, one):
                     assert got.shape == (t.size, model.n, model.n)
                     assert np.array_equal(got[i], ref[0])
+
+    def test_propagator_skips_the_k_series(self, ou):
+        # expm and phi1 leave out K's series and doubling; exp(tA) and E(tA)
+        # come out bitwise those of the full kernel for any D, and a kernel
+        # fed a prebuilt series gives its own bits
+        x = np.array([1.2, 0.0, 10.0, 0.05, -0.7, 0.3, 2.5, 0.15, -3.0, 0.6])
+        rng = np.random.default_rng(48)
+        for model in [ou] + [random_model(rng, n=n) for n in (2, 3, 4)]:
+            t = x / np.linalg.norm(model.A)
+            e, E, K = _transition(model.A, model.D, t)
+            assert np.any(model.D != 0)
+            assert np.array_equal(matfun.expm(model.A, t), e)
+            assert all(np.array_equal(phi1(model.A, ti), Ei) for ti, Ei in zip(t, E))
+            assert len(_transition(model.A, None, t)) == 2
+            for got, ref in zip(_transition(model.A, model.D, t, _series(model.A, model.D)), (e, E, K)):
+                assert np.array_equal(got, ref)
 
 
 class TestMho:

@@ -441,10 +441,11 @@ class TestSigmaPath:
         assert peak - sigmas.nbytes <= 3_000_000
 
     @pytest.mark.parametrize("n", [1, 3])
-    @pytest.mark.parametrize("N", [1, 1023, 1024, 1025, 2051, "dyadic"])
+    @pytest.mark.parametrize("N", [1, 1023, 1024, 1025, 2049, 2051, "dyadic"])
     def test_error_report_matches_sigma_path(self, n, N):
         # the report route scans into one reused chunk buffer; a dyadic
-        # uniform grid of 4,096 steps reuses it over four equal chunks
+        # uniform grid of 4,096 steps reuses it over four equal chunks.
+        # run_filter's report, scanned beside its mean, is the same bits
         rng = np.random.default_rng([n, 4096 if N == "dyadic" else N])
         model = random_model(rng, n=n)
         if N == "dyadic":
@@ -455,6 +456,7 @@ class TestSigmaPath:
         expected = sigma_path(model, grid)[1]
         for field in dataclasses.fields(rep):
             assert getattr(rep, field.name) == getattr(expected, field.name), field.name
+        assert run_filter(model, np.ones(n), WienerIncrements.sample(grid, n, 5))[1] == rep
 
     def test_report_matches_run_filter(self, ou):
         grid = random_grid(np.random.default_rng(4), 40)
@@ -467,9 +469,9 @@ class TestSigmaPath:
         calls = []
         real = solver._transition
 
-        def counting(A, D, t):
+        def counting(A, D, t, series=None):
             calls.append(list(t))
-            return real(A, D, t)
+            return real(A, D, t, series)
 
         monkeypatch.setattr(solver, "_transition", counting)
         steps = np.array([0.1, 0.2, 0.1, 0.3, 0.2, 0.1])
@@ -482,6 +484,108 @@ class TestSigmaPath:
         grid = TimeGrid(np.arange(9) / 8.0)  # dyadic: every step is exactly 1/8
         sigma_path(ou, grid)
         assert calls == [[0.125]]
+
+
+def count_kernel(monkeypatch):
+    """The row count of every kernel call the solver makes from now on."""
+    calls = []
+    real = solver._transition
+
+    def counting(A, D, t, series=None):
+        calls.append(len(t))
+        return real(A, D, t, series)
+
+    monkeypatch.setattr(solver, "_transition", counting)
+    return calls
+
+
+def traced_peak(f):
+    """f() and the tracemalloc peak of the call."""
+    tracemalloc.start()
+    try:
+        return f(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkedStepTables:
+    """Every route builds its step tables one scan chunk at a time."""
+
+    @pytest.fixture(scope="class")
+    def sys4_optimal(self):
+        # the benchmark's sys4 model on its integral-optimal grid: every
+        # chunk has 1,024 distinct steps, none repeats the chunk before
+        workloads = Path(__file__).parents[1] / "perfbench" / "workloads"
+        model = parse_config(str(workloads / "sys4-optimal.cfg")).model
+        return model, grid_from_density(optimal_profile(model, "integral"), 16384)
+
+    def test_report_memory(self, sys4_optimal):
+        # 19.8 MB when the whole step table and the kernel's temporaries for
+        # every row were built before the scan; 2.5 MB measured a chunk at a time
+        model, grid = sys4_optimal
+        _, peak = traced_peak(lambda: error_report(model, grid))
+        assert peak <= 4_000_000
+
+    def test_route_memory_above_outputs(self, sys4_optimal):
+        # each route was at 19-20 MB with its whole step table; measured
+        # 2.4 MB (sigma_path), 2.6 MB (run_filter) and 1.6 MB
+        # (sample_exact_path) above what it returns and the normals it draws
+        model, grid = sys4_optimal
+        inc = WienerIncrements.sample(grid, model.m, 3)
+        x0 = np.zeros(model.n)
+        (sigmas, _), peak = traced_peak(lambda: sigma_path(model, grid))
+        assert peak - sigmas.nbytes <= 4_000_000
+        (means, _), peak = traced_peak(lambda: run_filter(model, x0, inc))
+        assert peak - means.nbytes <= 4_000_000
+        (states, inc), peak = traced_peak(lambda: sample_exact_path(model, grid, x0, 3))
+        normals = grid.n_steps * (model.m + model.n) * 8  # the increments' and the residuals'
+        assert peak - states.nbytes - inc.increments.nbytes - normals <= 4_000_000
+
+    def test_one_kernel_call_per_distinct_chunk(self, sys4_optimal, monkeypatch):
+        model, grid = sys4_optimal
+        steps = grid.steps
+        chunks = [steps[lo : lo + _SCAN_CHUNK] for lo in range(0, steps.size, _SCAN_CHUNK)]
+        rows = [np.unique(c).size for c in chunks]
+        assert len(rows) == 16
+        calls = count_kernel(monkeypatch)
+        error_report(model, grid)
+        assert calls == rows  # one call per chunk, over its distinct steps
+        calls.clear()
+        run_filter(model, np.zeros(model.n), WienerIncrements.sample(grid, model.m, 3))
+        assert calls == rows  # the mean and the scan share each chunk's table
+
+    def test_repeated_chunks_reuse_their_table(self, monkeypatch):
+        # dyadic steps add up exactly, so the grid's steps are these: chunks
+        # a, a, b, a and a five-step tail; a chunk equal to the one before
+        # reuses its table and composed maps, any other builds its own
+        h = 2.0**-12
+        steps = np.repeat([h, h, 2 * h, h, h], [1024, 1024, 1024, 1024, 5])
+        grid = TimeGrid(np.append(0.0, np.cumsum(steps)))
+        assert np.array_equal(grid.steps, steps)
+        model = random_model(np.random.default_rng(28), n=2, T=grid.horizon)
+        calls = count_kernel(monkeypatch)
+        composed = count_compose(monkeypatch)
+        rep = error_report(model, grid)
+        assert calls == [1, 1, 1, 1] and len(composed) == 4
+        assert sigma_path(model, grid)[1] == rep
+
+    def test_dyadic_uniform_grid_makes_one_kernel_call(self, monkeypatch):
+        workloads = Path(__file__).parents[1] / "perfbench" / "workloads"
+        model = parse_config(str(workloads / "sys4-uniform.cfg")).model
+        grid = grid_from_density(uniform_density(model.T), 4096)  # four equal chunks
+        inc = WienerIncrements.sample(grid, model.m, 3)
+        calls = count_kernel(monkeypatch)
+        composed = count_compose(monkeypatch)
+        for route in (
+            lambda: error_report(model, grid),
+            lambda: sigma_path(model, grid),
+            lambda: run_filter(model, np.zeros(model.n), inc),
+            lambda: sample_exact_path(model, grid, np.zeros(model.n), 3),
+        ):
+            calls.clear()
+            route()
+            assert calls == [1]
+        assert len(composed) == 3  # one composition per scan
 
 
 class TestClosedFormSigma:
@@ -962,7 +1066,7 @@ class TestSimulateErrors:
         stderr = w.std(ddof=1) / math.sqrt(paths)
 
         def zscore(t):
-            rep = solver._sigma_path(model, t)
+            rep = solver._sigma_path(model, 64, [(slice(0, 64), t)])
             return (w.mean() - (rep.integral if integral else rep.terminal)) / stderr
 
         assert abs(zscore(bad)) <= 5

@@ -7,8 +7,8 @@ Subcommands:
 * ``mc-verify``    Monte Carlo consistency check of the predicted errors
 * ``ou-table``     analytic vs quadrature optimum table for scalar OU models
 
-Configs are sectioned key-value files; values other than ``kind``,
-``file`` and ``dir`` use Python literal syntax (parsed with
+Configs are sectioned key-value files; ``kind``, ``file`` and ``dir`` are
+plain text (no % interpolation), other values Python literals (parsed with
 ast.literal_eval, never eval).  Every key goes through one reader that
 refuses a value of the wrong type or range, naming the key: a float where
 an integer belongs is refused, never truncated, and an empty path (``file``,
@@ -159,8 +159,8 @@ def _read(cp: configparser.ConfigParser, section: str, key: str, convert):
 def parse_config(path: str) -> ExperimentConfig:
     """Read and validate an experiment config file; an unknown key is refused."""
     # no section can be named "", so [DEFAULT] is a section like any other and
-    # its keys are not copied into every section
-    cp = configparser.ConfigParser(default_section="")
+    # its keys are not copied into every section; no interpolation, so a % is plain text
+    cp = configparser.ConfigParser(default_section="", interpolation=None)
     with open(path, encoding="utf-8") as fh:
         cp.read_file(fh)
     # configparser lowercases keys, so they are compared in lowercase

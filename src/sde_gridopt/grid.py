@@ -45,7 +45,7 @@ class TimeGrid:
     def __init__(self, points):
         points = np.array(points, dtype=float, copy=True)  # the caller's array stays theirs
         if points.ndim != 1 or points.size < 2:
-            raise ValueError("a grid needs at least two points")
+            raise ValueError("a grid needs a 1-D array of at least two points")
         if not np.all(np.isfinite(points)):
             raise ValueError("grid points must be finite")
         if points[0] != 0.0:

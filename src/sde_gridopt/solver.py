@@ -31,9 +31,9 @@ Every draw comes from an SFC64 stream keyed (seed, *key), from an integer
 seed (``_stream``).  Only the samplers take the square root of K_dt dt^3
 (``_psd_root``).  The Monte Carlo verifiers sample the error X - mu alone:
 the drive and x0 enter X and mu alike and cancel, leaving err' = exp(dt A)
-err + (K_dt dt^3)^{1/2} xi from err = 0.  They thus test the sampling, the
-square roots and the scan against a direct simulation on the same kernel
-rows, not exp(dt A), E(dt A) B or K_dt against an independent route.
+err + (K_dt dt^3)^{1/2} xi from err = 0, by maps built from each chunk table
+on its way to the scan: a test of the sampling, the roots and the scan on
+one kernel pass, not of exp(dt A), E(dt A) B or K_dt on an independent route.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def _step_table(model: LinearSdeModel, steps, series=None) -> StepTable:
     in a quarter of the transient memory of np.unique's inverse and without
     importing numpy.ma (about 15 ms at a cold start on numpy 2.4).
     """
-    dts = np.sort(steps)
+    dts = np.sort(np.asarray(steps, dtype=float))  # an integer dts**3 would overflow
     dts = dts[np.append(True, dts[1:] != dts[:-1])]  # frees the sorted copy before the kernel
     index = np.searchsorted(dts, steps)
     exp_a, phi, kt = _transition(model.A, model.D, dts, series)
@@ -342,56 +342,63 @@ _MC_BLOCK = 2048  # paths per block: one stream and one worker task each
 _MC_STEPS = 4
 
 
-def _chunk_maps(exp_a: np.ndarray, roots: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Maps of (D, S) chunks of step rows from [err; xi_0 .. xi_{S-1}] to their errors.
+def _chunk_maps(table: StepTable) -> tuple[np.ndarray, np.ndarray]:
+    """Maps of a table's D groups of S = _MC_STEPS steps from [err; xi_0 .. xi_{S-1}] to errors.
 
-    Block row i of map d is the error after step i of chunk d,
-    [E_i..E_0 | E_i..E_1 R_0 | .. | R_i | 0 ..] with E = exp_a[rows[d]]
-    and R = roots[rows[d]], built for all D chunks by one batched product
-    per position i.  Returns the (D, S n, (S + 1) n) stack.
+    A short last group is padded by steps E = I, R = 0, dt = 0, which leave
+    err and the integral as they are.  Block row i of map d is the error
+    after step i of group d, [E_i..E_0 | E_i..E_1 R_0 | .. | R_i | 0 ..] with
+    E = exp_a and R the root of kt3 at the step's row, built by one batched
+    product per position i.  Returns the (D, S n, (S + 1) n) maps and the
+    (D, S) step lengths.
     """
-    D, S = rows.shape
-    n = exp_a.shape[-1]
+    S, n = _MC_STEPS, table.exp_a.shape[-1]
+    exp_a = np.concatenate((table.exp_a, np.eye(n)[None]))
+    roots = np.concatenate((_psd_root(table.kt3), np.zeros((1, n, n))))
+    rows = np.append(table.index, np.full(-table.index.size % S, table.dts.size)).reshape(-1, S)
+    D = len(rows)
     maps = np.zeros((D, S, n, (S + 1) * n))
     prev = np.zeros((D, n, (S + 1) * n))
     prev[:, :, :n] = np.eye(n)
     for i in range(S):
         prev = np.matmul(exp_a[rows[:, i]], prev, out=maps[:, i])
         prev[:, :, (i + 1) * n : (i + 2) * n] = roots[rows[:, i]]
-    return maps.reshape(D, S * n, (S + 1) * n)
+    return maps.reshape(D, S * n, (S + 1) * n), np.append(table.dts, 0.0)[rows]
 
 
 def _simulate_errors(
-    model: LinearSdeModel, table: StepTable, paths: int, seed: int, integral: bool, workers=None
-) -> np.ndarray:
-    """Per-path squared errors, the error sampled from its exact law.
+    model: LinearSdeModel, N: int, chunks, paths: int, seed: int, integral: bool, workers=None
+) -> tuple[np.ndarray, ErrorReport]:
+    """Per-path squared errors, the error sampled from its exact law, and the report of the N steps.
 
     err = X - mu starts at 0 and follows err' = exp_a err + root(kt3) xi,
-    n normals xi per path-step.  The steps run in chunks of S = _MC_STEPS,
-    the last padded by steps E = I, R = 0, dt = 0 that leave err and the
-    integral as they are; a chunk's errors are one map of [err; xi_chunk]
-    (``_chunk_maps``), built before the paths start, and a chunk whose rows
-    repeat the previous chunk's reuses its map.  Paths run in blocks of
+    n normals xi per path-step.  As each ``_chunks`` pair passes on to the
+    scan (``_sigma_path``, which gives the report), the maps of its table's
+    groups of S = _MC_STEPS steps are built (``_chunk_maps``), or repeated
+    for a table that repeats the one before.  Paths run in blocks of
     _MC_BLOCK as columns of one reused ((S + 1) n, block) buffer [err; xi]:
-    per chunk, block b draws xi as one C-order (S n, block) array from the
+    per group, block b draws xi as one C-order (S n, block) array from the
     stream (seed, 2, b), the numbers of S draws of (n, block), and takes one
     product with the map (the integral adds one product and one einsum).
     Each block fills its own slice of the output, so the bytes do not
     depend on how many threads run the blocks (``workers``, default one per
     available core).  The caller's numpy error state holds inside each
-    block.  Returns ||err_N||_M^2 per path, or with ``integral``
+    block.  The errors are ||err_N||_M^2 per path, or with ``integral``
     sum_k ||err_{k+1}||_M^2 dt_k.
     """
     n, S, M = model.n, _MC_STEPS, model.M
-    # a padding row, E = I and R = 0 over dt = 0, fills the last chunk to S steps
-    exp_a = np.concatenate((table.exp_a, np.eye(n)[None]))
-    roots = np.concatenate((_psd_root(table.kt3), np.zeros((1, n, n))))
-    rows = np.append(table.index, np.full(-table.index.size % S, table.dts.size)).reshape(-1, S)
-    steps = np.append(table.dts, 0.0)[rows]
-    new = np.append(True, np.any(rows[1:] != rows[:-1], axis=1))
-    which = (np.cumsum(new) - 1).tolist()
-    maps = _chunk_maps(exp_a, roots, rows[new])
-    maps = maps if integral else maps[:, -n:].copy()  # the terminal error reads the last rows
+    groups = []  # (maps, steps) per chunk; the terminal error reads each map's last rows
+
+    def tables():
+        prev = None
+        for chunk, table in chunks:
+            if table is not prev:
+                (maps, steps), prev = _chunk_maps(table), table
+                maps = maps if integral else maps[:, -n:].copy()
+            groups.append((maps, steps))
+            yield chunk, table
+
+    report = _sigma_path(model, N, tables())
     out = np.empty(paths)
     errstate = np.geterr()
 
@@ -402,13 +409,14 @@ def _simulate_errors(
         z = np.zeros(((S + 1) * n, hi - lo))  # [err; xi], err starts at 0
         acc = np.zeros(hi - lo)
         with np.errstate(**errstate):
-            for d, dt in zip(which, steps):
-                g.standard_normal(out=z[n:])
-                y = maps[d] @ z
-                if integral:
-                    y3 = y.reshape(S, n, -1)
-                    acc += np.einsum("kij,kij,k->j", M @ y3, y3, dt)
-                z[:n] = y[-n:]
+            for maps, steps in groups:
+                for m, dt in zip(maps, steps):
+                    g.standard_normal(out=z[n:])
+                    y = m @ z
+                    if integral:
+                        y3 = y.reshape(S, n, -1)
+                        acc += np.einsum("kij,kij,k->j", M @ y3, y3, dt)
+                    z[:n] = y[-n:]
             err = z[:n]
             out[lo:hi] = acc if integral else np.einsum("ij,ij->j", M @ err, err)
 
@@ -423,15 +431,15 @@ def _simulate_errors(
     # a block's exception cancels the blocks not yet started
     with ThreadPoolExecutor(min(workers, n_blocks)) as pool:
         list(pool.map(block, range(n_blocks)))
-    return out
+    return out, report
 
 
 def _mc_verify(model: LinearSdeModel, grid: TimeGrid, paths: int, seed: int, integral: bool):
     paths = _index(paths)
     if paths < 100:
         raise ValueError("need at least 100 paths for a meaningful check")
-    report = error_report(model, grid)
-    w = _simulate_errors(model, _step_table(model, grid.steps), paths, _index(seed), integral)
+    chunks = _chunks(model, grid)
+    w, report = _simulate_errors(model, grid.n_steps, chunks, paths, _index(seed), integral)
     predicted = report.integral if integral else report.terminal
     return float(w.mean()), predicted, float(w.std(ddof=1) / math.sqrt(paths))
 
@@ -443,7 +451,7 @@ def mc_verify_mse(
 
     Samples ||err_N||_M^2 per path from the integer ``seed``, n normals per
     path-step; neither x0 nor the drive enters the error.  Both sides read
-    the same kernel rows, so the check tests the sampling and the Sigma
+    one kernel pass, so the check tests the sampling and the Sigma
     recursion, not the step matrices.  Returns (sample mean square error,
     predicted value, standard error of the sample mean).
     """

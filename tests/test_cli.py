@@ -475,6 +475,26 @@ class TestConvergence:
         rc = main(["convergence", "--config", write_config(tmp_path, text), "--quiet"])
         assert rc == 2
 
+    def test_two_column_grid_file_refused(self, tmp_path, capsys):
+        np.savetxt(tmp_path / "pts.txt", np.linspace(0.0, 1.0, 6).reshape(3, 2))
+        text = FILE_CONFIG.replace("kind = file", "kind = file\nfile = pts.txt")
+        rc = main(["convergence", "--config", write_config(tmp_path, text), "--quiet"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: a grid needs a 1-D array of at least two points\n"
+        )
+
+    @pytest.mark.parametrize("name", ["grid%1.txt", "g%%1.txt"])
+    def test_percent_in_a_file_name_is_plain_text(self, tmp_path, name):
+        # "grid%1.txt" once failed in configparser's interpolation, naming no
+        # key, and "g%%1.txt" was read as "g%1.txt"
+        np.savetxt(tmp_path / name, np.linspace(0.0, 1.0, 11))
+        text = FILE_CONFIG.replace("kind = file", f"kind = file\nfile = {name}")
+        out = tmp_path / "out"
+        rc = main(["convergence", "--config", write_config(tmp_path, text), "--out", str(out), "--quiet"])
+        assert rc == 0
+        assert parse_config(str(tmp_path / "exp.cfg")).grid_file == str(tmp_path / name)
+
     def test_missing_n_errors(self, tmp_path, capsys):
         text = OU_CONFIG.replace("N_sweep = [16, 32, 64]\n", "")
         rc = main(["convergence", "--config", write_config(tmp_path, text), "--quiet"])

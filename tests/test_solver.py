@@ -31,6 +31,7 @@ from sde_gridopt.solver import (
     _MC_BLOCK,
     _MC_STEPS,
     _SCAN_CHUNK,
+    _chunks,
     _simulate_errors,
     _step_table,
     _stream,
@@ -208,6 +209,17 @@ class TestKalmanStep:
     def test_first_step_covariance_is_kt3(self, ou):
         _, sigma = kalman_step(ou, np.zeros(1), np.zeros((1, 1)), 1.0, np.array([0.3]))
         assert sigma[0, 0] == pytest.approx(0.03275595748796561, rel=1e-12)
+
+    @pytest.mark.parametrize("dt", [3, 2**21, 10**7])
+    def test_integer_dt_is_the_float_step(self, dt):
+        # an integer step once stayed int64 and dt**3 wrapped from 2**21 on:
+        # sigma came out -0.767 at 2**21 and 0.320 at 10**7, not 0.767 and 82.5
+        model = LinearSdeModel(A=[[-1e-9]], B=[[1.0]], M=[[1.0]], T=1.0)
+        args = (model, [0.5], [[0.25]])
+        mu, sigma = kalman_step(*args, dt, [0.3])
+        mu_f, sigma_f = kalman_step(*args, float(dt), [0.3])
+        assert mu.tobytes() == mu_f.tobytes() and sigma.tobytes() == sigma_f.tobytes()
+        assert sigma[0, 0] > 0
 
     @pytest.mark.parametrize(
         "mu, sigma, dW, match",
@@ -499,6 +511,12 @@ def count_kernel(monkeypatch):
     return calls
 
 
+def simulate(model, table, paths, seed, integral, **kw):
+    """_simulate_errors over one whole-grid table as its one chunk: the per-path errors."""
+    N = table.index.size
+    return _simulate_errors(model, N, [(slice(0, N), table)], paths, seed, integral, **kw)[0]
+
+
 def traced_peak(f):
     """f() and the tracemalloc peak of the call."""
     tracemalloc.start()
@@ -553,6 +571,21 @@ class TestChunkedStepTables:
         calls.clear()
         run_filter(model, np.zeros(model.n), WienerIncrements.sample(grid, model.m, 3))
         assert calls == rows  # the mean and the scan share each chunk's table
+        for verify in (mc_verify_mse, mc_verify_integral):
+            calls.clear()
+            verify(model, grid, 100, 7)
+            # the prediction and the sampler share each chunk's table; 17 calls
+            # over 32,768 rows when the sampler built its own whole-grid table
+            assert calls == rows == [_SCAN_CHUNK] * 16
+
+    def test_verifier_memory(self, sys4_optimal):
+        # 23.9 MB for either verifier with the whole-grid table; measured 5.3 MB
+        # and 12.9 MB (the integral keeps each group's every-step map)
+        model, grid = sys4_optimal
+        _, peak = traced_peak(lambda: mc_verify_mse(model, grid, 100, 7))
+        assert peak <= 10_000_000
+        _, peak = traced_peak(lambda: mc_verify_integral(model, grid, 100, 7))
+        assert peak <= 18_000_000
 
     def test_repeated_chunks_reuse_their_table(self, monkeypatch):
         # dyadic steps add up exactly, so the grid's steps are these: chunks
@@ -945,7 +978,7 @@ class TestSimulateErrors:
         try:
             runs = [
                 tuple(
-                    _simulate_errors(model, table, paths, 606, integral, workers=w)
+                    simulate(model, table, paths, 606, integral, workers=w)
                     for integral in (False, True)
                 )
                 for w in (1, 2, 3)
@@ -961,7 +994,7 @@ class TestSimulateErrors:
 
     def test_blocks_draw_distinct_streams(self, ou):
         table = _step_table(ou, np.full(4, 0.25))
-        w2 = _simulate_errors(ou, table, 2 * _MC_BLOCK, 3, False, workers=1)
+        w2 = simulate(ou, table, 2 * _MC_BLOCK, 3, False, workers=1)
         assert not np.array_equal(w2[:_MC_BLOCK], w2[_MC_BLOCK:])
 
     def test_caller_error_state_reaches_workers(self):
@@ -969,9 +1002,9 @@ class TestSimulateErrors:
         table = _step_table(unstable, np.full(16, 0.125))  # X grows by e^50 a step
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError):
-                _simulate_errors(unstable, table, 2 * _MC_BLOCK + 1, 1, False, workers=2)
+                simulate(unstable, table, 2 * _MC_BLOCK + 1, 1, False, workers=2)
         with np.errstate(over="ignore", invalid="ignore"):
-            w2 = _simulate_errors(unstable, table, 2 * _MC_BLOCK + 1, 1, False, workers=2)
+            w2 = simulate(unstable, table, 2 * _MC_BLOCK + 1, 1, False, workers=2)
         assert not np.all(np.isfinite(w2))
 
     def test_matches_per_path_loop(self):
@@ -982,17 +1015,17 @@ class TestSimulateErrors:
         table = _step_table(model, grid.steps)
         paths = 2 * _MC_BLOCK + 37
         for integral in (False, True):
-            got = _simulate_errors(model, table, paths, 606, integral)
+            got = simulate(model, table, paths, 606, integral)
             ref = simulate_errors_loop(model, table, paths, 606, integral)
             assert np.max(np.abs(got - ref) / ref) <= 1e-12
 
     @pytest.mark.parametrize("N", [1, 3, 4, 5, 13])
     @pytest.mark.parametrize("kind", ["uniform", "random"])
     def test_chunks_match_per_path_loop(self, kind, N, monkeypatch):
-        # 1 and 3 steps make no full chunk of _MC_STEPS, 4 exactly one, 5 and
-        # 13 a ragged last chunk; on a dyadic uniform grid every full chunk
-        # repeats the first and reuses its map, on a random grid none does.
-        # Each block draws once per chunk, not once per step.
+        # 1 and 3 steps make no full group of _MC_STEPS, 4 exactly one, 5 and
+        # 13 a ragged last group; one map is built per group of the table,
+        # on a dyadic uniform grid as on a random one.  Each block draws
+        # once per group, not once per step.
         rng = np.random.default_rng(100 + N)
         model = random_regular_model(rng, n=3, m=2)
         steps = np.full(N, 0.125) if kind == "uniform" else random_grid(rng, N).steps
@@ -1000,9 +1033,10 @@ class TestSimulateErrors:
         built, draws = [], []
         chunk_maps, stream = solver._chunk_maps, solver._stream
 
-        def counting_maps(exp_a, roots, rows):
-            built.append(len(rows))
-            return chunk_maps(exp_a, roots, rows)
+        def counting_maps(table):
+            maps, steps = chunk_maps(table)
+            built.append(len(maps))
+            return maps, steps
 
         class CountingStream:
             def __init__(self, *key):
@@ -1017,12 +1051,11 @@ class TestSimulateErrors:
         monkeypatch.setattr(solver, "_stream", CountingStream)
         paths = 2 * _MC_BLOCK + 37
         for integral in (False, True):
-            got = _simulate_errors(model, table, paths, 606, integral, workers=1)
+            got = simulate(model, table, paths, 606, integral, workers=1)
             ref = simulate_errors_loop(model, table, paths, 606, integral)
             assert np.max(np.abs(got - ref) / ref) <= 1e-12
         full, ragged = divmod(N, _MC_STEPS)
-        distinct = min(full, 1) if kind == "uniform" else full
-        assert built == [distinct + (ragged > 0)] * 2
+        assert built == [full + (ragged > 0)] * 2
         assert draws == [full + (ragged > 0)] * 6  # three blocks per functional
 
     def test_blocks_share_no_draws_with_the_samplers(self, ou):
@@ -1041,7 +1074,7 @@ class TestSimulateErrors:
         sampled = (dW / np.sqrt(grid.steps), residual)
 
         table = _step_table(ou, [1.0])
-        w2 = _simulate_errors(ou, table, 3 * _MC_BLOCK, seed, False, workers=1)
+        w2 = simulate(ou, table, 3 * _MC_BLOCK, seed, False, workers=1)
         xi = np.sqrt(w2 / table.kt3[0, 0, 0])
         for b in range(3):
             first = xi[b * _MC_BLOCK : b * _MC_BLOCK + grid.n_steps]
@@ -1062,15 +1095,28 @@ class TestSimulateErrors:
         else:
             bad = dataclasses.replace(table, exp_a=1.01 * table.exp_a)
         paths = 20_000
-        w = _simulate_errors(model, bad, paths, 12, integral)
+        w, bad_rep = _simulate_errors(model, 64, [(slice(0, 64), bad)], paths, 12, integral)
         stderr = w.std(ddof=1) / math.sqrt(paths)
 
-        def zscore(t):
-            rep = solver._sigma_path(model, 64, [(slice(0, 64), t)])
+        def zscore(rep):
             return (w.mean() - (rep.integral if integral else rep.terminal)) / stderr
 
-        assert abs(zscore(bad)) <= 5
-        assert abs(zscore(table)) > 5
+        assert abs(zscore(bad_rep)) <= 5
+        assert abs(zscore(solver._sigma_path(model, 64, [(slice(0, 64), table)]))) > 5
+
+    @pytest.mark.parametrize("N", [1025, 2051])
+    def test_chunks_give_the_whole_table_bytes(self, N, monkeypatch):
+        # the verifier reads the grid in scan chunks; its errors are the bytes
+        # of one whole-grid table, across the chunk edges and a ragged last group
+        rng = np.random.default_rng(N)
+        model = random_regular_model(rng, n=3, m=2)
+        grid = random_grid(rng, N)
+        got = [_simulate_errors(model, N, _chunks(model, grid), 300, 5, i) for i in (False, True)]
+        assert got[0][1] == got[1][1] == error_report(model, grid)
+        monkeypatch.setattr(solver, "_SCAN_CHUNK", N)  # the scan takes the table as one chunk
+        table = _step_table(model, grid.steps)
+        for (w, _), integral in zip(got, (False, True)):
+            assert w.tobytes() == simulate(model, table, 300, 5, integral).tobytes()
 
 
 class TestStream:

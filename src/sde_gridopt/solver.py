@@ -28,12 +28,14 @@ table and composed maps.  Each route takes its grid once (``run_filter``
 from the increments) and refuses a grid that does not span [0, T].
 
 Every draw comes from an SFC64 stream keyed (seed, *key), from an integer
-seed (``_stream``).  Only the samplers take the square root of K_dt dt^3
-(``_psd_root``).  The Monte Carlo verifiers sample the error X - mu alone:
-the drive and x0 enter X and mu alike and cancel, leaving err' = exp(dt A)
-err + (K_dt dt^3)^{1/2} xi from err = 0, by maps built from each chunk table
-on its way to the scan: a test of the sampling, the roots and the scan on
-one kernel pass, not of exp(dt A), E(dt A) B or K_dt on an independent route.
+seed (``_stream``).  Only the samplers take square roots (``_psd_root``).
+The Monte Carlo verifiers sample the error X - mu alone: the drive and x0
+enter X and mu alike and cancel, leaving err' = exp(dt A) err +
+(K_dt dt^3)^{1/2} xi from err = 0, by maps built from each chunk table on
+its way to the scan, the terminal one n normals per four steps through one
+root of their composed noise: a test of the sampling, the roots and the
+scan on one kernel pass, not of exp(dt A), E(dt A) B or K_dt on an
+independent route.
 """
 
 from __future__ import annotations
@@ -262,9 +264,8 @@ def _sigma_path(model: LinearSdeModel, N: int, chunks, sigmas=None) -> ErrorRepo
     composition of its steps 0..k, and the chunk's Sigma is the carry, the
     last Sigma before it, mapped as E Sigma E^T + Q: a 2-D product against
     Sigma, a stacked one against E^T (made contiguous once per composed
-    chunk), then Q added and the sum symmetrised in place into the chunk's
-    rows of ``sigmas``, an (N, n, n) stack to fill, or of one reused buffer,
-    which the carry may view, as the next product precedes the next write.
+    chunk), then Q added and the sum symmetrised in place, into the chunk's
+    rows of ``sigmas`` if given, an (N, n, n) stack to fill.
     The integral is numpy's pairwise sum of <M, Sigma_k> dt_k, not a BLAS
     dot, whose bits would depend on the BLAS thread count.  A chunk that
     comes with the previous chunk's table object reuses its composed maps
@@ -273,7 +274,6 @@ def _sigma_path(model: LinearSdeModel, N: int, chunks, sigmas=None) -> ErrorRepo
     signalled, as what flushes to zero lies far below Q's rounding.
     """
     M = model.M
-    buffer = np.empty((min(N, _SCAN_CHUNK), model.n, model.n)) if sigmas is None else None
     weighted = np.empty(N)
     sigma = np.zeros((model.n, model.n))
     prev = None
@@ -286,7 +286,7 @@ def _sigma_path(model: LinearSdeModel, N: int, chunks, sigmas=None) -> ErrorRepo
             prev = table
             S = _right(E, sigma) @ Et
             S += Q
-        out = buffer[: rows.size] if sigmas is None else sigmas[chunk]
+        out = S if sigmas is None else sigmas[chunk]
         np.add(S, S.mT, out=out)
         out *= 0.5
         np.einsum("kij,ij->k", out, M, out=weighted[chunk])
@@ -342,28 +342,38 @@ _MC_BLOCK = 2048  # paths per block: one stream and one worker task each
 _MC_STEPS = 4
 
 
-def _chunk_maps(table: StepTable) -> tuple[np.ndarray, np.ndarray]:
-    """Maps of a table's D groups of S = _MC_STEPS steps from [err; xi_0 .. xi_{S-1}] to errors.
+def _chunk_maps(table: StepTable, integral: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Maps of a table's D groups of S = _MC_STEPS steps from [err; normals] to errors.
 
-    A short last group is padded by steps E = I, R = 0, dt = 0, which leave
-    err and the integral as they are.  Block row i of map d is the error
-    after step i of group d, [E_i..E_0 | E_i..E_1 R_0 | .. | R_i | 0 ..] with
-    E = exp_a and R the root of kt3 at the step's row, built by one batched
-    product per position i.  Returns the (D, S n, (S + 1) n) maps and the
-    (D, S) step lengths.
+    A short last group is padded by steps E = I, kt3 = 0, dt = 0, which leave
+    err and the integral as they are; E = exp_a at the step's row.  Map d is
+    [E_g | root(Q_g)] of [err; eta], n normals eta, for the terminal error,
+    with (E_g, Q_g) composed over group d as (E E_g, E Q_g E^T + kt3) from
+    (I, 0).  With ``integral``, block row i of map d is the error after step
+    i, [E_i..E_0 | E_i..E_1 R_0 | .. | R_i | 0 ..] of [err; xi_0 .. xi_{S-1}],
+    R = root(kt3) at the step's row.  Each is built by one batched product
+    per position.  Returns the (D, n, 2 n) or (D, S n, (S + 1) n) maps and
+    the (D, S) step lengths.
     """
     S, n = _MC_STEPS, table.exp_a.shape[-1]
     exp_a = np.concatenate((table.exp_a, np.eye(n)[None]))
-    roots = np.concatenate((_psd_root(table.kt3), np.zeros((1, n, n))))
     rows = np.append(table.index, np.full(-table.index.size % S, table.dts.size)).reshape(-1, S)
-    D = len(rows)
+    D, steps = len(rows), np.append(table.dts, 0.0)[rows]
+    if not integral:
+        kt3 = np.concatenate((table.kt3, np.zeros((1, n, n))))
+        E, Q = np.eye(n), np.zeros((D, n, n))
+        for i in range(S):
+            e = exp_a[rows[:, i]]
+            E, Q = e @ E, e @ Q @ e.mT + kt3[rows[:, i]]
+        return np.concatenate((E, _psd_root(Q)), axis=2), steps
+    roots = np.concatenate((_psd_root(table.kt3), np.zeros((1, n, n))))
     maps = np.zeros((D, S, n, (S + 1) * n))
     prev = np.zeros((D, n, (S + 1) * n))
     prev[:, :, :n] = np.eye(n)
     for i in range(S):
         prev = np.matmul(exp_a[rows[:, i]], prev, out=maps[:, i])
         prev[:, :, (i + 1) * n : (i + 2) * n] = roots[rows[:, i]]
-    return maps.reshape(D, S * n, (S + 1) * n), np.append(table.dts, 0.0)[rows]
+    return maps.reshape(D, S * n, (S + 1) * n), steps
 
 
 def _simulate_errors(
@@ -376,10 +386,11 @@ def _simulate_errors(
     scan (``_sigma_path``, which gives the report), the maps of its table's
     groups of S = _MC_STEPS steps are built (``_chunk_maps``), or repeated
     for a table that repeats the one before.  Paths run in blocks of
-    _MC_BLOCK as columns of one reused ((S + 1) n, block) buffer [err; xi]:
-    per group, block b draws xi as one C-order (S n, block) array from the
-    stream (seed, 2, b), the numbers of S draws of (n, block), and takes one
-    product with the map (the integral adds one product and one einsum).
+    _MC_BLOCK as columns of one reused buffer [err; normals]: per group,
+    block b draws one C-order (n, block) array from the stream (seed, 2, b),
+    or (S n, block) for the integral, which reads every step's error, and
+    takes one product with the map (the integral adds one product and one
+    einsum).
     Each block fills its own slice of the output, so the bytes do not
     depend on how many threads run the blocks (``workers``, default one per
     available core).  The caller's numpy error state holds inside each
@@ -387,14 +398,13 @@ def _simulate_errors(
     sum_k ||err_{k+1}||_M^2 dt_k.
     """
     n, S, M = model.n, _MC_STEPS, model.M
-    groups = []  # (maps, steps) per chunk; the terminal error reads each map's last rows
+    groups = []  # (maps, steps) per chunk
 
     def tables():
         prev = None
         for chunk, table in chunks:
             if table is not prev:
-                (maps, steps), prev = _chunk_maps(table), table
-                maps = maps if integral else maps[:, -n:].copy()
+                (maps, steps), prev = _chunk_maps(table, integral), table
             groups.append((maps, steps))
             yield chunk, table
 
@@ -406,7 +416,7 @@ def _simulate_errors(
         lo = b * _MC_BLOCK
         hi = min(lo + _MC_BLOCK, paths)
         g = _stream(seed, 2, b)
-        z = np.zeros(((S + 1) * n, hi - lo))  # [err; xi], err starts at 0
+        z = np.zeros(((S + 1 if integral else 2) * n, hi - lo))  # err starts at 0
         acc = np.zeros(hi - lo)
         with np.errstate(**errstate):
             for maps, steps in groups:
@@ -450,10 +460,10 @@ def mc_verify_mse(
     """Monte Carlo check of the terminal error against <M, Sigma_{N-1}>.
 
     Samples ||err_N||_M^2 per path from the integer ``seed``, n normals per
-    path-step; neither x0 nor the drive enters the error.  Both sides read
-    one kernel pass, so the check tests the sampling and the Sigma
-    recursion, not the step matrices.  Returns (sample mean square error,
-    predicted value, standard error of the sample mean).
+    path and group of four steps; neither x0 nor the drive enters the error.
+    Both sides read one kernel pass, so the check tests the sampling and the
+    Sigma recursion, not the step matrices.  Returns (sample mean square
+    error, predicted value, standard error of the sample mean).
     """
     return _mc_verify(model, grid, paths, seed, integral=False)
 

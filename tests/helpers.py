@@ -28,7 +28,7 @@ from sde_gridopt import (
 from sde_gridopt.asymptotics import _integrand, _min_value, _simpson, _weights
 from sde_gridopt.grid import _index, _no_nan
 from sde_gridopt.matfun import _gramian, _transition
-from sde_gridopt.solver import _MC_BLOCK, _step_table, _stream
+from sde_gridopt.solver import _MC_BLOCK, _MC_STEPS, _step_table, _stream
 
 
 def random_model(rng, n=2, m=None, T=1.0, stable_shift=0.5):
@@ -185,23 +185,37 @@ def simulate_errors_loop(model, table, paths, seed, integral):
     """Per-path squared errors by a plain loop over paths, a test oracle.
 
     Reads the draws the Monte Carlo kernel reads: block b of _MC_BLOCK
-    paths takes one (n, block) array per step from the stream (seed, 2, b),
-    column j for path j.  Each path then runs err' = exp_a err + R xi from
-    err = 0 on its own, one matrix-vector product at a time, with R the
-    ``psd_root`` of kt3.
+    paths draws from the stream (seed, 2, b), column j for path j, and each
+    path runs from err = 0 on its own, one matrix-vector product at a time.
+    The integral takes one (n, block) array per step and runs
+    err' = exp_a err + R xi, with R the ``psd_root`` of kt3.  The terminal
+    error takes one (n, block) array per group of _MC_STEPS steps (the last
+    group may be short) and runs err' = E err + psd_root(Q) eta, with the
+    group's (E, Q) composed step by step from (I, 0) as
+    (exp_a E, exp_a Q exp_a^T + kt3).
     """
-    roots = [psd_root(kt3) for kt3 in table.kt3]
+    n, S = model.n, _MC_STEPS
+    if integral:
+        roots = [psd_root(kt3) for kt3 in table.kt3]
+        maps = [(table.exp_a[i], roots[i], table.dts[i]) for i in table.index]
+    else:
+        maps = []
+        for lo in range(0, table.index.size, S):
+            E, Q = np.eye(n), np.zeros((n, n))
+            for i in table.index[lo : lo + S]:
+                E, Q = table.exp_a[i] @ E, table.exp_a[i] @ Q @ table.exp_a[i].T + table.kt3[i]
+            maps.append((E, psd_root(Q), 0.0))
     out = np.empty(paths)
     for lo in range(0, paths, _MC_BLOCK):
         g = _stream(seed, 2, lo // _MC_BLOCK)
         size = min(_MC_BLOCK, paths - lo)
-        xi = [g.standard_normal((model.n, size)) for _ in table.index]
+        xi = [g.standard_normal((n, size)) for _ in maps]
         for j in range(size):
-            err = np.zeros(model.n)
+            err = np.zeros(n)
             acc = 0.0
-            for k, i in enumerate(table.index):
-                err = table.exp_a[i] @ err + roots[i] @ xi[k][:, j]
-                acc += float(err @ model.M @ err) * table.dts[i]
+            for (E, R, dt), x in zip(maps, xi):
+                err = E @ err + R @ x[:, j]
+                acc += float(err @ model.M @ err) * dt
             out[lo + j] = acc if integral else float(err @ model.M @ err)
     return out
 

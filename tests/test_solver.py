@@ -470,6 +470,19 @@ class TestSigmaPath:
             assert getattr(rep, field.name) == getattr(expected, field.name), field.name
         assert run_filter(model, np.ones(n), WienerIncrements.sample(grid, n, 5))[1] == rep
 
+    def test_one_pair_longer_than_a_chunk(self):
+        # a caller may pass more than _SCAN_CHUNK steps as one pair, as the
+        # verifier tests do; a scan buffer of _SCAN_CHUNK rows refused it
+        rng = np.random.default_rng(1025)
+        model = random_model(rng, n=3)
+        grid = random_grid(rng, 1025)
+        table = _step_table(model, grid.steps)
+        rep = solver._sigma_path(model, 1025, [(slice(0, 1025), table)])
+        expected = error_report(model, grid)
+        for field in dataclasses.fields(rep):
+            got, want = getattr(rep, field.name), getattr(expected, field.name)
+            assert got == pytest.approx(want, rel=1e-13, abs=0), field.name
+
     def test_report_matches_run_filter(self, ou):
         grid = random_grid(np.random.default_rng(4), 40)
         inc = WienerIncrements.sample(grid, 1, 6)
@@ -579,8 +592,8 @@ class TestChunkedStepTables:
             assert calls == rows == [_SCAN_CHUNK] * 16
 
     def test_verifier_memory(self, sys4_optimal):
-        # 23.9 MB for either verifier with the whole-grid table; measured 5.3 MB
-        # and 12.9 MB (the integral keeps each group's every-step map)
+        # 23.9 MB for either verifier with the whole-grid table; measured 3.5 MB
+        # and 12.8 MB (the integral keeps each group's every-step map)
         model, grid = sys4_optimal
         _, peak = traced_peak(lambda: mc_verify_mse(model, grid, 100, 7))
         assert peak <= 10_000_000
@@ -967,6 +980,20 @@ class TestMcVerify:
         assert abs(np.mean(z)) <= 0.35
         assert 0.75 <= np.std(z, ddof=1) <= 1.25
 
+    def test_zscores_calibrated_over_groups_at_n4(self):
+        # the terminal check composes each group of _MC_STEPS steps; on the
+        # benchmark's 4x4 model over a random 13-step grid it crosses three
+        # whole groups and a ragged one, with the bounds of the test above
+        workloads = Path(__file__).parents[1] / "perfbench" / "workloads"
+        model = parse_config(str(workloads / "sys4-uniform.cfg")).model
+        grid = random_grid(np.random.default_rng(13), 13, T=model.T)
+        z = []
+        for seed in range(200):
+            sample, predicted, stderr = mc_verify_mse(model, grid, 2000, seed)
+            z.append((sample - predicted) / stderr)
+        assert abs(np.mean(z)) <= 0.35
+        assert 0.75 <= np.std(z, ddof=1) <= 1.25
+
 
 class TestSimulateErrors:
     def test_bytes_independent_of_worker_count(self):
@@ -1025,7 +1052,8 @@ class TestSimulateErrors:
         # 1 and 3 steps make no full group of _MC_STEPS, 4 exactly one, 5 and
         # 13 a ragged last group; one map is built per group of the table,
         # on a dyadic uniform grid as on a random one.  Each block draws
-        # once per group, not once per step.
+        # once per group, not once per step: n normals per path for the
+        # terminal error, S n for the integral.
         rng = np.random.default_rng(100 + N)
         model = random_regular_model(rng, n=3, m=2)
         steps = np.full(N, 0.125) if kind == "uniform" else random_grid(rng, N).steps
@@ -1033,18 +1061,18 @@ class TestSimulateErrors:
         built, draws = [], []
         chunk_maps, stream = solver._chunk_maps, solver._stream
 
-        def counting_maps(table):
-            maps, steps = chunk_maps(table)
+        def counting_maps(table, integral):
+            maps, steps = chunk_maps(table, integral)
             built.append(len(maps))
             return maps, steps
 
         class CountingStream:
             def __init__(self, *key):
                 self.g = stream(*key)
-                draws.append(0)
+                draws.append([])
 
             def standard_normal(self, out):
-                draws[-1] += 1
+                draws[-1].append(out.shape)
                 return self.g.standard_normal(out=out)
 
         monkeypatch.setattr(solver, "_chunk_maps", counting_maps)
@@ -1054,9 +1082,31 @@ class TestSimulateErrors:
             got = simulate(model, table, paths, 606, integral, workers=1)
             ref = simulate_errors_loop(model, table, paths, 606, integral)
             assert np.max(np.abs(got - ref) / ref) <= 1e-12
-        full, ragged = divmod(N, _MC_STEPS)
-        assert built == [full + (ragged > 0)] * 2
-        assert draws == [full + (ragged > 0)] * 6  # three blocks per functional
+        groups = -(-N // _MC_STEPS)
+        assert built == [groups] * 2
+        blocks = (_MC_BLOCK, _MC_BLOCK, 37)  # three blocks per functional
+        terminal = [[(3, size)] * groups for size in blocks]
+        assert draws == terminal + [[(3 * _MC_STEPS, size)] * groups for size in blocks]
+
+    def test_terminal_maps_compose_each_group(self):
+        # 13 steps: three groups of _MC_STEPS and a ragged one-step group.
+        # Map d is [E_g | R_g], E_g the product of the group's exp_a and
+        # R_g R_g^T its noise covariance, composed step by step from (I, 0)
+        rng = np.random.default_rng(13)
+        model = random_regular_model(rng, n=3)
+        table = _step_table(model, random_grid(rng, 13).steps)
+        maps, steps = solver._chunk_maps(table, False)
+        assert maps.shape == (4, 3, 6) and steps.shape == (4, _MC_STEPS)
+        for d, (m, dts) in enumerate(zip(maps, steps)):
+            rows = table.index[d * _MC_STEPS : (d + 1) * _MC_STEPS]
+            assert np.array_equal(dts, np.pad(table.dts[rows], (0, _MC_STEPS - rows.size)))
+            E = np.linalg.multi_dot([table.exp_a[i] for i in rows[::-1]] + [np.eye(3)])
+            Q = np.zeros((3, 3))
+            for i in rows:
+                Q = table.exp_a[i] @ Q @ table.exp_a[i].T + table.kt3[i]
+            R = m[:, 3:]
+            assert np.max(np.abs(m[:, :3] - E)) <= 1e-13 * np.max(np.abs(E))
+            assert np.max(np.abs(R @ R.T - Q)) <= 1e-13 * np.max(np.abs(Q))
 
     def test_blocks_share_no_draws_with_the_samplers(self, ou):
         # on one step of the OU model a path's error is root * xi, so each
@@ -1105,7 +1155,7 @@ class TestSimulateErrors:
         assert abs(zscore(solver._sigma_path(model, 64, [(slice(0, 64), table)]))) > 5
 
     @pytest.mark.parametrize("N", [1025, 2051])
-    def test_chunks_give_the_whole_table_bytes(self, N, monkeypatch):
+    def test_chunks_give_the_whole_table_bytes(self, N):
         # the verifier reads the grid in scan chunks; its errors are the bytes
         # of one whole-grid table, across the chunk edges and a ragged last group
         rng = np.random.default_rng(N)
@@ -1113,7 +1163,6 @@ class TestSimulateErrors:
         grid = random_grid(rng, N)
         got = [_simulate_errors(model, N, _chunks(model, grid), 300, 5, i) for i in (False, True)]
         assert got[0][1] == got[1][1] == error_report(model, grid)
-        monkeypatch.setattr(solver, "_SCAN_CHUNK", N)  # the scan takes the table as one chunk
         table = _step_table(model, grid.steps)
         for (w, _), integral in zip(got, (False, True)):
             assert w.tobytes() == simulate(model, table, 300, 5, integral).tobytes()

@@ -29,13 +29,13 @@ from the increments) and refuses a grid that does not span [0, T].
 
 Every draw comes from an SFC64 stream keyed (seed, *key), from an integer
 seed (``_stream``).  Only the samplers take square roots (``_psd_root``).
-The Monte Carlo verifiers sample the error X - mu alone: the drive and x0
-enter X and mu alike and cancel, leaving err' = exp(dt A) err +
-(K_dt dt^3)^{1/2} xi from err = 0, by maps built from each chunk table on
-its way to the scan, the terminal one n normals per four steps through one
-root of their composed noise: a test of the sampling, the roots and the
-scan on one kernel pass, not of exp(dt A), E(dt A) B or K_dt on an
-independent route.
+The Monte Carlo verifier samples the terminal error X - mu alone: the
+drive and x0 enter X and mu alike and cancel, leaving err' = exp(dt A) err
++ (K_dt dt^3)^{1/2} xi from err = 0, which it advances four steps at a time
+by maps built from each chunk table on its way to the scan, n normals per
+group through one root of the group's composed noise: a test of the
+sampling, the roots and the scan on one kernel pass, not of exp(dt A),
+E(dt A) B or K_dt on an independent route.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ __all__ = [
     "error_report",
     "run_filter",
     "mc_verify_mse",
-    "mc_verify_integral",
 ]
 
 
@@ -68,9 +67,9 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     The seed is the sequence's entropy and the key its spawn key, so the
     pair (key, position) locates every number drawn, independently of
     scheduling.  The increments read (seed, 0), a path's residual normals
-    (seed, 1), and block b of the Monte Carlo verifiers (seed, 2, b), so no
+    (seed, 1), and block b of the Monte Carlo verifier (seed, 2, b), so no
     verifier block shares draws with a sampler on the same seed and the
-    verifiers' bytes are the same on any number of cores.
+    verifier's bytes are the same on any number of cores.
     """
     seed = int(seed)
     key = tuple(int(k) for k in key)
@@ -336,76 +335,59 @@ def run_filter(
 
 
 _MC_BLOCK = 2048  # paths per block: one stream and one worker task each
-# steps a block advances per draw and product; a longer chunk grows each
-# worker's draw buffer, and at 32 steps, under a caller-set BLAS thread
-# count above one, OpenBLAS threads the product inside each worker
+# steps per group; a block draws n normals and takes one product per group.
+# The value fixes the stream layout, so the bytes of mc_verify.csv, and a
+# short group keeps the check sampling roots of a few steps' noise, not one
+# root of the whole grid's composed Sigma_N
 _MC_STEPS = 4
 
 
-def _chunk_maps(table: StepTable, integral: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Maps of a table's D groups of S = _MC_STEPS steps from [err; normals] to errors.
+def _chunk_maps(table: StepTable) -> np.ndarray:
+    """Maps [E_g | root(Q_g)] of a table's D groups of _MC_STEPS steps, (D, n, 2 n).
 
-    A short last group is padded by steps E = I, kt3 = 0, dt = 0, which leave
-    err and the integral as they are; E = exp_a at the step's row.  Map d is
-    [E_g | root(Q_g)] of [err; eta], n normals eta, for the terminal error,
-    with (E_g, Q_g) composed over group d as (E E_g, E Q_g E^T + kt3) from
-    (I, 0).  With ``integral``, block row i of map d is the error after step
-    i, [E_i..E_0 | E_i..E_1 R_0 | .. | R_i | 0 ..] of [err; xi_0 .. xi_{S-1}],
-    R = root(kt3) at the step's row.  Each is built by one batched product
-    per position.  Returns the (D, n, 2 n) or (D, S n, (S + 1) n) maps and
-    the (D, S) step lengths.
+    Map d takes [err; eta], n normals eta, to the error after group d, with
+    (E_g, Q_g) composed over the group as (E E_g, E Q_g E^T + kt3) from
+    (I, 0), E = exp_a at the step's row, by one batched product per
+    position.  A short last group is padded by steps E = I, kt3 = 0, which
+    leave err as it is.
     """
     S, n = _MC_STEPS, table.exp_a.shape[-1]
     exp_a = np.concatenate((table.exp_a, np.eye(n)[None]))
+    kt3 = np.concatenate((table.kt3, np.zeros((1, n, n))))
     rows = np.append(table.index, np.full(-table.index.size % S, table.dts.size)).reshape(-1, S)
-    D, steps = len(rows), np.append(table.dts, 0.0)[rows]
-    if not integral:
-        kt3 = np.concatenate((table.kt3, np.zeros((1, n, n))))
-        E, Q = np.eye(n), np.zeros((D, n, n))
-        for i in range(S):
-            e = exp_a[rows[:, i]]
-            E, Q = e @ E, e @ Q @ e.mT + kt3[rows[:, i]]
-        return np.concatenate((E, _psd_root(Q)), axis=2), steps
-    roots = np.concatenate((_psd_root(table.kt3), np.zeros((1, n, n))))
-    maps = np.zeros((D, S, n, (S + 1) * n))
-    prev = np.zeros((D, n, (S + 1) * n))
-    prev[:, :, :n] = np.eye(n)
+    E, Q = np.eye(n), np.zeros((len(rows), n, n))
     for i in range(S):
-        prev = np.matmul(exp_a[rows[:, i]], prev, out=maps[:, i])
-        prev[:, :, (i + 1) * n : (i + 2) * n] = roots[rows[:, i]]
-    return maps.reshape(D, S * n, (S + 1) * n), steps
+        e = exp_a[rows[:, i]]
+        E, Q = e @ E, e @ Q @ e.mT + kt3[rows[:, i]]
+    return np.concatenate((E, _psd_root(Q)), axis=2)
 
 
 def _simulate_errors(
-    model: LinearSdeModel, N: int, chunks, paths: int, seed: int, integral: bool, workers=None
+    model: LinearSdeModel, N: int, chunks, paths: int, seed: int, workers=None
 ) -> tuple[np.ndarray, ErrorReport]:
-    """Per-path squared errors, the error sampled from its exact law, and the report of the N steps.
+    """Per-path ||err_N||_M^2, the error sampled from its exact law, and the report of the N steps.
 
-    err = X - mu starts at 0 and follows err' = exp_a err + root(kt3) xi,
-    n normals xi per path-step.  As each ``_chunks`` pair passes on to the
-    scan (``_sigma_path``, which gives the report), the maps of its table's
-    groups of S = _MC_STEPS steps are built (``_chunk_maps``), or repeated
-    for a table that repeats the one before.  Paths run in blocks of
-    _MC_BLOCK as columns of one reused buffer [err; normals]: per group,
-    block b draws one C-order (n, block) array from the stream (seed, 2, b),
-    or (S n, block) for the integral, which reads every step's error, and
-    takes one product with the map (the integral adds one product and one
-    einsum).
-    Each block fills its own slice of the output, so the bytes do not
-    depend on how many threads run the blocks (``workers``, default one per
-    available core).  The caller's numpy error state holds inside each
-    block.  The errors are ||err_N||_M^2 per path, or with ``integral``
-    sum_k ||err_{k+1}||_M^2 dt_k.
+    err = X - mu starts at 0 and follows err' = exp_a err + root(kt3) xi.
+    As each ``_chunks`` pair passes on to the scan (``_sigma_path``, which
+    gives the report), the maps of its table's groups of _MC_STEPS steps are
+    built (``_chunk_maps``), or repeated for a table that repeats the one
+    before.  Paths run in blocks of _MC_BLOCK as columns of one reused
+    (2 n, block) buffer [err; normals]: per group, block b draws one C-order
+    (n, block) array from the stream (seed, 2, b) and takes one product with
+    the map.  Each block fills its own slice of the output, so the bytes do
+    not depend on how many threads run the blocks (``workers``, default one
+    per available core).  The caller's numpy error state holds inside each
+    block.
     """
-    n, S, M = model.n, _MC_STEPS, model.M
-    groups = []  # (maps, steps) per chunk
+    n = model.n
+    groups = []  # maps per chunk
 
     def tables():
         prev = None
         for chunk, table in chunks:
             if table is not prev:
-                (maps, steps), prev = _chunk_maps(table, integral), table
-            groups.append((maps, steps))
+                maps, prev = _chunk_maps(table), table
+            groups.append(maps)
             yield chunk, table
 
     report = _sigma_path(model, N, tables())
@@ -416,19 +398,14 @@ def _simulate_errors(
         lo = b * _MC_BLOCK
         hi = min(lo + _MC_BLOCK, paths)
         g = _stream(seed, 2, b)
-        z = np.zeros(((S + 1 if integral else 2) * n, hi - lo))  # err starts at 0
-        acc = np.zeros(hi - lo)
+        z = np.zeros((2 * n, hi - lo))  # err starts at 0
         with np.errstate(**errstate):
-            for maps, steps in groups:
-                for m, dt in zip(maps, steps):
+            for maps in groups:
+                for m in maps:
                     g.standard_normal(out=z[n:])
-                    y = m @ z
-                    if integral:
-                        y3 = y.reshape(S, n, -1)
-                        acc += np.einsum("kij,kij,k->j", M @ y3, y3, dt)
-                    z[:n] = y[-n:]
+                    z[:n] = m @ z
             err = z[:n]
-            out[lo:hi] = acc if integral else np.einsum("ij,ij->j", M @ err, err)
+            out[lo:hi] = np.einsum("ij,ij->j", model.M @ err, err)
 
     # imported here: the pool module costs milliseconds at every CLI start
     import os
@@ -444,16 +421,6 @@ def _simulate_errors(
     return out, report
 
 
-def _mc_verify(model: LinearSdeModel, grid: TimeGrid, paths: int, seed: int, integral: bool):
-    paths = _index(paths)
-    if paths < 100:
-        raise ValueError("need at least 100 paths for a meaningful check")
-    chunks = _chunks(model, grid)
-    w, report = _simulate_errors(model, grid.n_steps, chunks, paths, _index(seed), integral)
-    predicted = report.integral if integral else report.terminal
-    return float(w.mean()), predicted, float(w.std(ddof=1) / math.sqrt(paths))
-
-
 def mc_verify_mse(
     model: LinearSdeModel, grid: TimeGrid, paths: int, seed: int
 ) -> tuple[float, float, float]:
@@ -465,16 +432,9 @@ def mc_verify_mse(
     Sigma recursion, not the step matrices.  Returns (sample mean square
     error, predicted value, standard error of the sample mean).
     """
-    return _mc_verify(model, grid, paths, seed, integral=False)
-
-
-def mc_verify_integral(
-    model: LinearSdeModel, grid: TimeGrid, paths: int, seed: int
-) -> tuple[float, float, float]:
-    """Monte Carlo check of the integral error functional.
-
-    Accumulates ||X_{t_{k+1}} - mu_k||_M^2 dt_k per path, sampled as in
-    mc_verify_mse (it tests the same), and compares the mean to
-    sum_k <M, Sigma_k> dt_k.
-    """
-    return _mc_verify(model, grid, paths, seed, integral=True)
+    paths = _index(paths)
+    if paths < 100:
+        raise ValueError("need at least 100 paths for a meaningful check")
+    chunks = _chunks(model, grid)
+    w, report = _simulate_errors(model, grid.n_steps, chunks, paths, _index(seed))
+    return float(w.mean()), report.terminal, float(w.std(ddof=1) / math.sqrt(paths))

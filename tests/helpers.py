@@ -1,7 +1,8 @@
 """Shared generators for randomised property tests, and test-only code.
 
 The oracles and reference schemes below (long-double K_t and Sigma, the
-closed-form Sigma_k sum, the PSD root, the one-step joint increment, the
+closed-form Sigma_k sum, the PSD root, the per-path terminal and per-step
+integral Monte Carlo samplers, the one-step joint increment, the
 per-row weights F_t and S_t, the Lyapunov ODE route to the limit
 covariance, Euler-Maruyama and Milstein steps, Brownian bridge moments and
 refinement, the empirical grid density, the cumulative of a grid density,
@@ -19,6 +20,7 @@ from sde_gridopt import (
     GridDensity,
     LinearSdeModel,
     TimeGrid,
+    error_report,
     kt_matrix,
     mat_exp,
     mho,
@@ -181,43 +183,56 @@ def psd_root(S):
     return V * np.sqrt(np.clip(w, 0.0, None))
 
 
-def simulate_errors_loop(model, table, paths, seed, integral):
-    """Per-path squared errors by a plain loop over paths, a test oracle.
+def simulate_errors_loop(model, table, paths, seed):
+    """Per-path terminal squared errors by a plain loop over paths, a test oracle.
 
     Reads the draws the Monte Carlo kernel reads: block b of _MC_BLOCK
-    paths draws from the stream (seed, 2, b), column j for path j, and each
-    path runs from err = 0 on its own, one matrix-vector product at a time.
-    The integral takes one (n, block) array per step and runs
-    err' = exp_a err + R xi, with R the ``psd_root`` of kt3.  The terminal
-    error takes one (n, block) array per group of _MC_STEPS steps (the last
-    group may be short) and runs err' = E err + psd_root(Q) eta, with the
-    group's (E, Q) composed step by step from (I, 0) as
+    paths draws from the stream (seed, 2, b), column j for path j, one
+    (n, block) array per group of _MC_STEPS steps (the last group may be
+    short), and each path runs from err = 0 on its own, one matrix-vector
+    product at a time: err' = E err + psd_root(Q) eta, with the group's
+    (E, Q) composed step by step from (I, 0) as
     (exp_a E, exp_a Q exp_a^T + kt3).
     """
     n, S = model.n, _MC_STEPS
-    if integral:
-        roots = [psd_root(kt3) for kt3 in table.kt3]
-        maps = [(table.exp_a[i], roots[i], table.dts[i]) for i in table.index]
-    else:
-        maps = []
-        for lo in range(0, table.index.size, S):
-            E, Q = np.eye(n), np.zeros((n, n))
-            for i in table.index[lo : lo + S]:
-                E, Q = table.exp_a[i] @ E, table.exp_a[i] @ Q @ table.exp_a[i].T + table.kt3[i]
-            maps.append((E, psd_root(Q), 0.0))
+    maps = []
+    for lo in range(0, table.index.size, S):
+        E, Q = np.eye(n), np.zeros((n, n))
+        for i in table.index[lo : lo + S]:
+            E, Q = table.exp_a[i] @ E, table.exp_a[i] @ Q @ table.exp_a[i].T + table.kt3[i]
+        maps.append((E, psd_root(Q)))
     out = np.empty(paths)
     for lo in range(0, paths, _MC_BLOCK):
         g = _stream(seed, 2, lo // _MC_BLOCK)
         size = min(_MC_BLOCK, paths - lo)
-        xi = [g.standard_normal((n, size)) for _ in maps]
+        eta = [g.standard_normal((n, size)) for _ in maps]
         for j in range(size):
             err = np.zeros(n)
-            acc = 0.0
-            for (E, R, dt), x in zip(maps, xi):
+            for (E, R), x in zip(maps, eta):
                 err = E @ err + R @ x[:, j]
-                acc += float(err @ model.M @ err) * dt
-            out[lo + j] = acc if integral else float(err @ model.M @ err)
+            out[lo + j] = float(err @ model.M @ err)
     return out
+
+
+def mc_verify_integral(model: LinearSdeModel, grid: TimeGrid, paths: int, seed: int):
+    """Monte Carlo check of the integral error functional, a per-step test oracle.
+
+    Samples sum_k ||err_{k+1}||_M^2 dt_k for all paths at once, with
+    err' = exp_a err + psd_root(kt3) xi from err = 0 on one whole-grid step
+    table and one (n, paths) array of normals per step from numpy's default
+    generator on ``seed``; it shares no code with the package's group maps.
+    Returns (sample mean, the integral of ``error_report``, standard error
+    of the sample mean), as ``mc_verify_mse`` does for the terminal error.
+    """
+    predicted = error_report(model, grid).integral  # refuses a grid off the horizon
+    table = _step_table(model, grid.steps)
+    roots = [psd_root(kt3) for kt3 in table.kt3]
+    rng = np.random.default_rng(seed)
+    err, acc = np.zeros((model.n, paths)), np.zeros(paths)
+    for i in table.index:
+        err = table.exp_a[i] @ err + roots[i] @ rng.standard_normal((model.n, paths))
+        acc += np.einsum("ij,ij->j", model.M @ err, err) * table.dts[i]
+    return float(acc.mean()), predicted, float(acc.std(ddof=1) / math.sqrt(paths))
 
 
 def closed_form_sigma(model: LinearSdeModel, grid: TimeGrid, k: int) -> np.ndarray:

@@ -22,7 +22,6 @@ from sde_gridopt import (
     grid_from_density,
     kt_matrix,
     limit_sigma,
-    mc_verify_integral,
     mc_verify_mse,
     mho,
     min_phi_value,
@@ -43,6 +42,7 @@ from helpers import (
     functional_quadrature_bound,
     kt_oracle,
     limit_sigma_ode,
+    mc_verify_integral,
     milstein_step_scalar,
     random_model,
     random_regular_model,
@@ -104,6 +104,7 @@ def test_criterion_4_monte_carlo_consistency(ou):
     z_term = (sample - predicted) / stderr
     assert abs(sample - predicted) <= 3.0 * stderr
 
+    # the integral error through the per-step test oracle; no package route samples it
     s_int, p_int, se_int = mc_verify_integral(ou, grid, 100_000, 2024)
     z_int = (s_int - p_int) / se_int
     assert abs(s_int - p_int) <= 3.0 * se_int

@@ -362,6 +362,21 @@ class TestPhiFunctional:
         assert 0.0 < value < math.inf
         assert 0.0 < functional_quadrature_bound(model, psi, "terminal") < 1e-3 * value
 
+    @pytest.mark.parametrize(
+        "a, refused", [(12.5, True), (17.5, False)], ids=["refused", "accepted"]
+    )
+    def test_terminal_zero_judged_at_the_tolerance(self, a, refused):
+        # psi may vanish only where the weight is below 1e-14 of its maximum:
+        # on scalar OU with A = a > 0 the ratio F_T / max F is 1.4e-11 at
+        # a = 12.5 and 6.3e-16 at a = 17.5, on either side of the tolerance
+        model = LinearSdeModel(A=[[a]], B=[[1.0]], M=[[1.0]], T=1.0)
+        psi = GridDensity(1.0, np.append(np.ones(J), 0.0))  # 1 at every node but T
+        if refused:
+            with pytest.raises(ValueError, match="vanishes where the terminal weight is positive"):
+                phi_functional(model, psi)
+        else:
+            assert math.isfinite(phi_functional(model, psi))
+
 
 class TestUpsFunctional:
     def test_uniform_ou_closed_form(self, ou):

@@ -21,6 +21,7 @@ from sde_gridopt import (
     error_report,
     grid_from_density,
     matfun,
+    sigma_path,
     uniform_density,
 )
 from sde_gridopt.cli import (
@@ -537,6 +538,24 @@ class TestMcVerify:
         grid = grid_from_density(uniform_density(1.0), 8)
         # %.17g roundtrips exactly
         assert float(rows[0][2]) == error_report(cfg.model, grid).terminal
+
+    def test_columns_pinned_to_each_other_and_the_exact_variance(self, tmp_path):
+        # zscore is its row's (sample_mse - predicted) / stderr, bit for bit
+        # (%.17g round-trips), and stderr is near the exact standard error of
+        # the mean of ||err_N||_M^2, err_N ~ N(0, Sigma_N): sqrt(2 tr((M
+        # Sigma_N)^2) / paths), measured within 2.8% over seeds 1-20
+        cfg = parse_config(str(REPO / "perfbench" / "workloads" / "sys4-uniform-mc.cfg"))
+        cfg.seed, cfg.outdir = 7, str(tmp_path)
+        model = cfg.model
+        _, rows = read_csv(cmd_mc_verify(cfg, quiet=True))
+        assert len(rows) == 3
+        for row in rows:
+            N, (sample, predicted, stderr, z) = int(row[0]), map(float, row[1:])
+            assert z == (sample - predicted) / stderr
+            grid = grid_from_density(uniform_density(model.T), N)
+            MS = model.M @ sigma_path(model, grid)[0][-1]
+            exact = math.sqrt(2.0 * np.trace(MS @ MS) / cfg.paths)
+            assert abs(stderr / exact - 1.0) <= 0.1
 
     def test_seed_override_changes_samples(self, tmp_path):
         text = OU_CONFIG.replace("[16, 32, 64]", "[8]")

@@ -44,7 +44,6 @@ PUBLIC = {
     "error_report",
     "run_filter",
     "mc_verify_mse",
-    "mc_verify_integral",
     # asymptotics
     "WeightCurve",
     "OuClosedForms",
@@ -75,6 +74,7 @@ TEST_ONLY = (
     "AsymptoticReport",
     "asymptotic_report",
     "functional_quadrature_bound",
+    "mc_verify_integral",
 )
 
 

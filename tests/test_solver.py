@@ -16,7 +16,6 @@ from sde_gridopt import (
     grid_from_density,
     kalman_step,
     kt_matrix,
-    mc_verify_integral,
     mc_verify_mse,
     optimal_profile,
     phi1,
@@ -41,6 +40,7 @@ from helpers import (
     bridge_moments,
     closed_form_sigma,
     euler_maruyama_step,
+    mc_verify_integral,
     milstein_step_scalar,
     psd_root,
     random_grid,
@@ -524,10 +524,10 @@ def count_kernel(monkeypatch):
     return calls
 
 
-def simulate(model, table, paths, seed, integral, **kw):
+def simulate(model, table, paths, seed, **kw):
     """_simulate_errors over one whole-grid table as its one chunk: the per-path errors."""
     N = table.index.size
-    return _simulate_errors(model, N, [(slice(0, N), table)], paths, seed, integral, **kw)[0]
+    return _simulate_errors(model, N, [(slice(0, N), table)], paths, seed, **kw)[0]
 
 
 def traced_peak(f):
@@ -584,21 +584,17 @@ class TestChunkedStepTables:
         calls.clear()
         run_filter(model, np.zeros(model.n), WienerIncrements.sample(grid, model.m, 3))
         assert calls == rows  # the mean and the scan share each chunk's table
-        for verify in (mc_verify_mse, mc_verify_integral):
-            calls.clear()
-            verify(model, grid, 100, 7)
-            # the prediction and the sampler share each chunk's table; 17 calls
-            # over 32,768 rows when the sampler built its own whole-grid table
-            assert calls == rows == [_SCAN_CHUNK] * 16
+        calls.clear()
+        mc_verify_mse(model, grid, 100, 7)
+        # the prediction and the sampler share each chunk's table; 17 calls
+        # over 32,768 rows when the sampler built its own whole-grid table
+        assert calls == rows == [_SCAN_CHUNK] * 16
 
     def test_verifier_memory(self, sys4_optimal):
-        # 23.9 MB for either verifier with the whole-grid table; measured 3.5 MB
-        # and 12.8 MB (the integral keeps each group's every-step map)
+        # 23.9 MB with the whole-grid table; measured 3.4 MB
         model, grid = sys4_optimal
         _, peak = traced_peak(lambda: mc_verify_mse(model, grid, 100, 7))
         assert peak <= 10_000_000
-        _, peak = traced_peak(lambda: mc_verify_integral(model, grid, 100, 7))
-        assert peak <= 18_000_000
 
     def test_repeated_chunks_reuse_their_table(self, monkeypatch):
         # dyadic steps add up exactly, so the grid's steps are these: chunks
@@ -920,6 +916,7 @@ class TestMcVerify:
         assert predicted > 0
 
     def test_integral_consistency(self, ou):
+        # the per-step test oracle's sample against error_report's integral
         grid = grid_from_density(uniform_density(1.0), 16)
         sample, predicted, stderr = mc_verify_integral(ou, grid, 20_000, 2024)
         assert abs(sample - predicted) <= 4 * stderr
@@ -940,9 +937,8 @@ class TestMcVerify:
     def test_x0_not_taken(self, ou):
         # neither x0 nor the drive enters the error, so neither is an argument
         grid = grid_from_density(uniform_density(1.0), 4)
-        for verify in (mc_verify_mse, mc_verify_integral):
-            with pytest.raises(TypeError):
-                verify(ou, grid, [0.0], 200, 1)
+        with pytest.raises(TypeError):
+            mc_verify_mse(ou, grid, [0.0], 200, 1)
 
     def test_generator_seed_refused(self, ou):
         # every seed in the package is an integer only; a Generator is not drawn from
@@ -1003,25 +999,18 @@ class TestSimulateErrors:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # interleave the workers' Python steps finely
         try:
-            runs = [
-                tuple(
-                    simulate(model, table, paths, 606, integral, workers=w)
-                    for integral in (False, True)
-                )
-                for w in (1, 2, 3)
-            ]
+            runs = [simulate(model, table, paths, 606, workers=w) for w in (1, 2, 3)]
         finally:
             sys.setswitchinterval(interval)
-        for w2, w2_int in runs:
-            assert w2.shape == w2_int.shape == (paths,)
-            assert np.all(w2 > 0) and np.all(w2_int > 0)
-        for w2, w2_int in runs[1:]:
-            assert w2.tobytes() == runs[0][0].tobytes()
-            assert w2_int.tobytes() == runs[0][1].tobytes()
+        for w2 in runs:
+            assert w2.shape == (paths,)
+            assert np.all(w2 > 0)
+        for w2 in runs[1:]:
+            assert w2.tobytes() == runs[0].tobytes()
 
     def test_blocks_draw_distinct_streams(self, ou):
         table = _step_table(ou, np.full(4, 0.25))
-        w2 = simulate(ou, table, 2 * _MC_BLOCK, 3, False, workers=1)
+        w2 = simulate(ou, table, 2 * _MC_BLOCK, 3, workers=1)
         assert not np.array_equal(w2[:_MC_BLOCK], w2[_MC_BLOCK:])
 
     def test_caller_error_state_reaches_workers(self):
@@ -1029,22 +1018,22 @@ class TestSimulateErrors:
         table = _step_table(unstable, np.full(16, 0.125))  # X grows by e^50 a step
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError):
-                simulate(unstable, table, 2 * _MC_BLOCK + 1, 1, False, workers=2)
+                simulate(unstable, table, 2 * _MC_BLOCK + 1, 1, workers=2)
         with np.errstate(over="ignore", invalid="ignore"):
-            w2 = simulate(unstable, table, 2 * _MC_BLOCK + 1, 1, False, workers=2)
+            w2 = simulate(unstable, table, 2 * _MC_BLOCK + 1, 1, workers=2)
         assert not np.all(np.isfinite(w2))
 
     def test_matches_per_path_loop(self):
-        # pins the stream layout: block b reads one (n, block) array per step
-        # from (seed, 2, b), column j for path j; the error starts at 0
+        # pins the stream layout: block b reads one (n, block) array per group
+        # of _MC_STEPS steps from (seed, 2, b), column j for path j; the error
+        # starts at 0
         model = random_regular_model(np.random.default_rng(8), n=3)
         grid = random_grid(np.random.default_rng(9), 12)
         table = _step_table(model, grid.steps)
         paths = 2 * _MC_BLOCK + 37
-        for integral in (False, True):
-            got = simulate(model, table, paths, 606, integral)
-            ref = simulate_errors_loop(model, table, paths, 606, integral)
-            assert np.max(np.abs(got - ref) / ref) <= 1e-12
+        got = simulate(model, table, paths, 606)
+        ref = simulate_errors_loop(model, table, paths, 606)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-12
 
     @pytest.mark.parametrize("N", [1, 3, 4, 5, 13])
     @pytest.mark.parametrize("kind", ["uniform", "random"])
@@ -1052,8 +1041,7 @@ class TestSimulateErrors:
         # 1 and 3 steps make no full group of _MC_STEPS, 4 exactly one, 5 and
         # 13 a ragged last group; one map is built per group of the table,
         # on a dyadic uniform grid as on a random one.  Each block draws
-        # once per group, not once per step: n normals per path for the
-        # terminal error, S n for the integral.
+        # once per group, not once per step: n normals per path.
         rng = np.random.default_rng(100 + N)
         model = random_regular_model(rng, n=3, m=2)
         steps = np.full(N, 0.125) if kind == "uniform" else random_grid(rng, N).steps
@@ -1061,10 +1049,10 @@ class TestSimulateErrors:
         built, draws = [], []
         chunk_maps, stream = solver._chunk_maps, solver._stream
 
-        def counting_maps(table, integral):
-            maps, steps = chunk_maps(table, integral)
+        def counting_maps(table):
+            maps = chunk_maps(table)
             built.append(len(maps))
-            return maps, steps
+            return maps
 
         class CountingStream:
             def __init__(self, *key):
@@ -1078,15 +1066,13 @@ class TestSimulateErrors:
         monkeypatch.setattr(solver, "_chunk_maps", counting_maps)
         monkeypatch.setattr(solver, "_stream", CountingStream)
         paths = 2 * _MC_BLOCK + 37
-        for integral in (False, True):
-            got = simulate(model, table, paths, 606, integral, workers=1)
-            ref = simulate_errors_loop(model, table, paths, 606, integral)
-            assert np.max(np.abs(got - ref) / ref) <= 1e-12
+        got = simulate(model, table, paths, 606, workers=1)
+        ref = simulate_errors_loop(model, table, paths, 606)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-12
         groups = -(-N // _MC_STEPS)
-        assert built == [groups] * 2
-        blocks = (_MC_BLOCK, _MC_BLOCK, 37)  # three blocks per functional
-        terminal = [[(3, size)] * groups for size in blocks]
-        assert draws == terminal + [[(3 * _MC_STEPS, size)] * groups for size in blocks]
+        assert built == [groups]
+        blocks = (_MC_BLOCK, _MC_BLOCK, 37)
+        assert draws == [[(3, size)] * groups for size in blocks]
 
     def test_terminal_maps_compose_each_group(self):
         # 13 steps: three groups of _MC_STEPS and a ragged one-step group.
@@ -1095,11 +1081,10 @@ class TestSimulateErrors:
         rng = np.random.default_rng(13)
         model = random_regular_model(rng, n=3)
         table = _step_table(model, random_grid(rng, 13).steps)
-        maps, steps = solver._chunk_maps(table, False)
-        assert maps.shape == (4, 3, 6) and steps.shape == (4, _MC_STEPS)
-        for d, (m, dts) in enumerate(zip(maps, steps)):
+        maps = solver._chunk_maps(table)
+        assert maps.shape == (4, 3, 6)
+        for d, m in enumerate(maps):
             rows = table.index[d * _MC_STEPS : (d + 1) * _MC_STEPS]
-            assert np.array_equal(dts, np.pad(table.dts[rows], (0, _MC_STEPS - rows.size)))
             E = np.linalg.multi_dot([table.exp_a[i] for i in rows[::-1]] + [np.eye(3)])
             Q = np.zeros((3, 3))
             for i in rows:
@@ -1124,16 +1109,15 @@ class TestSimulateErrors:
         sampled = (dW / np.sqrt(grid.steps), residual)
 
         table = _step_table(ou, [1.0])
-        w2 = simulate(ou, table, 3 * _MC_BLOCK, seed, False, workers=1)
+        w2 = simulate(ou, table, 3 * _MC_BLOCK, seed, workers=1)
         xi = np.sqrt(w2 / table.kt3[0, 0, 0])
         for b in range(3):
             first = xi[b * _MC_BLOCK : b * _MC_BLOCK + grid.n_steps]
             for normals in sampled:
                 assert not np.allclose(first, np.abs(normals), rtol=1e-9, atol=0)
 
-    @pytest.mark.parametrize("integral", [False, True], ids=["terminal", "integral"])
     @pytest.mark.parametrize("wrong", ["kt3_sqrt", "exp_a"])
-    def test_check_catches_a_wrong_table(self, wrong, integral):
+    def test_check_catches_a_wrong_table(self, wrong):
         # sampling from a perturbed table agrees with that table's own
         # prediction and is refuted by the true table's
         workloads = Path(__file__).parents[1] / "perfbench" / "workloads"
@@ -1145,11 +1129,11 @@ class TestSimulateErrors:
         else:
             bad = dataclasses.replace(table, exp_a=1.01 * table.exp_a)
         paths = 20_000
-        w, bad_rep = _simulate_errors(model, 64, [(slice(0, 64), bad)], paths, 12, integral)
+        w, bad_rep = _simulate_errors(model, 64, [(slice(0, 64), bad)], paths, 12)
         stderr = w.std(ddof=1) / math.sqrt(paths)
 
         def zscore(rep):
-            return (w.mean() - (rep.integral if integral else rep.terminal)) / stderr
+            return (w.mean() - rep.terminal) / stderr
 
         assert abs(zscore(bad_rep)) <= 5
         assert abs(zscore(solver._sigma_path(model, 64, [(slice(0, 64), table)]))) > 5
@@ -1161,11 +1145,10 @@ class TestSimulateErrors:
         rng = np.random.default_rng(N)
         model = random_regular_model(rng, n=3, m=2)
         grid = random_grid(rng, N)
-        got = [_simulate_errors(model, N, _chunks(model, grid), 300, 5, i) for i in (False, True)]
-        assert got[0][1] == got[1][1] == error_report(model, grid)
+        w, rep = _simulate_errors(model, N, _chunks(model, grid), 300, 5)
+        assert rep == error_report(model, grid)
         table = _step_table(model, grid.steps)
-        for (w, _), integral in zip(got, (False, True)):
-            assert w.tobytes() == simulate(model, table, 300, 5, integral).tobytes()
+        assert w.tobytes() == simulate(model, table, 300, 5).tobytes()
 
 
 class TestStream:
@@ -1176,6 +1159,10 @@ class TestStream:
             _stream(0, 2**64)
         with pytest.raises(ValueError):
             _stream(0, 2, 2**64)
+
+    def test_largest_keys_draw(self):
+        # the bound admits every uint64: 2**64 - 1 as the seed and as a key
+        assert np.all(np.isfinite(_stream(2**64 - 1, 2**64 - 1).standard_normal(4)))
 
     def test_distinct_keys_distinct_draws(self):
         a = _stream(1, 0).standard_normal(4)

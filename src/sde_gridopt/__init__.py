@@ -34,7 +34,7 @@ from .matfun import *
 from .model import *
 from .solver import *
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "__version__",

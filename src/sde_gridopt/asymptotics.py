@@ -47,12 +47,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridDensity, density_from_weight
+from .grid import GridDensity, _real, density_from_weight
 from .matfun import _gramian, _Tc, _right, _sym, _transition, expm, mho
 from .model import LinearSdeModel, regularity_check
 
 __all__ = [
-    "WeightCurve",
     "weight_curve",
     "phi_functional",
     "ups_functional",
@@ -63,15 +62,6 @@ __all__ = [
     "ou_closed_forms",
     "OuClosedForms",
 ]
-
-
-@dataclass(frozen=True)
-class WeightCurve:
-    """Weight samples on the curves' mesh; kind is 'terminal' or 'integral'."""
-
-    kind: str
-    mesh: np.ndarray
-    values: np.ndarray
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -155,7 +145,7 @@ def _mesh_transition(A: np.ndarray, D: np.ndarray, s: np.ndarray, kt: bool = Fal
 _CURVE_CACHE: dict = {}
 
 
-def _curves(model: LinearSdeModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def weight_curve(model: LinearSdeModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Mesh, F, S and the Gramians Q_t on the curves' mesh, cached for the last model.
 
     ``_weights`` over ``_mesh_transition(A^T, M)`` at s = the mesh, with F and S
@@ -163,7 +153,8 @@ def _curves(model: LinearSdeModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     optimal-grid convergence sweep asks for the curves five times (each
     grid, then the density and the functional of its limit row), and
     uncached, that sweep took 34-37 ms against 24-26 ms on the 4x4 model.
-    The arrays are read-only, as every caller shares them.
+    A second call for the same model returns the same tuple, and its arrays
+    are read-only, as every caller shares them.
     """
     key = (
         model.A.tobytes(),
@@ -185,12 +176,12 @@ def _curves(model: LinearSdeModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return out
 
 
-def weight_curve(model: LinearSdeModel, kind: str) -> WeightCurve:
-    """Weight curve F (kind 'terminal') or S ('integral') on the curves' mesh; no other kind."""
+def _weight(model: LinearSdeModel, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Mesh and the weight F (kind 'terminal') or S ('integral'); no other kind."""
     if kind not in ("terminal", "integral"):
         raise ValueError("kind must be 'terminal' or 'integral'")
-    mesh, F, S, _ = _curves(model)
-    return WeightCurve(kind=kind, mesh=mesh, values=F if kind == "terminal" else S)
+    mesh, F, S, _ = weight_curve(model)
+    return mesh, F if kind == "terminal" else S
 
 
 def _check_density(model: LinearSdeModel, psi: GridDensity) -> None:
@@ -210,14 +201,14 @@ def _integrand(model: LinearSdeModel, psi: GridDensity, kind: str) -> tuple[np.n
     nodes: psi = 0 is refused where w > 1e-14 max(w), and the integrand is 0 there.
     """
     _check_density(model, psi)
-    curve = weight_curve(model, kind)
-    w, p = curve.values, psi.psi_at(curve.mesh)
+    mesh, w = _weight(model, kind)
+    p = psi.psi_at(mesh)
     zero = p == 0.0
     if np.any(zero & (w > 1e-14 * max(w.max(), 1e-300))):
         raise ValueError(f"density vanishes where the {kind} weight is positive")
     integrand = np.zeros_like(w)
     np.divide(w, p**2, out=integrand, where=~zero)
-    return curve.mesh, integrand
+    return mesh, integrand
 
 
 def phi_functional(model: LinearSdeModel, psi: GridDensity) -> float:
@@ -238,12 +229,12 @@ def ups_functional(model: LinearSdeModel, psi: GridDensity) -> float:
 
 
 def _min_value(model: LinearSdeModel, kind: str) -> float:
-    curve = weight_curve(model, kind)
-    if not np.any(curve.values > 0):
+    mesh, w = _weight(model, kind)
+    if not np.any(w > 0):
         # identically zero weight: the functional floor is exactly zero
         return 0.0
     _require_regular(model)
-    return float(_simpson(np.cbrt(curve.values), curve.mesh)) ** 3
+    return float(_simpson(np.cbrt(w), mesh)) ** 3
 
 
 def min_phi_value(model: LinearSdeModel) -> float:
@@ -262,7 +253,7 @@ def optimal_profile(model: LinearSdeModel, kind: str) -> GridDensity:
     It lives on the curves' mesh.  Its ``cumulative`` samples the inverse
     of the time profile that quantile grids realise.
     """
-    w = weight_curve(model, kind).values
+    _, w = _weight(model, kind)
     _require_regular(model)
     return density_from_weight(model.T, w)
 
@@ -280,7 +271,7 @@ def limit_sigma(model: LinearSdeModel, psi: GridDensity, tau: float) -> np.ndarr
     density bounded away from zero (phi' finite on [0, 1]).
     """
     _check_density(model, psi)
-    tau = float(tau)
+    tau = _real(tau, "tau")
     if not 0.0 <= tau <= 1.0:
         raise ValueError("tau must lie in [0, 1]")
     if psi.values[-1] == 0.0:

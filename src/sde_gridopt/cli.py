@@ -13,11 +13,11 @@ ast.literal_eval, never eval).  Every key goes through one reader that
 refuses a value of the wrong type or range, naming the key: a float where
 an integer belongs is refused, never truncated, and an empty path (``file``,
 ``dir``, ``--out``), an unknown key, ``[grid] file`` beside any kind but
-``file``, or ``N`` or ``N_sweep`` beside ``kind = file``, is refused.
-``[grid] N`` is a one-element sweep; ``N_sweep`` wins when both are
-given.  All CSV output is UTF-8 with a header row and CRLF line ends; a
-number is written as ``%.17g`` and a label as it is, so repeated runs are
-byte-identical on one platform.  Errors exit with status 2 after printing
+``file``, ``N`` or ``N_sweep`` beside ``kind = file``, or ``N`` beside
+``N_sweep``, is refused.  ``[grid] N`` is a one-element sweep.  All CSV
+output is UTF-8 with a header row and CRLF line ends; a number is written
+as ``%.17g`` and a label as it is, so repeated runs are byte-identical on
+one platform.  Errors exit with status 2 after printing
 a single machine-parsable ``error: ...`` line on stderr; a table with a NaN or inf cell is such an error and is not
 written, and numpy's overflow warnings on the way to it are not printed.
 """
@@ -36,13 +36,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .asymptotics import (
-    _curves,
     _mesh_transition,
     min_phi_value,
     optimal_profile,
     ou_closed_forms,
     phi_functional,
     ups_functional,
+    weight_curve,
 )
 from .grid import GridDensity, TimeGrid, grid_from_density, uniform_density
 from .model import LinearSdeModel, ModelValidationError
@@ -124,7 +124,7 @@ def _array(v) -> np.ndarray:
 # The [model] keys as (key, converter), all required.
 _MODEL = (("A", _array), ("B", _array), ("M", _array), ("T", _real))
 # Optional keys as (section, key, field, converter); an absent key keeps the
-# field's default. N is a one-element sweep, read first so that N_sweep wins.
+# field's default. N is a one-element sweep, refused beside N_sweep.
 _OPTIONAL = (
     ("grid", "kind", "grid_kind", _grid_kind),
     ("grid", "N", "n_sweep", lambda v: [_int(v, 1)]),
@@ -184,6 +184,8 @@ def parse_config(path: str) -> ExperimentConfig:
     for key in ("N", "N_sweep"):
         if cfg.grid_kind == "file" and cp.has_option("grid", key):
             raise ValueError(f"config [grid] {key}: not read with kind = file")
+    if cp.has_option("grid", "N") and cp.has_option("grid", "N_sweep"):
+        raise ValueError("config [grid] N: not read beside N_sweep")
     return cfg
 
 
@@ -281,7 +283,7 @@ def cmd_gramian(cfg: ExperimentConfig, quiet: bool = False) -> str:
     """
     model = cfg.model
     n = model.n
-    mesh, F, S, Q = _curves(model)
+    mesh, F, S, Q = weight_curve(model)
     labels = [f"{i + 1}{j + 1}" for i in range(n) for j in range(n)]
     header = ["t"] + [f"{X}_{s}" for X in "GQK" for s in labels] + ["F", "S"]
     _, G, K = _mesh_transition(model.A, model.D, mesh, kt=True)

@@ -11,6 +11,7 @@ case) are allowed to pinch to zero.
 
 from __future__ import annotations
 
+import numbers
 import operator
 
 import numpy as np
@@ -29,6 +30,13 @@ def _index(v) -> int:
     if isinstance(v, bool):
         raise TypeError(f"{v!r} is a bool, not an integer")
     return operator.index(v)
+
+
+def _real(v, name: str) -> float:
+    """v as a float if it is a Python or numpy real; a str, a bool or an array is refused, naming it."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise TypeError(f"{name} must be a real number, not {v!r}")
+    return float(v)
 
 
 def _no_nan(v, name: str) -> np.ndarray:
@@ -81,7 +89,7 @@ class GridDensity:
     """
 
     def __init__(self, T: float, values):
-        T = float(T)
+        T = _real(T, "T")
         if not np.isfinite(T) or T <= 0:
             raise ValueError("T must be positive")
         values = np.asarray(values, dtype=float)

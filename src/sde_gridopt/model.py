@@ -5,10 +5,11 @@ a symmetric PSD weight M defining the error quadratic form, and the horizon
 T.  The diffusion D = B B^T is computed once and cached; everything
 downstream depends on B only through D.
 
-A model is checked once, when it is built: a wrong shape or any violated
-value invariant (finite entries, positive horizon, symmetric PSD weight)
-raises ModelValidationError, so every routine that takes a model may
-assume it is valid.  Models compare and hash by identity.
+A model is checked once, when it is built: a wrong shape, a horizon that
+is not a real number (a string, a bool or an array) or any violated value
+invariant (finite entries, positive horizon, symmetric PSD weight) raises
+ModelValidationError, so every routine that takes a model may assume it
+is valid.  Models compare and hash by identity.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .grid import _real
+
 __all__ = [
     "LinearSdeModel",
     "ModelValidationError",
     "RegularityReport",
-    "frobenius_pairing",
     "regularity_check",
     "validate_model",
 ]
@@ -36,15 +38,6 @@ class ModelValidationError(ValueError):
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
         super().__init__("model validation failed: " + ", ".join(self.violations))
-
-
-def frobenius_pairing(K: np.ndarray, L: np.ndarray) -> float:
-    """Frobenius pairing <K, L> = trace(K^T L)."""
-    K = np.asarray(K, dtype=float)
-    L = np.asarray(L, dtype=float)
-    if K.shape != L.shape:
-        raise ValueError(f"shape mismatch: {K.shape} vs {L.shape}")
-    return float(np.sum(K * L))
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,6 +62,10 @@ class LinearSdeModel:
             raise ModelValidationError(["noise-shape-mismatch"])
         if M.shape != A.shape:
             raise ModelValidationError(["weight-shape-mismatch"])
+        try:
+            T = _real(self.T, "T")
+        except TypeError:
+            raise ModelValidationError(["horizon-not-a-number"]) from None
         for arr in (A, B, M):
             arr.flags.writeable = False
         with np.errstate(over="ignore", invalid="ignore"):  # a nonfinite D is refused below
@@ -77,7 +74,7 @@ class LinearSdeModel:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "M", M)
-        object.__setattr__(self, "T", float(self.T))
+        object.__setattr__(self, "T", T)
         object.__setattr__(self, "D", D)
         validate_model(self)
 
@@ -146,6 +143,6 @@ def regularity_check(model: LinearSdeModel) -> RegularityReport:
     W = np.empty((n, n))
     for j in range(n):
         for k in range(n):
-            W[j, k] = frobenius_pairing(model.M, left[j] @ pw[k].T)
+            W[j, k] = np.sum(model.M * (left[j] @ pw[k].T))
     det = float(np.linalg.det(W))
     return RegularityReport(gram_matrix=W, gram_det=det, satisfied=det > 0.0)

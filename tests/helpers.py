@@ -25,9 +25,8 @@ from sde_gridopt import (
     mat_exp,
     mho,
     regularity_check,
-    weight_curve,
 )
-from sde_gridopt.asymptotics import _integrand, _min_value, _simpson, _weights
+from sde_gridopt.asymptotics import _integrand, _min_value, _simpson, _weight, _weights
 from sde_gridopt.grid import _index, _no_nan
 from sde_gridopt.matfun import _gramian, _transition
 from sde_gridopt.solver import _MC_BLOCK, _MC_STEPS, _step_table, _stream
@@ -317,7 +316,7 @@ def asymptotic_report(model: LinearSdeModel, psi: GridDensity, kind: str) -> Asy
     mesh, integrand = _integrand(model, psi, kind)
     value = float(_simpson(integrand, mesh))
     minimum = _min_value(model, kind)
-    w = weight_curve(model, kind).values
+    _, w = _weight(model, kind)
     bound = model.T**3 * float(w.min())
     ratio = value / minimum if minimum > 0 else math.inf if value > 0 else 1.0
     return AsymptoticReport(kind=kind, value=value, minimum=minimum, lower_bound=bound, ratio=ratio)

@@ -116,7 +116,7 @@ def test_criterion_4_monte_carlo_consistency(ou):
 def test_criterion_5_holder_optimality(ou):
     reg = random_regular_model(np.random.default_rng(11), n=2, m=2)
     rng = np.random.default_rng(3)
-    mesh_nodes = weight_curve(ou, "terminal").mesh.size  # random densities on the curves' mesh
+    mesh_nodes = weight_curve(ou)[0].size  # random densities on the curves' mesh
     for model in (ou, reg):
         floor = min_phi_value(model)
         for _ in range(10):
@@ -151,11 +151,10 @@ def test_criterion_6_identity_battery(ou):
 
     # tail-integral identity int_t^T F = S_t on the shared mesh
     for model in (ou, random_regular_model(rng, n=2, m=2)):
-        F = weight_curve(model, "terminal")
-        S = weight_curve(model, "integral")
-        cum = cumulative_simpson(F.values, x=F.mesh, initial=0.0)
+        mesh, F, S, _ = weight_curve(model)
+        cum = cumulative_simpson(F, x=mesh, initial=0.0)
         tail = cum[-1] - cum
-        assert np.max(np.abs(tail - S.values)) <= 1e-8 * S.values[0]
+        assert np.max(np.abs(tail - S)) <= 1e-8 * S[0]
 
     # Lyapunov residuals under h = 1e-4 central differences
     h = 1e-4

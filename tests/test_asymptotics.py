@@ -12,7 +12,6 @@ from sde_gridopt import (
     LinearSdeModel,
     asymptotics,
     density_from_weight,
-    frobenius_pairing,
     grid_from_density,
     limit_sigma,
     mho,
@@ -96,25 +95,36 @@ class TestWeights:
 
 class TestWeightCurve:
     def test_cache_keeps_last_model_only(self, ou, reg2):
-        first = weight_curve(ou, "terminal").values.copy()
-        weight_curve(reg2, "integral")
+        first = [arr.copy() for arr in weight_curve(ou)]
+        weight_curve(reg2)
         assert len(asymptotics._CURVE_CACHE) == 1
-        assert np.array_equal(weight_curve(ou, "terminal").values, first)
+        again = weight_curve(ou)
+        assert all(np.array_equal(a, b) for a, b in zip(again, first))
+        assert weight_curve(ou) is again  # a second call returns the cached tuple
         assert len(asymptotics._CURVE_CACHE) == 1
 
     def test_kind_validation(self, ou):
-        with pytest.raises(ValueError):
-            weight_curve(ou, "therminal")
+        # one pick reads F or S for every kind-taking route, and refuses any other kind
+        for call in (
+            lambda kind: asymptotics._weight(ou, kind),
+            lambda kind: optimal_profile(ou, kind),
+            lambda kind: asymptotics._min_value(ou, kind),
+            lambda kind: asymptotics._integrand(ou, uniform_density(ou.T), kind),
+        ):
+            with pytest.raises(ValueError, match="^kind must be 'terminal' or 'integral'$"):
+                call("therminal")
+        mesh, F, S, _ = weight_curve(ou)
+        (m1, w1), (m2, w2) = asymptotics._weight(ou, "terminal"), asymptotics._weight(ou, "integral")
+        assert m1 is mesh and m2 is mesh and w1 is F and w2 is S
 
     def test_cached_curves_are_read_only(self, ou):
         # a caller that scales a returned curve must not change the cached one
         before = min_phi_value(ou)
-        for kind in ("terminal", "integral"):
-            curve = weight_curve(ou, kind)
-            for arr in (curve.mesh, curve.values):
-                with pytest.raises(ValueError, match="read-only"):
-                    arr[:] *= 8
-        assert not any(arr.flags.writeable for arr in asymptotics._curves(ou))
+        curves = weight_curve(ou)
+        assert isinstance(curves, tuple) and len(curves) == 4
+        for arr in curves:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[:] *= 8
         assert min_phi_value(ou) == before
 
     def test_curve_matches_single_point_route(self, ou, reg2):
@@ -125,20 +135,19 @@ class TestWeightCurve:
 
             def F_ref(t):
                 E = expm((model.T - t) * model.A)
-                return frobenius_pairing(Um, E.T @ model.M @ E)
+                return np.sum(Um * (E.T @ model.M @ E))
 
-            F = weight_curve(model, "terminal")
-            S = weight_curve(model, "integral")
-            assert F.mesh.shape == (J + 1,)
+            mesh, F, S, _ = weight_curve(model)
+            assert mesh.shape == (J + 1,)
             idx = np.linspace(0, J, 11).astype(int)
             for i in idx:
-                t = F.mesh[i]
+                t = mesh[i]
                 S_ref = quad(F_ref, t, model.T, epsabs=1e-15, epsrel=1e-12)[0]
-                assert F.values[i] == pytest.approx(F_ref(t), rel=1e-9, abs=1e-15)
-                assert S.values[i] == pytest.approx(S_ref, rel=1e-9, abs=1e-15)
-                assert F.values[i] == pytest.approx(weight_F(model, t), rel=1e-9, abs=1e-15)
-                assert S.values[i] == pytest.approx(weight_S(model, t), rel=1e-9, abs=1e-15)
-            assert S.values[-1] == 0.0
+                assert F[i] == pytest.approx(F_ref(t), rel=1e-9, abs=1e-15)
+                assert S[i] == pytest.approx(S_ref, rel=1e-9, abs=1e-15)
+                assert F[i] == pytest.approx(weight_F(model, t), rel=1e-9, abs=1e-15)
+                assert S[i] == pytest.approx(weight_S(model, t), rel=1e-9, abs=1e-15)
+            assert S[-1] == 0.0
 
     def test_single_point_weights_equal_curve(self):
         # two routes to the curve: the semigroup build, and weight_F / weight_S,
@@ -151,15 +160,15 @@ class TestWeightCurve:
         eps = np.finfo(float).eps
         for model in (sys4, reg3):
             Um = mho(model.A, model.D)
-            for kind, single in (("terminal", weight_F), ("integral", weight_S)):
-                curve = weight_curve(model, kind)
-                tol = 16 * eps * curve.values.max()
-                for t, value in zip(curve.mesh[::7], curve.values[::7]):
+            mesh, F, S, _ = weight_curve(model)
+            for kind, values, single in (("terminal", F, weight_F), ("integral", S, weight_S)):
+                tol = 16 * eps * values.max()
+                for t, value in zip(mesh[::7], values[::7]):
                     one = single(model, t)
                     assert abs(one - value) <= tol
                     if kind == "terminal":
                         E = expm((model.T - t) * model.A)
-                        ref = frobenius_pairing(Um, E.T @ model.M @ E)
+                        ref = np.sum(Um * (E.T @ model.M @ E))
                         assert abs(value - ref) <= tol
                         assert abs(one - ref) <= tol
 
@@ -174,7 +183,7 @@ class TestWeightCurve:
 
         monkeypatch.setattr(asymptotics, "_CURVE_CACHE", {})
         monkeypatch.setattr(asymptotics, "_transition", counting)
-        mesh, F, S, Q = asymptotics._curves(ou)
+        mesh, F, S, Q = weight_curve(ou)
         assert calls == [128]
         assert F.shape == S.shape == (J + 1,) and Q.shape == (J + 1, 1, 1)
         assert Q[0, 0, 0] == 0.0 and F[-1] == pytest.approx(1.0 / 12.0, rel=1e-15)
@@ -182,18 +191,16 @@ class TestWeightCurve:
     def test_tail_integral_identity_on_curve(self, ou, reg2):
         # int_t^T F du == S_t along the whole mesh
         for model in (ou, reg2):
-            F = weight_curve(model, "terminal")
-            S = weight_curve(model, "integral")
-            cum = cumulative_simpson(F.values, x=F.mesh, initial=0.0)
+            mesh, F, S, _ = weight_curve(model)
+            cum = cumulative_simpson(F, x=mesh, initial=0.0)
             tail = cum[-1] - cum
-            assert np.max(np.abs(tail - S.values)) <= 1e-8 * S.values[0]
+            assert np.max(np.abs(tail - S)) <= 1e-8 * S[0]
 
     def test_positivity_under_regularity(self):
         rng = np.random.default_rng(7)
         for n in (2, 3):
             model = random_regular_model(rng, n=n, m=n)
-            F = weight_curve(model, "terminal").values
-            S = weight_curve(model, "integral").values
+            _, F, S, _ = weight_curve(model)
             assert np.all(F > 0)
             assert np.all(S[:-1] > 0)
 
@@ -265,12 +272,12 @@ class TestSemigroupBuild:
         model = LinearSdeModel(A=A, B=I, M=I, T=T)
         eps = np.finfo(float).eps
         tol = [SEMIGROUP_MARGIN * max(g, 1.0) * eps for g in gaps]
-        mesh, F, S, Q = asymptotics._curves(model)
+        mesh, F, S, Q = weight_curve(model)
         F_row, S_row = weight_rows(model, mesh)  # every mesh point, one kernel row each
         assert np.max(np.abs(F - F_row)) <= tol[0] * F_row.max()
         assert np.max(np.abs(S - S_row)) <= tol[1] * S_row.max()
         Um = mho(model.A, model.D)
-        F_ref = np.array([frobenius_pairing(Um, E.T @ E) for E in (expm(s * model.A) for s in T - mesh)])
+        F_ref = np.array([np.sum(Um * (E.T @ E)) for E in (expm(s * model.A) for s in T - mesh)])
         assert np.max(np.abs(F - F_ref)) <= tol[2] * F_ref.max()
         _, E_row, K_row = asymptotics._transition(model.A.T, model.M, mesh)
         Q_row = asymptotics._gramian(E_row, K_row, model.M, mesh)
@@ -354,7 +361,7 @@ class TestPhiFunctional:
         w = np.array([1.0, 1.0])
         A = [[-1.0, 0.0], [1.0, -1.0]]
         model = LinearSdeModel(A=A, B=[[1.0], [0.0]], M=np.outer(w, w), T=1.0)
-        F = weight_curve(model, "terminal").values
+        F = weight_curve(model)[1]
         assert F[-1] == 0.0 and F[:-1].min() > 0.0
         psi = density_from_weight(1.0, F)
         assert psi.values[-1] == 0.0
@@ -424,7 +431,7 @@ class TestMinima:
 
     def test_jensen_lower_bound(self, ou, reg2):
         for model in (ou, reg2):
-            F = weight_curve(model, "terminal").values
+            F = weight_curve(model)[1]
             assert min_phi_value(model) >= model.T**3 * float(F.min())
 
     def test_zero_weight_gives_zero(self, flat2):
@@ -576,7 +583,7 @@ class TestLimitSigma:
         for model in (ou, reg2):
             uni = uniform_density(model.T)
             sig = limit_sigma(model, uni, 1.0)
-            assert frobenius_pairing(model.M, sig) == pytest.approx(
+            assert np.sum(model.M * sig) == pytest.approx(
                 phi_functional(model, uni), rel=1e-8
             )
 
@@ -603,6 +610,18 @@ class TestLimitSigma:
         pinched = optimal_profile(ou, "integral")
         with pytest.raises(ValueError):
             limit_sigma(ou, pinched, 0.5)
+
+    @pytest.mark.parametrize(
+        "tau", ["0.5", True, np.array([0.5]), np.array(0.5)], ids=["str", "bool", "array", "0-d-array"]
+    )
+    def test_tau_must_be_a_real_number(self, ou, tau):
+        # float() once read "0.5" as 0.5 and True as 1.0
+        uni = uniform_density(ou.T)
+        with pytest.raises(TypeError, match="^tau must be a real number"):
+            limit_sigma(ou, uni, tau)
+        want = limit_sigma(ou, uni, 0.5)
+        for real in (np.float64(0.5), np.float32(0.5)):  # a numpy real is read
+            assert np.array_equal(limit_sigma(ou, uni, real), want)
 
 
 # A density on a coarse mesh against the same function on the curves' mesh:
@@ -631,10 +650,10 @@ class TestDensityOnAnyMesh:
     def test_coarse_density_matches_its_resampling(self, name):
         eps = np.finfo(float).eps
         model = gramian_model(name)
-        curve = weight_curve(model, "terminal")
-        coarse = density_from_weight(model.T, curve.values[::64])  # 64 panels
-        assert np.array_equal(coarse.mesh, curve.mesh[::64])
-        fine = GridDensity(model.T, coarse.psi_at(curve.mesh))
+        mesh, F, _, _ = weight_curve(model)
+        coarse = density_from_weight(model.T, F[::64])  # 64 panels
+        assert np.array_equal(coarse.mesh, mesh[::64])
+        fine = GridDensity(model.T, coarse.psi_at(mesh))
         tol = {k: MESH_MARGIN * gap * eps for k, gap in MESH_GAPS.items()}
         for functional in (phi_functional, ups_functional):
             want = functional(model, fine)

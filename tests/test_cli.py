@@ -150,11 +150,17 @@ class TestParseConfig:
         with pytest.raises(ValueError):
             parse_config(write_config(tmp_path, bad))
 
-    def test_single_n_is_a_one_element_sweep(self, tmp_path):
+    def test_single_n_is_a_one_element_sweep(self, tmp_path, capsys):
         text = OU_CONFIG.replace("N_sweep = [16, 32, 64]", "N = 8")
         assert parse_config(write_config(tmp_path, text)).n_sweep == [8]
+        # N beside N_sweep was once read and then dropped without a word
         both = OU_CONFIG.replace("N_sweep = [16, 32, 64]", "N = 8\nN_sweep = [16, 32]")
-        assert parse_config(write_config(tmp_path, both)).n_sweep == [16, 32]
+        with pytest.raises(ValueError, match=r"^config \[grid\] N: not read beside N_sweep$"):
+            parse_config(write_config(tmp_path, both))
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", write_config(tmp_path, both), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: config [grid] N: not read beside N_sweep\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "old, new, key",
@@ -348,6 +354,34 @@ class TestGramian:
         cmd_gramian(cfg, quiet=True)
         assert calls == [128, 128]
         assert not hasattr(cli, "_transition")
+
+    def test_one_curve_build_shared_across_commands(self, tmp_path, monkeypatch):
+        # the reason the curve cache stays: a three-grid optimal sweep reads the
+        # curves five times (three grids, the limit row's density and
+        # ups_functional) from one 128-row build, and gramian on the same model
+        # adds only its (A, D) build
+        calls, reads = [], []
+        real_transition, real_curve = asymptotics._transition, asymptotics.weight_curve
+
+        def counting(A, D, t):
+            calls.append(len(t))
+            return real_transition(A, D, t)
+
+        def reading(model):
+            reads.append(model)
+            return real_curve(model)
+
+        monkeypatch.setattr(asymptotics, "_CURVE_CACHE", {})
+        monkeypatch.setattr(asymptotics, "_transition", counting)
+        monkeypatch.setattr(asymptotics, "weight_curve", reading)
+        monkeypatch.setattr(cli, "weight_curve", reading)
+        cfg = parse_config(str(REPO / "perfbench" / "workloads" / "sys4-optimal.cfg"))
+        cfg.outdir = str(tmp_path)
+        cmd_convergence(cfg, quiet=True)
+        assert len(reads) == 5 and calls == [128]
+        cmd_gramian(cfg, quiet=True)
+        assert len(reads) == 6 and calls == [128, 128]
+        assert all(model is cfg.model for model in reads)
 
     def test_stiff_model_table_is_finite(self, tmp_path):
         cfg_path = write_config(tmp_path, STIFF_CONFIG)

@@ -67,6 +67,17 @@ class TestGridDensity:
         psi = GridDensity(1.0, values)
         assert psi.values[-1] == 0.0
 
+    @pytest.mark.parametrize(
+        "T", ["1.0", True, np.array([1.0]), np.array(1.0)], ids=["str", "bool", "array", "0-d-array"]
+    )
+    def test_horizon_must_be_a_real_number(self, T):
+        # float() once read "1.0" and True as horizons
+        with pytest.raises(TypeError, match="^T must be a real number"):
+            GridDensity(T, [1.0, 1.0])
+        for real in (2, np.float32(2.0), np.int64(2)):  # a Python or numpy real is read
+            psi = GridDensity(real, [1.0, 1.0])
+            assert type(psi.T) is float and psi.T == 2.0
+
     def test_negative_and_nonfinite_rejected(self):
         bad = np.ones(J + 1)
         bad[3] = -0.1

@@ -97,11 +97,12 @@ def test_time_rescaling(name, c):
     model = MODELS[name]()
     scaled = rescaled(model, c)
     tol = MARGIN * RESCALE_GAP * EPS
-    for kind, power in (("terminal", 3), ("integral", 2)):
-        curve, mapped = weight_curve(model, kind), weight_curve(scaled, kind)
-        assert np.array_equal(mapped.mesh, curve.mesh / c)
-        want = c**power * curve.values
-        assert np.max(np.abs(mapped.values - want)) <= tol * want.max()
+    mesh, F, S, _ = weight_curve(model)
+    scaled_mesh, scaled_F, scaled_S, _ = weight_curve(scaled)
+    assert np.array_equal(scaled_mesh, mesh / c)
+    for values, mapped, power in ((F, scaled_F, 3), (S, scaled_S, 2)):
+        want = c**power * values
+        assert np.max(np.abs(mapped - want)) <= tol * want.max()
     assert min_phi_value(scaled) == pytest.approx(min_phi_value(model), rel=tol, abs=0)
 
 
@@ -177,10 +178,9 @@ def test_refinement_lowers_the_terminal_error(name):
 def test_block_additivity(pair):
     A1, A2 = BLOCK_PAIRS[pair]()
     whole, first, second = unit_model(block(A1, A2)), unit_model(A1), unit_model(A2)
-    for kind in ("terminal", "integral"):
-        w = weight_curve(whole, kind).values
-        parts = weight_curve(first, kind).values + weight_curve(second, kind).values
-        assert np.max(np.abs(w - parts)) <= MARGIN * BLOCK_CURVE_GAP * EPS * w.max()
+    curves = [weight_curve(m)[1:3] for m in (whole, first, second)]
+    for w, a, b in zip(*curves):  # F, then S: the whole model's is the sum of its blocks'
+        assert np.max(np.abs(w - (a + b))) <= MARGIN * BLOCK_CURVE_GAP * EPS * w.max()
     for grid in (TimeGrid(np.linspace(0.0, 1.0, 65)), random_grid(np.random.default_rng(11), 40)):
         rep, r1, r2 = (error_report(m, grid) for m in (whole, first, second))
         for got, a, b in ((rep.terminal, r1.terminal, r2.terminal), (rep.integral, r1.integral, r2.integral)):

@@ -5,7 +5,6 @@ from sde_gridopt import (
     LinearSdeModel,
     ModelValidationError,
     TimeGrid,
-    frobenius_pairing,
     regularity_check,
     sigma_path,
     validate_model,
@@ -70,6 +69,18 @@ class TestValidateModel:
             with pytest.raises(ModelValidationError) as exc:
                 LinearSdeModel(A=[[-1.0]], B=[[1.0]], M=[[1.0]], T=T)
             assert "horizon-not-positive" in exc.value.violations
+
+    @pytest.mark.parametrize(
+        "T", ["1.0", True, np.array([1.0]), np.array(1.0)], ids=["str", "bool", "array", "0-d-array"]
+    )
+    def test_horizon_not_a_number_named(self, T):
+        # float() once read "1.0" and True as horizons, and an array raised numpy's TypeError
+        with pytest.raises(ModelValidationError) as exc:
+            LinearSdeModel(A=[[-1.0]], B=[[1.0]], M=[[1.0]], T=T)
+        assert exc.value.violations == ["horizon-not-a-number"]
+        for real in (2, np.float32(2.0), np.int64(2)):  # a Python or numpy real is read
+            model = LinearSdeModel(A=[[-1.0]], B=[[1.0]], M=[[1.0]], T=real)
+            assert type(model.T) is float and model.T == 2.0
 
     def test_nonfinite_entries_named(self):
         with pytest.raises(ModelValidationError) as exc:
@@ -154,20 +165,3 @@ class TestRegularity:
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
         model = LinearSdeModel(A=A, B=[[0.0], [1.0]], M=np.eye(2), T=1.0)
         assert regularity_check(model).satisfied
-
-
-class TestFrobeniusPairing:
-    def test_identity_pair(self):
-        assert frobenius_pairing(np.eye(2), np.eye(2)) == 2.0
-
-    def test_trace_form_oracle(self):
-        rng = np.random.default_rng(2)
-        K = rng.standard_normal((3, 3))
-        L = rng.standard_normal((3, 3))
-        ref = sum(K[i, j] * L[i, j] for i in range(3) for j in range(3))
-        assert frobenius_pairing(K, L) == pytest.approx(ref, rel=1e-14)
-        assert frobenius_pairing(K, L) == pytest.approx(np.trace(K.T @ L), rel=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            frobenius_pairing(np.eye(2), np.eye(3))

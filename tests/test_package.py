@@ -8,6 +8,7 @@ import pytest
 
 import sde_gridopt
 from sde_gridopt import asymptotics, grid, matfun, model, solver
+from sde_gridopt.cli import cmd_convergence, parse_config
 
 MODULES = (model, matfun, grid, solver, asymptotics)
 REPO = Path(__file__).resolve().parents[1]
@@ -18,7 +19,6 @@ PUBLIC = {
     "LinearSdeModel",
     "ModelValidationError",
     "RegularityReport",
-    "frobenius_pairing",
     "regularity_check",
     "validate_model",
     # matfun
@@ -45,7 +45,6 @@ PUBLIC = {
     "run_filter",
     "mc_verify_mse",
     # asymptotics
-    "WeightCurve",
     "OuClosedForms",
     "weight_curve",
     "phi_functional",
@@ -108,6 +107,22 @@ def test_version_written_once():
     assert pyproject["project"]["dynamic"] == ["version"]
     module, name = pyproject["tool"]["setuptools"]["dynamic"]["version"]["attr"].rsplit(".", 1)
     assert getattr(importlib.import_module(module), name) is sde_gridopt.__version__
+
+
+def test_readme_config_block_runs(tmp_path):
+    # the first ini block of README.md parses as written and runs the
+    # convergence sweep it describes; an inline "; comment" on a value line
+    # once made it a config error
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(block, encoding="utf-8")
+    cfg = parse_config(str(cfg_path))
+    cfg.outdir = str(tmp_path / "out")
+    path = cmd_convergence(cfg, quiet=True)
+    rows = Path(path).read_text(encoding="utf-8").splitlines()
+    assert rows[0] == "N,T_N,I_N,N2T_N,N2I_N"
+    assert [row.split(",")[0] for row in rows[1:]] == [*map(str, cfg.n_sweep), "limit"]
 
 
 def test_readme_quickstart_prints_the_stated_limits(capsys):
